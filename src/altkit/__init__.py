@@ -90,6 +90,8 @@ from .lifetime import (
     saft_distribution_at,
     saft_quantile,
     std_cdf,
+    std_d2logpdf,
+    std_d2logsf,
     std_dlogpdf,
     std_dlogsf,
     std_logpdf,

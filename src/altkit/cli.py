@@ -9,8 +9,7 @@ Exit codes: 0 success; 2 argument/validation errors (one-line diagnostic
 on stderr); 3 non-convergence (the JSON report is still emitted with
 converged=false).  Data go to stdout (or --output), diagnostics to
 stderr.  Identical invocations produce byte-identical output; --seed is
-required for anything stochastic (--bootstrap).  The ALTKIT_THREADS
-environment variable bounds internal parallelism (profile sweeps).
+required for anything stochastic (--bootstrap).
 """
 
 from __future__ import annotations
@@ -260,17 +259,18 @@ def _parse_probabilities(text: str) -> list[float]:
     return ps
 
 
-def _run_fit(args) -> tuple[FitResult, int]:
+def _run_fit(args) -> tuple[list, FitResult, int]:
+    """Read --data once (it may be a pipe) and fit --model to it."""
     records = read_life_csv(args.data)
     spec = parse_model(args.model)
     try:
-        return fit_ml(records, spec), 0
+        return records, fit_ml(records, spec), 0
     except NonConvergenceError as err:
-        return err.result, 3
+        return records, err.result, 3
 
 
 def cmd_fit(args) -> int:
-    fit, code = _run_fit(args)
+    _, fit, code = _run_fit(args)
     report = _fit_report(fit)
     if args.use:
         use = _parse_assignments(args.use)
@@ -282,18 +282,16 @@ def cmd_fit(args) -> int:
 def cmd_quantile(args) -> int:
     if args.bootstrap is not None and args.seed is None:
         raise ConfigError("--bootstrap draws are stochastic; --seed is required")
-    fit, code = _run_fit(args)
+    records, fit, code = _run_fit(args)
     use = _parse_assignments(args.use)
     ps = _parse_probabilities(args.p)
     report = _fit_report(fit)
     report["command"] = "quantile"
     report["quantiles"] = _quantile_blocks(fit, use, ps)
     if args.bootstrap is not None:
-        records = read_life_csv(args.data)
-        spec = parse_model(args.model)
         blocks = []
         for p in ps:
-            boot = bootstrap_quantile(records, spec, use, p, args.bootstrap, args.seed)
+            boot = bootstrap_quantile(records, fit.spec, use, p, args.bootstrap, args.seed)
             blocks.append(
                 {
                     "p": p,

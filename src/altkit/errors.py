@@ -46,7 +46,8 @@ class DataError(AltkitError, ValueError):
 
 
 class NonConvergenceError(AltkitError, RuntimeError):
-    """Optimizer hit its iteration cap; carries the best result so far."""
+    """The fit stopped short of its convergence test; carries the best
+    result so far."""
 
     def __init__(self, message, result=None):
         super().__init__(message)

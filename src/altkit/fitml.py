@@ -1,24 +1,25 @@
 """Maximum-likelihood fitting of censored log-location-scale regressions.
 
 The negative log-likelihood sums, over records, -log density for failures
-and -log survival for right-censored units.  It is minimized with a
-derivative-free simplex stage to find the region, a quasi-Newton stage
-with central-difference gradients, and a Newton polish; convergence means
-the relative log-likelihood change between refinement cycles is below
-1e-10 AND the scaled gradient max-norm is below 1e-5.  sigma is fitted on
-the log scale so the search is unconstrained.
+and -log survival for right-censored units.  sigma enters on the log
+scale so the search is unconstrained.
+
+The fit is damped Newton on the analytic score and observed information,
+in a space where every covariate column is centred and scaled.  Each step
+solves with the Hessian, adds a growing ridge when that is not a descent
+direction, and halves the step until the objective falls.  The loop ends
+when the objective can no longer resolve the predicted decrease, when no
+step lowers it, or after NEWTON_STEPS steps; the fit has converged when
+the scaled gradient max-norm at the returned point is below 1e-5.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtr
 
 from .data import LifeRecord, resolve_variable
@@ -30,12 +31,20 @@ from .errors import (
     NonConvergenceError,
 )
 from .formula import Factor, ModelSpec, Term, design_matrix, design_row
-from .lifetime import std_dlogpdf, std_dlogsf, std_logpdf, std_logsf, std_quantile
+from .lifetime import (
+    std_d2logpdf,
+    std_d2logsf,
+    std_dlogpdf,
+    std_dlogsf,
+    std_logpdf,
+    std_logsf,
+    std_quantile,
+)
 
 BARRIER = 1e300
-ITERATION_CAP = 2000
+NEWTON_STEPS = 50
 GRAD_TOL = 1e-5
-REL_F_TOL = 1e-10
+DECREMENT_TOL = 1e-12
 _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 
 
@@ -108,7 +117,7 @@ class _Likelihood:
         s = theta[self.n_mu :]
         mu = self.x_mu @ beta
         logsig = self.x_sig @ s
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             sigma = np.exp(logsig)
             z = (self.logt - mu) / sigma
             ll = float(
@@ -123,22 +132,41 @@ class _Likelihood:
             return BARRIER
         return -ll
 
+    def _residuals(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sigma, z and L' = d/dz of each record's log density (failures)
+        or log survival (censored units)."""
+        theta = np.asarray(theta, dtype=float)
+        sigma = np.exp(self.x_sig @ theta[self.n_mu :])
+        z = (self.logt - self.x_mu @ theta[: self.n_mu]) / sigma
+        dfail = std_dlogpdf(z, self.family)
+        dcens = std_dlogsf(z, self.family)
+        return sigma, z, np.where(self.failed, dfail, dcens)
+
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Analytic score of the negative log-likelihood (same sign as the
         finite-difference gradient of ``__call__``)."""
-        theta = np.asarray(theta, dtype=float)
-        beta = theta[: self.n_mu]
-        s = theta[self.n_mu :]
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            mu = self.x_mu @ beta
-            sigma = np.exp(self.x_sig @ s)
-            z = (self.logt - mu) / sigma
-            dfail = std_dlogpdf(z, self.family)
-            dcens = std_dlogsf(z, self.family)
-            lprime = np.where(self.failed, dfail, dcens)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            sigma, z, lprime = self._residuals(theta)
             g_mu = self.x_mu.T @ (lprime / sigma)
             g_sig = self.x_sig.T @ (lprime * z + np.where(self.failed, 1.0, 0.0))
         return np.concatenate([g_mu, g_sig])
+
+    def hessian(self, theta: np.ndarray) -> np.ndarray:
+        """Analytic Hessian of the negative log-likelihood (the observed
+        information).  With L'' the second z-derivative per record, the
+        (mu, mu), (mu, log sigma) and (log sigma, log sigma) blocks are
+        X'diag(w)X with w = -L''/sigma^2, -(L''z + L')/sigma and
+        -(L''z^2 + L'z)."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            sigma, z, lprime = self._residuals(theta)
+            d2fail = std_d2logpdf(z, self.family)
+            d2cens = std_d2logsf(z, self.family)
+            l2 = np.where(self.failed, d2fail, d2cens)
+            w = -(l2 * z + lprime)
+            h_mu = (self.x_mu.T * (-l2 / sigma**2)) @ self.x_mu
+            h_cross = (self.x_mu.T * (w / sigma)) @ self.x_sig
+            h_sig = (self.x_sig.T * (w * z)) @ self.x_sig
+        return np.block([[h_mu, h_cross], [h_cross.T, h_sig]])
 
 
 def neg_log_likelihood(
@@ -257,74 +285,53 @@ def _scaled_grad(g: np.ndarray, x: np.ndarray, f: float) -> float:
     return float(np.max(np.abs(g) * np.maximum(1.0, np.abs(x)))) / max(1.0, abs(f))
 
 
-def _newton_polish(like, x: np.ndarray, f: float) -> tuple[np.ndarray, float, int]:
-    nit = 0
-    for _ in range(25):
-        g = like.gradient(x)
-        if not np.all(np.isfinite(g)):
-            break
-        h = fd_hessian(like, x)
-        step = None
-        ridge = 0.0
-        scale = float(np.max(np.abs(np.diag(h)))) or 1.0
-        for _ in range(12):
-            try:
-                cand = np.linalg.solve(h + ridge * np.eye(x.size), g)
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and float(g @ cand) > 0.0:
-                step = cand
-                break
-            ridge = max(ridge * 10.0, 1e-8 * scale)
+def _descent_step(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """The Newton step solving h @ step = g; where that is not a descent
+    direction (h singular or indefinite), retry with a growing ridge."""
+    ridge = 0.0
+    scale = float(np.max(np.abs(np.diag(h)))) or 1.0
+    for _ in range(12):
+        try:
+            step = np.linalg.solve(h + ridge * np.eye(g.size), g)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and float(g @ step) > 0.0:
+            return step
+        ridge = max(ridge * 10.0, 1e-8 * scale)
+    return None
+
+
+def _newton(like, x: np.ndarray, f: float) -> tuple[np.ndarray, float, np.ndarray, int]:
+    """Damped Newton from x with f = like(x); returns the final point, its
+    objective and score, and the number of steps taken."""
+    g = like.gradient(x)
+    steps = 0
+    while steps < NEWTON_STEPS and np.all(np.isfinite(g)):
+        step = _descent_step(like.hessian(x), g)
         if step is None:
             break
-        alpha, fn, xn = 1.0, None, None
+        if float(g @ step) < DECREMENT_TOL * max(1.0, abs(f)):
+            # f cannot resolve the decrease the quadratic model predicts
+            # (half of g @ step) but the score can: take the full step if
+            # it shrinks the score, then stop.
+            trial = x - step
+            gt = like.gradient(trial)
+            if np.max(np.abs(gt)) < np.max(np.abs(g)):
+                x, f, g = trial, like(trial), gt
+                steps += 1
+            break
+        alpha = 1.0
         while alpha > 1e-10:
             trial = x - alpha * step
             ft = like(trial)
             if ft < f:
-                fn, xn = ft, trial
                 break
             alpha *= 0.5
-        if fn is None:
+        else:
             break
-        gain = f - fn
-        x, f = xn, fn
-        nit += 1
-        if gain < 1e-14 * max(1.0, abs(f)):
-            break
-    return _score_refine(like, x, f, nit)
-
-
-def _score_refine(like, x: np.ndarray, f: float, nit: int) -> tuple[np.ndarray, float, int]:
-    """Pure Newton steps on the analytic score.  Once the objective can no
-    longer resolve decreases (relative ~1e-16), the score still has full
-    floating-point resolution, so drive it toward zero directly while it
-    strictly shrinks and the objective does not meaningfully rise."""
-    g = like.gradient(x)
-    if not np.all(np.isfinite(g)):
-        return x, f, nit
-    gn = float(np.linalg.norm(g))
-    h = fd_hessian(like, x)
-    for _ in range(8):
-        try:
-            step = np.linalg.solve(h, g)
-        except np.linalg.LinAlgError:
-            break
-        trial = x - step
-        ft = like(trial)
-        gt = like.gradient(trial)
-        if ft >= BARRIER or not np.all(np.isfinite(gt)):
-            break
-        gtn = float(np.linalg.norm(gt))
-        if gtn >= gn or ft > f + 1e-12 * max(1.0, abs(f)):
-            break
-        x, f, g, gn = trial, min(f, ft), gt, gtn
-        nit += 1
-        if gn == 0.0:
-            break
-        h = fd_hessian(like, x)
-    return x, f, nit
+        x, f, g = trial, ft, like.gradient(trial)
+        steps += 1
+    return x, f, g, steps
 
 
 @dataclass
@@ -337,7 +344,7 @@ class FitResult:
     loglik: float
     covariance: np.ndarray
     converged: bool
-    iterations: int
+    iterations: int  # Newton steps taken
     warnings: list[str] = field(default_factory=list)
     n_records: int = 0
     n_failed: int = 0
@@ -378,7 +385,8 @@ def fit_ml(
 
     Raises InestimableError when no record is a failure, IllPosedFitError on
     a rank-deficient design, and NonConvergenceError (carrying the
-    best-so-far FitResult in `.result`) when the iteration cap is hit.
+    best-so-far FitResult in `.result`) when the Newton loop stops short
+    of the scaled-gradient tolerance.
     """
     data = list(data)
     if not data:
@@ -402,45 +410,12 @@ def fit_ml(
         if init.size != spec.n_params:
             raise DomainError(f"init must have length {spec.n_params}")
         x = std.standardized_params(init)
-    f = nll(x)
-    iterations = 0
-    converged = False
-    n = x.size
-
-    for _ in range(60):
-        f_cycle = f
-        res = minimize(
-            nll,
-            x,
-            method="Nelder-Mead",
-            options={"maxiter": max(400, 120 * n), "xatol": 1e-10, "fatol": 1e-12},
-        )
-        iterations += res.nit
-        if res.fun < f:
-            x, f = np.asarray(res.x, dtype=float), float(res.fun)
-        res = minimize(
-            nll,
-            x,
-            method="BFGS",
-            jac=lambda th: fd_gradient(nll, th),
-            options={"gtol": 1e-8, "maxiter": 200},
-        )
-        iterations += res.nit
-        if res.fun < f:
-            x, f = np.asarray(res.x, dtype=float), float(res.fun)
-        x, f, nit = _newton_polish(nll, x, f)
-        iterations += nit
-
-        rel_change = abs(f_cycle - f) / max(1.0, abs(f))
-        grad = _scaled_grad(nll.gradient(x), x, f)
-        if rel_change < REL_F_TOL and grad < GRAD_TOL:
-            converged = True
-            break
-        if iterations >= ITERATION_CAP:
-            break
+    x, f, grad, iterations = _newton(nll, x, nll(x))
+    scaled_grad = _scaled_grad(grad, x, f)
+    converged = scaled_grad < GRAD_TOL
 
     warnings: list[str] = []
-    hess = fd_hessian(nll, x, rel_step=1e-4)
+    hess = nll.hessian(x)
     try:
         cov_std = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -472,8 +447,8 @@ def fit_ml(
     )
     if not converged:
         raise NonConvergenceError(
-            f"no convergence after {iterations} iterations "
-            f"(scaled gradient {_scaled_grad(nll.gradient(x), x, f):.3e})",
+            f"no convergence after {iterations} Newton steps "
+            f"(scaled gradient {scaled_grad:.3e})",
             result,
         )
     return result
@@ -558,22 +533,12 @@ class ProfilePoint:
     converged: bool
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    try:
-        return max(1, int(os.environ.get("ALTKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def profile_lambda(
     data: Sequence[LifeRecord],
     spec: ModelSpec,
     use: Mapping[str, float],
     p: float = 0.1,
     grid: Sequence[float] | None = None,
-    threads: int | None = None,
 ) -> list[ProfilePoint]:
     """Profile the power-transform exponent: refit all other parameters at
     each grid value and report the log-likelihood and the use-condition
@@ -599,10 +564,6 @@ def profile_lambda(
         except (MissingVariableError, DomainError):
             return ProfilePoint(float(lam), fit.loglik, nan, nan, nan, ok)
 
-    workers = _thread_count(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(eval_point, lams))
     return [eval_point(lam) for lam in lams]
 
 

@@ -79,6 +79,28 @@ def std_dlogsf(z, family: str):
     raise DomainError(f"unknown family {family!r}")
 
 
+def std_d2logpdf(z, family: str):
+    """Second derivative of std_logpdf with respect to z."""
+    z = np.asarray(z, dtype=float)
+    if family == "lognormal":
+        return np.full_like(z, -1.0)
+    if family == "weibull":
+        return -np.exp(z)
+    raise DomainError(f"unknown family {family!r}")
+
+
+def std_d2logsf(z, family: str):
+    """Second derivative of std_logsf with respect to z: -d*(d + z) for the
+    normal, with d = std_dlogsf; -exp(z) for the SEV."""
+    z = np.asarray(z, dtype=float)
+    if family == "lognormal":
+        d = std_dlogsf(z, family)
+        return -d * (d + z)
+    if family == "weibull":
+        return -np.exp(z)
+    raise DomainError(f"unknown family {family!r}")
+
+
 @dataclass(frozen=True)
 class LifeDistribution:
     """A lognormal or Weibull lifetime via (mu, sigma) of log lifetime."""

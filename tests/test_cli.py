@@ -2,14 +2,29 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import altkit
 from altkit import gab_content_hash, load_gab, read_life_csv
 from altkit.cli import main
 from altkit.datasets import GAB_CONDITION_COLUMN
+
+
+def run_altkit(args, **kwargs):
+    """Run a Python module or snippet in a fresh interpreter that imports
+    this checkout's altkit."""
+    src = str(Path(altkit.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=env, timeout=300, **kwargs)
 
 
 @pytest.fixture()
@@ -42,6 +57,14 @@ def spectrum_csv(tmp_path):
         lines.append(f"{lam},1.0")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy_optimize(self):
+        proc = run_altkit(["-c", "import sys, altkit; "
+                           "print('scipy.optimize' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().strip() == "False"
 
 
 class TestAf:
@@ -196,6 +219,19 @@ class TestQuantile:
         assert block["n_resamples"] == 20
         assert block["seed"] == 7
         assert block["se_log"] > 0.0
+
+    def test_piped_data_matches_file(self, gab_csv, capsys):
+        argv = ["quantile", "--model", "lognormal: mu ~ log(voltstress)",
+                "--use", "voltstress=120", "--p", "0.1,0.5",
+                "--bootstrap", "5", "--seed", "1"]
+        assert main(argv + ["--data", gab_csv]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        proc = run_altkit(["-m", "altkit.cli", *argv, "--data", "/dev/stdin"],
+                          input=Path(gab_csv).read_bytes())
+        assert proc.returncode == 0, proc.stderr.decode()
+        piped = json.loads(proc.stdout)
+        assert len(piped["bootstrap"]) == 2
+        assert piped["bootstrap"] == from_file["bootstrap"]
 
 
 class TestProfile:

@@ -21,6 +21,8 @@ from altkit import (
     saft_distribution_at,
     saft_quantile,
     std_cdf,
+    std_d2logpdf,
+    std_d2logsf,
     std_dlogpdf,
     std_dlogsf,
     std_logpdf,
@@ -67,6 +69,10 @@ class TestStandardFunctions:
             d_sf = (std_logsf(z + h, family) - std_logsf(z - h, family)) / (2 * h)
             assert_allclose(std_dlogpdf(z, family), d_pdf, rtol=1e-7, atol=1e-9)
             assert_allclose(std_dlogsf(z, family), d_sf, rtol=1e-7, atol=1e-9)
+            d2_pdf = (std_dlogpdf(z + h, family) - std_dlogpdf(z - h, family)) / (2 * h)
+            d2_sf = (std_dlogsf(z + h, family) - std_dlogsf(z - h, family)) / (2 * h)
+            assert_allclose(std_d2logpdf(z, family), d2_pdf, rtol=1e-7, atol=1e-9)
+            assert_allclose(std_d2logsf(z, family), d2_sf, rtol=1e-7, atol=1e-9)
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
