@@ -11,10 +11,19 @@ direction, and halves the step until the objective falls.  The loop ends
 when the objective can no longer resolve the predicted decrease, when no
 step lowers it, or after NEWTON_STEPS steps; the fit has converged when
 the scaled gradient max-norm at the returned point is below 1e-5.
+
+Each point the search visits is evaluated in one pass.  Records are
+stored failures first, so the density kernels run on the failures only
+and the survival kernels on the censored units only.  sigma and z are
+computed once per point; the objective, the score and the Hessian are
+built from them on first use, the survival derivative runs at most once
+per point, and the accepted point's score and Hessian serve both the next
+step and the final covariance.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -88,85 +97,119 @@ def fd_hessian(f, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
 
 
 class _Likelihood:
-    """Prepared design matrices and the negative log-likelihood callable."""
+    """Prepared design matrices and the negative log-likelihood callable.
+
+    Rows are stored failures first, so the failed and the censored rows
+    are the two slices [:n_failed] and [n_failed:] of every array.
+    """
 
     def __init__(self, data: Sequence[LifeRecord], spec: ModelSpec):
+        failed = np.array([r.failed for r in data], dtype=bool)
+        order = np.argsort(~failed, kind="stable")
         conditions = [r.condition for r in data]
-        self.x_mu = design_matrix(spec.mu_terms, conditions)
-        self.x_sig = design_matrix(spec.sigma_terms, conditions)
-        self.logt = np.log(np.array([r.time for r in data]))
-        self.failed = np.array([r.failed for r in data], dtype=bool)
+        self.x_mu = design_matrix(spec.mu_terms, conditions)[order]
+        self.x_sig = design_matrix(spec.sigma_terms, conditions)[order]
+        self.logt = np.log(np.array([r.time for r in data]))[order]
+        self.n_failed = int(failed.sum())
         self.family = spec.family
         self.n_mu = spec.n_mu
 
     def rescaled(self, x_mu: np.ndarray, x_sig: np.ndarray) -> "_Likelihood":
-        clone = object.__new__(_Likelihood)
+        clone = copy.copy(self)
         clone.x_mu = x_mu
         clone.x_sig = x_sig
-        clone.logt = self.logt
-        clone.failed = self.failed
-        clone.family = self.family
-        clone.n_mu = self.n_mu
         return clone
 
-    def __call__(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(theta)):
-            return BARRIER
-        beta = theta[: self.n_mu]
-        s = theta[self.n_mu :]
-        mu = self.x_mu @ beta
-        logsig = self.x_sig @ s
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            sigma = np.exp(logsig)
-            z = (self.logt - mu) / sigma
-            ll = float(
-                np.sum(
-                    std_logpdf(z[self.failed], self.family)
-                    - logsig[self.failed]
-                    - self.logt[self.failed]
-                )
-                + np.sum(std_logsf(z[~self.failed], self.family))
-            )
-        if not math.isfinite(ll):
-            return BARRIER
-        return -ll
+    def at(self, theta: np.ndarray) -> "_Point":
+        return _Point(self, np.asarray(theta, dtype=float))
 
-    def _residuals(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """sigma, z and L' = d/dz of each record's log density (failures)
-        or log survival (censored units)."""
-        theta = np.asarray(theta, dtype=float)
-        sigma = np.exp(self.x_sig @ theta[self.n_mu :])
-        z = (self.logt - self.x_mu @ theta[: self.n_mu]) / sigma
-        dfail = std_dlogpdf(z, self.family)
-        dcens = std_dlogsf(z, self.family)
-        return sigma, z, np.where(self.failed, dfail, dcens)
+    def __call__(self, theta: np.ndarray) -> float:
+        return self.at(theta).nll()
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Analytic score of the negative log-likelihood (same sign as the
         finite-difference gradient of ``__call__``)."""
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            sigma, z, lprime = self._residuals(theta)
-            g_mu = self.x_mu.T @ (lprime / sigma)
-            g_sig = self.x_sig.T @ (lprime * z + np.where(self.failed, 1.0, 0.0))
-        return np.concatenate([g_mu, g_sig])
+        return self.at(theta).score()
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic Hessian of the negative log-likelihood (the observed
-        information).  With L'' the second z-derivative per record, the
-        (mu, mu), (mu, log sigma) and (log sigma, log sigma) blocks are
+        information)."""
+        return self.at(theta).hessian()
+
+
+class _Point:
+    """The likelihood at one theta.  sigma and z are computed once; the
+    objective, the score and the Hessian are each computed on first use
+    and kept.  The kernels see the failed rows and the censored rows
+    apart: log density and its derivatives on failures, log survival and
+    its derivatives on censored units."""
+
+    def __init__(self, like: _Likelihood, theta: np.ndarray):
+        self.like = like
+        self.theta = theta
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            self.logsig = like.x_sig @ theta[like.n_mu :]
+            self.sigma = np.exp(self.logsig)
+            self.z = (like.logt - like.x_mu @ theta[: like.n_mu]) / self.sigma
+        self._nll = self._lprime = self._score = self._hessian = None
+
+    def nll(self) -> float:
+        """Negative log-likelihood; BARRIER where it is not finite."""
+        if self._nll is None:
+            like, nf, z = self.like, self.like.n_failed, self.z
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                ll = float(
+                    np.sum(std_logpdf(z[:nf], like.family) - self.logsig[:nf] - like.logt[:nf])
+                    + np.sum(std_logsf(z[nf:], like.family))
+                )
+            finite = math.isfinite(ll) and np.all(np.isfinite(self.theta))
+            self._nll = -ll if finite else BARRIER
+        return self._nll
+
+    def _l1(self) -> np.ndarray:
+        """L' = d/dz of each row's log density (failures) or log survival
+        (censored units)."""
+        if self._lprime is None:
+            like, nf, z = self.like, self.like.n_failed, self.z
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                self._lprime = np.concatenate([
+                    std_dlogpdf(z[:nf], like.family), std_dlogsf(z[nf:], like.family)
+                ])
+        return self._lprime
+
+    def score(self) -> np.ndarray:
+        """Analytic score of the negative log-likelihood."""
+        if self._score is None:
+            like, l1 = self.like, self._l1()
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                w_sig = l1 * self.z
+                w_sig[: like.n_failed] += 1.0
+                self._score = np.concatenate(
+                    [like.x_mu.T @ (l1 / self.sigma), like.x_sig.T @ w_sig]
+                )
+        return self._score
+
+    def hessian(self) -> np.ndarray:
+        """Observed information.  With L'' the second z-derivative per row,
+        the (mu, mu), (mu, log sigma) and (log sigma, log sigma) blocks are
         X'diag(w)X with w = -L''/sigma^2, -(L''z + L')/sigma and
         -(L''z^2 + L'z)."""
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            sigma, z, lprime = self._residuals(theta)
-            d2fail = std_d2logpdf(z, self.family)
-            d2cens = std_d2logsf(z, self.family)
-            l2 = np.where(self.failed, d2fail, d2cens)
-            w = -(l2 * z + lprime)
-            h_mu = (self.x_mu.T * (-l2 / sigma**2)) @ self.x_mu
-            h_cross = (self.x_mu.T * (w / sigma)) @ self.x_sig
-            h_sig = (self.x_sig.T * (w * z)) @ self.x_sig
-        return np.block([[h_mu, h_cross], [h_cross.T, h_sig]])
+        if self._hessian is None:
+            like, nf, z, l1 = self.like, self.like.n_failed, self.z, self._l1()
+            k = like.n_mu
+            h = np.empty((k + like.x_sig.shape[1],) * 2)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+                l2 = np.concatenate([
+                    std_d2logpdf(z[:nf], like.family),
+                    std_d2logsf(z[nf:], like.family, dlogsf=l1[nf:]),
+                ])
+                w = -(l2 * z + l1)
+                h[:k, :k] = (like.x_mu.T * (-l2 / self.sigma**2)) @ like.x_mu
+                h[:k, k:] = (like.x_mu.T * (w / self.sigma)) @ like.x_sig
+                h[k:, :k] = h[:k, k:].T
+                h[k:, k:] = (like.x_sig.T * (w * z)) @ like.x_sig
+            self._hessian = h
+        return self._hessian
 
 
 def neg_log_likelihood(
@@ -199,13 +242,13 @@ def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
 
 
 def _default_init(like: _Likelihood, n_params: int) -> np.ndarray:
-    xf = like.x_mu[like.failed]
-    yf = like.logt[like.failed]
+    xf = like.x_mu[: like.n_failed]
+    yf = like.logt[: like.n_failed]
     beta, *_ = np.linalg.lstsq(xf, yf, rcond=None)
     resid = yf - xf @ beta
     dof = max(1, yf.size - like.n_mu)
     s0 = max(math.sqrt(float(resid @ resid) / dof), 1e-3)
-    sigma0 = s0 / float(like.failed.mean())
+    sigma0 = s0 / (like.n_failed / like.logt.size)
     theta = np.zeros(n_params)
     theta[: like.n_mu] = beta
     theta[like.n_mu] = math.log(sigma0)
@@ -301,37 +344,35 @@ def _descent_step(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _newton(like, x: np.ndarray, f: float) -> tuple[np.ndarray, float, np.ndarray, int]:
-    """Damped Newton from x with f = like(x); returns the final point, its
-    objective and score, and the number of steps taken."""
-    g = like.gradient(x)
+def _newton(like: _Likelihood, point: _Point) -> tuple[_Point, int]:
+    """Damped Newton from `point`; returns the final point and the number
+    of steps taken."""
     steps = 0
-    while steps < NEWTON_STEPS and np.all(np.isfinite(g)):
-        step = _descent_step(like.hessian(x), g)
+    while steps < NEWTON_STEPS and np.all(np.isfinite(point.score())):
+        g = point.score()
+        step = _descent_step(point.hessian(), g)
         if step is None:
             break
-        if float(g @ step) < DECREMENT_TOL * max(1.0, abs(f)):
+        if float(g @ step) < DECREMENT_TOL * max(1.0, abs(point.nll())):
             # f cannot resolve the decrease the quadratic model predicts
             # (half of g @ step) but the score can: take the full step if
             # it shrinks the score, then stop.
-            trial = x - step
-            gt = like.gradient(trial)
-            if np.max(np.abs(gt)) < np.max(np.abs(g)):
-                x, f, g = trial, like(trial), gt
+            trial = like.at(point.theta - step)
+            if np.max(np.abs(trial.score())) < np.max(np.abs(g)):
+                point = trial
                 steps += 1
             break
         alpha = 1.0
         while alpha > 1e-10:
-            trial = x - alpha * step
-            ft = like(trial)
-            if ft < f:
+            trial = like.at(point.theta - alpha * step)
+            if trial.nll() < point.nll():
                 break
             alpha *= 0.5
         else:
             break
-        x, f, g = trial, ft, like.gradient(trial)
+        point = trial
         steps += 1
-    return x, f, g, steps
+    return point, steps
 
 
 @dataclass
@@ -392,7 +433,7 @@ def fit_ml(
     if not data:
         raise InestimableError("no records")
     like = _Likelihood(data, spec)
-    if not like.failed.any():
+    if like.n_failed == 0:
         raise InestimableError(
             "all records are censored; the model parameters are inestimable"
         )
@@ -410,12 +451,13 @@ def fit_ml(
         if init.size != spec.n_params:
             raise DomainError(f"init must have length {spec.n_params}")
         x = std.standardized_params(init)
-    x, f, grad, iterations = _newton(nll, x, nll(x))
-    scaled_grad = _scaled_grad(grad, x, f)
+    point, iterations = _newton(nll, nll.at(x))
+    f = point.nll()
+    scaled_grad = _scaled_grad(point.score(), point.theta, f)
     converged = scaled_grad < GRAD_TOL
 
     warnings: list[str] = []
-    hess = nll.hessian(x)
+    hess = point.hessian()
     try:
         cov_std = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -434,14 +476,14 @@ def fit_ml(
     result = FitResult(
         spec=spec,
         param_names=spec.param_names,
-        estimates=std.original_params(x),
+        estimates=std.original_params(point.theta),
         loglik=-f,
         covariance=covariance,
         converged=converged,
         iterations=iterations,
         warnings=warnings,
         n_records=len(data),
-        n_failed=int(like.failed.sum()),
+        n_failed=like.n_failed,
         mu_column_ranges=_column_ranges(like.x_mu),
         sigma_column_ranges=_column_ranges(like.x_sig),
     )

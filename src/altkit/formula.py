@@ -14,22 +14,27 @@ Terms are separated by `+`; interactions are products of factors joined by
 `:`; an intercept is always implicit (write `1` for an intercept-only
 part).  The `sigma ~` part, when present, models log(sigma) linearly; when
 absent sigma is a single constant.
+
+Design matrices are built a column at a time.  Rows whose conditions have
+the same keys form one group; in each group every variable is resolved
+once, its values are gathered into one array, and each term is a numpy
+expression over those arrays.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import resolve_kelvin, resolve_variable
-from .errors import DomainError, FormulaError
+from .data import read_variable, temperature_source, variable_source
+from .errors import AltkitError, DataError, DomainError, FormulaError
 from .lifetime import FAMILIES
 from .relationships import box_cox_transform
-from .units import ARRHENIUS_COEFF_EV
+from .units import ARRHENIUS_COEFF_EV, Temperature, to_kelvin
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z", re.DOTALL)
@@ -73,20 +78,21 @@ class Factor:
             return f"boxcox({self.inner.name()},{self.lam:g})"
         return f"{self.kind}({self.inner.name()})"
 
-    def value(self, condition: Mapping[str, float]) -> float:
+    def value(self, columns: "Columns") -> np.ndarray:
+        """The factor over the rows of one group of conditions."""
         if self.kind == "var":
-            return resolve_variable(condition, self.var)
+            return columns.variable(self.var)
         if self.kind == "arrh":
-            return ARRHENIUS_COEFF_EV / resolve_kelvin(condition, self.var)
-        v = self.inner.value(condition)
+            return ARRHENIUS_COEFF_EV / columns.kelvin(self.var)
+        v = self.inner.value(columns)
         if self.kind == "log":
-            if v <= 0.0:
+            if (v <= 0.0).any():
                 raise DomainError(f"log of non-positive value in {self.name()}")
-            return math.log(v)
+            return np.log(v)
         if self.kind == "logit":
-            if not 0.0 < v < 1.0:
+            if not ((0.0 < v) & (v < 1.0)).all():
                 raise DomainError(f"logit argument outside (0, 1) in {self.name()}")
-            return math.log(v / (1.0 - v))
+            return np.log(v / (1.0 - v))
         if self.kind == "sq":
             return v * v
         if self.kind == "boxcox":
@@ -103,10 +109,11 @@ class Term:
     def name(self) -> str:
         return ":".join(f.name() for f in self.factors)
 
-    def value(self, condition: Mapping[str, float]) -> float:
-        out = 1.0
-        for f in self.factors:
-            out *= f.value(condition)
+    def value(self, columns: "Columns") -> np.ndarray:
+        """The product of the factors over the rows of one group."""
+        out = self.factors[0].value(columns)
+        for f in self.factors[1:]:
+            out = out * f.value(columns)
         return out
 
 
@@ -272,14 +279,86 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(family, mu_terms, sigma_terms)
 
 
+class Columns:
+    """The condition values of rows whose conditions have the same keys,
+    gathered one array per column on first use."""
+
+    def __init__(self, conditions: Sequence[Mapping[str, float]]):
+        self.conditions = conditions
+        self.keys = conditions[0].keys()
+        self._gathered: dict[str, np.ndarray] = {}
+
+    def column(self, key: str) -> np.ndarray:
+        values = self._gathered.get(key)
+        if values is None:
+            values = np.fromiter(map(itemgetter(key), self.conditions), float,
+                                 len(self.conditions))
+            self._gathered[key] = _finite(values, f"column {key!r}")
+        return values
+
+    def variable(self, name: str) -> np.ndarray:
+        values = read_variable(variable_source(self.keys, name), self.column)
+        return _finite(values, f"variable {name!r}")
+
+    def kelvin(self, name: str) -> np.ndarray:
+        key, unit = temperature_source(self.keys, name)
+        return to_kelvin(Temperature(self.column(key), unit))
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite][0]
+        raise DataError(f"condition {what} has a non-finite value ({bad})")
+    return values
+
+
+def _groups(conditions: Sequence[Mapping[str, float]]) -> list[tuple]:
+    """(rows, Columns) for each set of conditions with the same keys, in
+    the order each key tuple first appears."""
+    first = tuple(conditions[0])
+    if all(map(first.__eq__, map(tuple, conditions))):
+        return [(slice(None), Columns(conditions))]
+    rows: dict[tuple, list[int]] = {}
+    for i, condition in enumerate(conditions):
+        rows.setdefault(tuple(condition), []).append(i)
+    return [(idx, Columns([conditions[i] for i in idx])) for idx in rows.values()]
+
+
+def _design(terms: Sequence[Term], conditions: Sequence[Mapping[str, float]]) -> np.ndarray:
+    x = np.ones((len(conditions), 1 + len(terms)))
+    if terms and conditions:
+        # Overflow gives inf, as float arithmetic on one row does.
+        with np.errstate(over="ignore", divide="ignore"):
+            for rows, columns in _groups(conditions):
+                for j, term in enumerate(terms):
+                    x[rows, 1 + j] = term.value(columns)
+    return x
+
+
 def design_matrix(terms: Sequence[Term],
                   conditions: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Rows of [1, term values...] for each condition."""
-    x = np.ones((len(conditions), 1 + len(terms)))
-    for i, cond in enumerate(conditions):
-        for j, term in enumerate(terms):
-            x[i, 1 + j] = term.value(cond)
-    return x
+    """Rows of [1, term values...] for each condition.
+
+    When some row cannot be evaluated, the error raised is the one the
+    first such row raises on its own.
+    """
+    try:
+        return _design(terms, conditions)
+    except AltkitError:
+        if len(conditions) == 1:
+            raise
+    # Bisect for the first failing row: conditions[:hi] fails, [:lo] does not.
+    lo, hi = 0, len(conditions)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _design(terms, conditions[:mid])
+            lo = mid
+        except AltkitError:
+            hi = mid
+    _design(terms, conditions[hi - 1 : hi])  # raises that row's error
+    raise AssertionError("a row's error does not depend on the other rows")
 
 
 def design_row(terms: Sequence[Term], condition: Mapping[str, float]) -> np.ndarray:

@@ -89,12 +89,13 @@ def std_d2logpdf(z, family: str):
     raise DomainError(f"unknown family {family!r}")
 
 
-def std_d2logsf(z, family: str):
+def std_d2logsf(z, family: str, dlogsf=None):
     """Second derivative of std_logsf with respect to z: -d*(d + z) for the
-    normal, with d = std_dlogsf; -exp(z) for the SEV."""
+    normal, with d = std_dlogsf (pass it as `dlogsf` when already known);
+    -exp(z) for the SEV."""
     z = np.asarray(z, dtype=float)
     if family == "lognormal":
-        d = std_dlogsf(z, family)
+        d = std_dlogsf(z, family) if dlogsf is None else dlogsf
         return -d * (d + z)
     if family == "weibull":
         return -np.exp(z)

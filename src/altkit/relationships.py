@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .units import (
     ARRHENIUS_COEFF_EV,
@@ -165,12 +167,14 @@ def box_cox_transform(x: float, lam: float) -> float:
     """Power transform (x^lam - 1)/lam, continuously extended to log x at lam = 0.
 
     The log branch is taken for |lam| < 1e-6 to avoid catastrophic
-    cancellation near zero.
+    cancellation near zero.  x may also be a numpy array, transformed
+    elementwise.
     """
-    if x <= 0.0:
+    if np.any(x <= 0.0):
         raise DomainError("box_cox_transform requires x > 0")
     if abs(lam) < 1e-6:
-        return math.log(x)
+        # numpy's log can differ from math.log in the last bit; floats keep math.log.
+        return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
     return (x**lam - 1.0) / lam
 
 

@@ -182,6 +182,17 @@ class TestFit:
                      "lognormal: mu ~ exp(voltstress)"])
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["inf,failed,170", "2.5,failed,nan"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,voltstress\n1.5,failed,200\n"
+                        "3.0,censored,150\n" + row + "\n")
+        code = main(["fit", "--data", str(path), "--model",
+                     "lognormal: mu ~ log(voltstress)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_variable_exits_2(self, gab_csv, capsys):
         code = main(["fit", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(current)"])

@@ -33,6 +33,7 @@ from altkit.errors import (
     InestimableError,
     NonConvergenceError,
 )
+import altkit.fitml
 from altkit.fitml import NEWTON_STEPS, fd_gradient, fd_hessian, _Likelihood
 
 
@@ -145,6 +146,31 @@ class TestGradient:
             assert_allclose(like.gradient(theta), fd_gradient(like, theta),
                             rtol=1e-5, atol=1e-8)
             assert_hessian_matches_fd(like, theta)
+
+
+class TestKernelPass:
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_failures_and_censored_units_reach_their_own_kernels(
+            self, gab, monkeypatch, family):
+        # Every call sees exactly the failed rows (density kernels) or
+        # exactly the censored rows (survival kernels), and the survival
+        # derivative runs at most once per likelihood evaluation.
+        rows: dict[str, list[int]] = {}
+        for name in ("std_logpdf", "std_logsf", "std_dlogpdf", "std_dlogsf"):
+            kernel = getattr(altkit.fitml, name)
+
+            def counted(z, fam, _kernel=kernel, _rows=rows.setdefault(name, [])):
+                _rows.append(np.size(z))
+                return _kernel(z, fam)
+
+            monkeypatch.setattr(altkit.fitml, name, counted)
+        fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
+        n_censored = fit.n_records - fit.n_failed
+        assert rows["std_logpdf"] and set(rows["std_logpdf"]) == {fit.n_failed}
+        assert rows["std_dlogpdf"] and set(rows["std_dlogpdf"]) == {fit.n_failed}
+        assert rows["std_logsf"] and set(rows["std_logsf"]) == {n_censored}
+        assert rows["std_dlogsf"] and set(rows["std_dlogsf"]) == {n_censored}
+        assert len(rows["std_dlogsf"]) <= len(rows["std_logsf"])
 
 
 class TestFitInsulationData:

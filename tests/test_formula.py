@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from altkit import ModelSpec, design_matrix, design_row, parse_model
+from altkit.data import resolve_kelvin, resolve_variable
 from altkit.errors import (
+    AltkitError,
+    DataError,
     DomainError,
     FormulaError,
     MissingVariableError,
     UnitMismatchError,
 )
+from altkit.relationships import box_cox_transform
 
 
 class TestParsing:
@@ -153,3 +159,107 @@ class TestDesignMatrix:
         spec2 = parse_model("lognormal: mu ~ logit(rh)")
         with pytest.raises(DomainError):
             design_row(spec2.mu_terms, {"rh": 1.2})
+
+    def test_non_finite_entry_names_its_column(self):
+        spec = parse_model("lognormal: mu ~ arrh(temp) + log(v)")
+        with pytest.raises(DataError, match="'v'"):
+            design_matrix(spec.mu_terms, [{"temp_C": 80.0, "v": 2.0},
+                                          {"temp_C": 90.0, "v": float("nan")}])
+        with pytest.raises(DataError, match="'temp_C'"):
+            design_row(spec.mu_terms, {"temp_C": float("inf"), "v": 2.0})
+
+
+# Row-wise reference: each condition and term evaluated on its own with
+# scalar arithmetic, in row order.  design_matrix must agree with it on
+# values and, when a row is invalid, on the error raised.
+def oracle_factor(factor, condition):
+    if factor.kind == "var":
+        return resolve_variable(condition, factor.var)
+    if factor.kind == "arrh":
+        return 11605.0 / resolve_kelvin(condition, factor.var)
+    v = oracle_factor(factor.inner, condition)
+    if factor.kind == "log":
+        if v <= 0.0:
+            raise DomainError(f"log of non-positive value in {factor.name()}")
+        return math.log(v)
+    if factor.kind == "logit":
+        if not 0.0 < v < 1.0:
+            raise DomainError(f"logit argument outside (0, 1) in {factor.name()}")
+        return math.log(v / (1.0 - v))
+    if factor.kind == "sq":
+        return v * v
+    assert factor.kind == "boxcox"
+    return box_cox_transform(v, factor.lam)
+
+
+def oracle_matrix(terms, conditions):
+    x = np.ones((len(conditions), 1 + len(terms)))
+    for i, condition in enumerate(conditions):
+        for j, term in enumerate(terms):
+            value = 1.0
+            for factor in term.factors:
+                value *= oracle_factor(factor, condition)
+            x[i, 1 + j] = value
+    return x
+
+
+@st.composite
+def conditions(draw):
+    """A condition whose keys vary from row to row: temperature in _C or
+    _K (rarely both), voltstress given, unit-suffixed, derived from voltage
+    and thickness or (rarely) ambiguous, rh bare or suffixed.  The ranges
+    reach past each function's domain."""
+    cond = {}
+    for key in draw(st.sampled_from([["temp_C"]] * 5 + [["temp_K"]] * 5
+                                    + [["temp_K", "temp_C"]])):
+        low = -280.0 if key == "temp_C" else -5.0
+        cond[key] = draw(st.floats(low, 400.0))
+    form = draw(st.sampled_from(["given"] * 3 + ["suffixed"] * 3 + ["derived"] * 3
+                                + ["ambiguous"]))
+    stress = draw(st.floats(-5.0, 400.0))
+    if form == "given":
+        cond["voltstress"] = stress
+    elif form == "suffixed":
+        cond["voltstress_V_per_mm"] = stress
+    elif form == "derived":
+        cond["thickness"] = draw(st.floats(0.1, 5.0))
+        cond["voltage"] = stress * cond["thickness"]
+    else:
+        cond["voltstress_V_per_mm"] = stress
+        cond["voltstress_kV"] = stress / 1000.0
+    cond[draw(st.sampled_from(["rh", "rh_frac"]))] = draw(st.floats(-0.05, 1.05))
+    cond["v"] = draw(st.floats(-1.0, 50.0))
+    return cond
+
+
+# numpy's log may differ from math.log by one ulp, so results that can
+# differ feed only well-conditioned operations (sq, products); log, logit
+# and boxcox take exact inputs (variables, arrh, sq of a variable).
+_LAMBDAS = ("0", "5e-7", "-5e-7", "1")
+_TERMS = (
+    ["v", "log(v)", "sq(v)", "log(sq(v))", "logit(rh)", "arrh(temp)",
+     "sq(arrh(temp))", "log(voltstress)", "sq(log(voltstress))",
+     "arrh(temp):log(voltstress)", "logit(rh):sq(v)", "v:arrh(temp):logit(rh)"]
+    + [f"boxcox(voltstress, {lam})" for lam in _LAMBDAS]
+    + [f"sq(boxcox(v, {lam}))" for lam in _LAMBDAS]
+)
+
+
+class TestColumnsMatchRowWise:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(st.sampled_from(_TERMS), min_size=1, max_size=3, unique=True)
+        .filter(lambda ts: sum("boxcox" in t for t in ts) <= 1),
+        rows=st.lists(conditions(), min_size=1, max_size=6),
+    )
+    def test_design_matrix(self, terms, rows):
+        spec = parse_model("lognormal: mu ~ " + " + ".join(terms))
+        try:
+            expected = oracle_matrix(spec.mu_terms, rows)
+        except AltkitError as err:
+            with pytest.raises(AltkitError) as raised:
+                design_matrix(spec.mu_terms, rows)
+            assert type(raised.value) is type(err)
+            assert str(raised.value) == str(err)
+            return
+        assert_allclose(design_matrix(spec.mu_terms, rows), expected, rtol=1e-15, atol=0)

@@ -63,6 +63,8 @@ class TestLifeCsv:
         with pytest.raises(DataError):
             read_life_csv(io.StringIO("time,status\nnot-a-number,failed\n"))
         with pytest.raises(DataError):
+            read_life_csv(io.StringIO("time,status\ninf,failed\n"))
+        with pytest.raises(DataError):
             read_life_csv(io.StringIO(""))
 
     def test_statuses(self):
