@@ -289,17 +289,18 @@ def cmd_quantile(args) -> int:
     report["command"] = "quantile"
     report["quantiles"] = _quantile_blocks(fit, use, ps)
     if args.bootstrap is not None:
+        boot = bootstrap_quantile(records, fit.spec, use, ps, args.bootstrap, args.seed)
         blocks = []
-        for p in ps:
-            boot = bootstrap_quantile(records, fit.spec, use, p, args.bootstrap, args.seed)
+        for j, p in enumerate(ps):
+            draws = boot.quantiles[:, j]
             blocks.append(
                 {
                     "p": p,
                     "n_resamples": boot.n_requested,
                     "n_skipped": boot.n_skipped,
                     "seed": args.seed,
-                    "median": float(np.median(boot.quantiles)),
-                    "se_log": boot.se_log,
+                    "median": float(np.median(draws)) if draws.size else math.nan,
+                    "se_log": float(boot.se_log[j]),
                 }
             )
         report["bootstrap"] = blocks

@@ -96,10 +96,14 @@ def resolve_variable(condition: Mapping[str, float], name: str) -> float:
     """Look up a variable by base name, tolerating a unit-suffixed column.
 
     Falls back to the derived-variable table (for example voltstress =
-    voltage / thickness) when no column matches.
+    voltage / thickness) when no column matches; a derived value that
+    divides by zero raises DataError, as it does in a design matrix.
     """
-    return read_variable(variable_source(condition, name),
-                         lambda key: float(condition[key]))
+    try:
+        return read_variable(variable_source(condition, name),
+                             lambda key: float(condition[key]))
+    except ZeroDivisionError:
+        raise DataError(f"condition variable {name!r} divides by zero") from None
 
 
 def temperature_source(keys: Collection[str], name: str) -> tuple[str, str]:

@@ -19,6 +19,23 @@ computed once per point; the objective, the score and the Hessian are
 built from them on first use, the survival derivative runs at most once
 per point, and the accepted point's score and Hessian serve both the next
 step and the final covariance.
+
+Every point carries a leading replicate axis.  A replicate is the same
+records under integer row weights; a bootstrap resample is the number of
+times each record was drawn, and its weighted likelihood equals that of
+the duplicated records.  A row of weight 0 adds exactly 0, even where its
+kernel value is not finite.  The Newton loop moves all replicates
+together, with one likelihood pass and one stacked solve per round, while
+the ridge, the step halving and the stop are decided per replicate; every
+product is taken one replicate at a time, so no replicate's result depends
+on the others in its batch.  fit_ml is the batch of one with unit weights.
+
+bootstrap_quantile standardizes once with the full sample's column
+statistics, starts every resample from the full-sample estimates, and
+fits the resamples in blocks of bounded size.  profile_lambda starts each
+grid point from the last converged point's solution in standardized
+coordinates, which move little with the exponent even though the
+transformed column changes scale.
 """
 
 from __future__ import annotations
@@ -54,6 +71,9 @@ BARRIER = 1e300
 NEWTON_STEPS = 50
 GRAD_TOL = 1e-5
 DECREMENT_TOL = 1e-12
+# The bootstrap fits its replicates in blocks whose (replicates, rows)
+# arrays hold at most this many elements.
+_BLOCK_ELEMENTS = 1 << 16
 _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 
 
@@ -101,69 +121,106 @@ class _Likelihood:
 
     Rows are stored failures first, so the failed and the censored rows
     are the two slices [:n_failed] and [n_failed:] of every array.
+    `weights` is None for one replicate that counts every row once, or a
+    (replicates, rows) array of row weights in the stored row order.
     """
 
     def __init__(self, data: Sequence[LifeRecord], spec: ModelSpec):
         failed = np.array([r.failed for r in data], dtype=bool)
-        order = np.argsort(~failed, kind="stable")
+        self.order = np.argsort(~failed, kind="stable")
         conditions = [r.condition for r in data]
-        self.x_mu = design_matrix(spec.mu_terms, conditions)[order]
-        self.x_sig = design_matrix(spec.sigma_terms, conditions)[order]
-        self.logt = np.log(np.array([r.time for r in data]))[order]
+        self.x_mu = design_matrix(spec.mu_terms, conditions)[self.order]
+        self.x_sig = design_matrix(spec.sigma_terms, conditions)[self.order]
+        self.logt = np.log(np.array([r.time for r in data]))[self.order]
         self.n_failed = int(failed.sum())
         self.family = spec.family
         self.n_mu = spec.n_mu
+        self.weights = None
 
-    def rescaled(self, x_mu: np.ndarray, x_sig: np.ndarray) -> "_Likelihood":
+    def _with(self, **attrs) -> "_Likelihood":
         clone = copy.copy(self)
-        clone.x_mu = x_mu
-        clone.x_sig = x_sig
+        clone.__dict__.update(attrs)
         return clone
 
+    def rescaled(self, x_mu: np.ndarray, x_sig: np.ndarray) -> "_Likelihood":
+        return self._with(x_mu=x_mu, x_sig=x_sig)
+
+    def weighted(self, counts: np.ndarray) -> "_Likelihood":
+        """One replicate per row of `counts` (replicates, records), the
+        weight of each record given in the order of the data."""
+        return self._with(weights=np.asarray(counts, dtype=float)[:, self.order])
+
+    def replicates(self, which: np.ndarray) -> "_Likelihood":
+        """The replicates selected by index or mask `which`."""
+        return self if self.weights is None else self._with(weights=self.weights[which])
+
+    def weigh(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """`values` (replicates, rows) times the weights of `rows`; exactly 0
+        where a weight is 0, even where the value is not finite."""
+        if self.weights is None:
+            return values
+        w = self.weights[:, rows]
+        return np.where(w > 0.0, w * values, 0.0)
+
     def at(self, theta: np.ndarray) -> "_Point":
+        """The point theta, one row of parameters per replicate."""
         return _Point(self, np.asarray(theta, dtype=float))
 
     def __call__(self, theta: np.ndarray) -> float:
-        return self.at(theta).nll()
+        return float(self.at(np.atleast_2d(theta)).nll()[0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Analytic score of the negative log-likelihood (same sign as the
         finite-difference gradient of ``__call__``)."""
-        return self.at(theta).score()
+        return self.at(np.atleast_2d(theta)).score()[0]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic Hessian of the negative log-likelihood (the observed
         information)."""
-        return self.at(theta).hessian()
+        return self.at(np.atleast_2d(theta)).hessian()[0]
 
 
 class _Point:
-    """The likelihood at one theta.  sigma and z are computed once; the
-    objective, the score and the Hessian are each computed on first use
-    and kept.  The kernels see the failed rows and the censored rows
-    apart: log density and its derivatives on failures, log survival and
-    its derivatives on censored units."""
+    """The likelihood at one theta per replicate.  sigma and z are computed
+    once; the objective, the score and the Hessian are each computed on
+    first use and kept.  The kernels see the failed rows and the censored
+    rows apart: log density and its derivatives on failures, log survival
+    and its derivatives on censored units."""
 
     def __init__(self, like: _Likelihood, theta: np.ndarray):
         self.like = like
         self.theta = theta
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            self.logsig = like.x_sig @ theta[like.n_mu :]
+            self.logsig = _per_row(theta[:, like.n_mu :], like.x_sig.T)
             self.sigma = np.exp(self.logsig)
-            self.z = (like.logt - like.x_mu @ theta[: like.n_mu]) / self.sigma
+            self.z = (like.logt - _per_row(theta[:, : like.n_mu], like.x_mu.T)) / self.sigma
         self._nll = self._lprime = self._score = self._hessian = None
 
-    def nll(self) -> float:
-        """Negative log-likelihood; BARRIER where it is not finite."""
+    def take(self, keep: np.ndarray) -> "_Point":
+        """The replicates where `keep` is true, with what is computed so far."""
+        if keep.all():
+            return self
+        part = copy.copy(self)
+        part.like = self.like.replicates(keep)
+        for name in ("theta", "logsig", "sigma", "z", "_nll", "_lprime", "_score", "_hessian"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(part, name, value[keep])
+        return part
+
+    def nll(self) -> np.ndarray:
+        """Negative log-likelihood per replicate; BARRIER where it is not
+        finite."""
         if self._nll is None:
             like, nf, z = self.like, self.like.n_failed, self.z
+            fail, cens = slice(None, nf), slice(nf, None)
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                ll = float(
-                    np.sum(std_logpdf(z[:nf], like.family) - self.logsig[:nf] - like.logt[:nf])
-                    + np.sum(std_logsf(z[nf:], like.family))
-                )
-            finite = math.isfinite(ll) and np.all(np.isfinite(self.theta))
-            self._nll = -ll if finite else BARRIER
+                ll = like.weigh(
+                    std_logpdf(z[:, fail], like.family) - self.logsig[:, fail] - like.logt[fail],
+                    fail,
+                ).sum(axis=1) + like.weigh(std_logsf(z[:, cens], like.family), cens).sum(axis=1)
+            finite = np.isfinite(ll) & np.isfinite(self.theta).all(axis=1)
+            self._nll = np.where(finite, -ll, BARRIER)
         return self._nll
 
     def _l1(self) -> np.ndarray:
@@ -173,43 +230,57 @@ class _Point:
             like, nf, z = self.like, self.like.n_failed, self.z
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 self._lprime = np.concatenate([
-                    std_dlogpdf(z[:nf], like.family), std_dlogsf(z[nf:], like.family)
-                ])
+                    std_dlogpdf(z[:, :nf], like.family), std_dlogsf(z[:, nf:], like.family)
+                ], axis=1)
         return self._lprime
 
     def score(self) -> np.ndarray:
-        """Analytic score of the negative log-likelihood."""
+        """Analytic score of the negative log-likelihood, per replicate."""
         if self._score is None:
             like, l1 = self.like, self._l1()
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 w_sig = l1 * self.z
-                w_sig[: like.n_failed] += 1.0
+                w_sig[:, : like.n_failed] += 1.0
                 self._score = np.concatenate(
-                    [like.x_mu.T @ (l1 / self.sigma), like.x_sig.T @ w_sig]
+                    [_per_row(like.weigh(l1 / self.sigma), like.x_mu),
+                     _per_row(like.weigh(w_sig), like.x_sig)],
+                    axis=1,
                 )
         return self._score
 
     def hessian(self) -> np.ndarray:
-        """Observed information.  With L'' the second z-derivative per row,
-        the (mu, mu), (mu, log sigma) and (log sigma, log sigma) blocks are
-        X'diag(w)X with w = -L''/sigma^2, -(L''z + L')/sigma and
-        -(L''z^2 + L'z)."""
+        """Observed information per replicate.  With L'' the second
+        z-derivative per row, the (mu, mu), (mu, log sigma) and (log sigma,
+        log sigma) blocks are X'diag(w)X with w = -L''/sigma^2,
+        -(L''z + L')/sigma and -(L''z^2 + L'z)."""
         if self._hessian is None:
             like, nf, z, l1 = self.like, self.like.n_failed, self.z, self._l1()
             k = like.n_mu
-            h = np.empty((k + like.x_sig.shape[1],) * 2)
+            h = np.empty((self.theta.shape[0],) + (self.theta.shape[1],) * 2)
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
                 l2 = np.concatenate([
-                    std_d2logpdf(z[:nf], like.family),
-                    std_d2logsf(z[nf:], like.family, dlogsf=l1[nf:]),
-                ])
+                    std_d2logpdf(z[:, :nf], like.family),
+                    std_d2logsf(z[:, nf:], like.family, dlogsf=l1[:, nf:]),
+                ], axis=1)
                 w = -(l2 * z + l1)
-                h[:k, :k] = (like.x_mu.T * (-l2 / self.sigma**2)) @ like.x_mu
-                h[:k, k:] = (like.x_mu.T * (w / self.sigma)) @ like.x_sig
-                h[k:, :k] = h[:k, k:].T
-                h[k:, k:] = (like.x_sig.T * (w * z)) @ like.x_sig
+                h[:, :k, :k] = _gram(like.x_mu, like.weigh(-l2 / self.sigma**2), like.x_mu)
+                h[:, :k, k:] = _gram(like.x_mu, like.weigh(w / self.sigma), like.x_sig)
+                h[:, k:, :k] = h[:, :k, k:].transpose(0, 2, 1)
+                h[:, k:, k:] = _gram(like.x_sig, like.weigh(w * z), like.x_sig)
             self._hessian = h
         return self._hessian
+
+
+def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b for each row of a, as a stack of one-row products, so that
+    no row's value depends on the rows beside it (a two-dimensional
+    product's rounding can depend on the row's place in the block)."""
+    return (a[:, None, :] @ b)[:, 0, :]
+
+
+def _gram(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a'diag(c)b for each replicate's row weights c (replicates, rows)."""
+    return (a.T * c[:, None, :]) @ b
 
 
 def neg_log_likelihood(
@@ -237,22 +308,32 @@ def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
     """Deterministic starting point: OLS of log time on the mu design over
     failed records; log sigma from the residual spread inflated by the
     reciprocal of the failed fraction (heavy censoring hides spread)."""
-    like = _Likelihood(list(data), spec)
-    return _default_init(like, spec.n_params)
+    return _default_init(_Likelihood(list(data), spec))[0]
 
 
-def _default_init(like: _Likelihood, n_params: int) -> np.ndarray:
-    xf = like.x_mu[: like.n_failed]
-    yf = like.logt[: like.n_failed]
-    beta, *_ = np.linalg.lstsq(xf, yf, rcond=None)
-    resid = yf - xf @ beta
-    dof = max(1, yf.size - like.n_mu)
-    s0 = max(math.sqrt(float(resid @ resid) / dof), 1e-3)
-    sigma0 = s0 / (like.n_failed / like.logt.size)
-    theta = np.zeros(n_params)
-    theta[: like.n_mu] = beta
-    theta[like.n_mu] = math.log(sigma0)
+def _default_init(like: _Likelihood) -> np.ndarray:
+    """default_init for each replicate, its rows counted by their weights."""
+    nf, k = like.n_failed, like.n_mu
+    xf, yf = like.x_mu[:nf], like.logt[:nf]
+    weights = np.ones((1, like.logt.size)) if like.weights is None else like.weights
+    theta = np.zeros((len(weights), k + like.x_sig.shape[1]))
+    for row, w in zip(theta, weights):
+        r = np.sqrt(w[:nf])
+        beta, *_ = np.linalg.lstsq(xf * r[:, None], yf * r, rcond=None)
+        resid = r * (yf - xf @ beta)
+        n_failed = float(w[:nf].sum())
+        s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
+        row[:k] = beta
+        row[k] = math.log(s0 / (n_failed / float(w.sum())))
     return theta
+
+
+def _rank_deficient(like: _Likelihood, x: np.ndarray) -> np.ndarray:
+    """Whether design x (rows in the stored order) loses rank under each
+    replicate's row weights; a bool for an unweighted likelihood."""
+    if like.weights is not None:
+        x = np.sqrt(like.weights)[:, :, None] * x
+    return np.linalg.matrix_rank(x) < x.shape[-1]
 
 
 class _Standardizer:
@@ -287,10 +368,11 @@ class _Standardizer:
         )
 
     def original_params(self, theta_std: np.ndarray) -> np.ndarray:
-        return self.to_original @ theta_std
+        """Original-scale parameters, one row per replicate."""
+        return _per_row(theta_std, self.to_original.T)
 
     def standardized_params(self, theta: np.ndarray) -> np.ndarray:
-        return self.from_original @ theta
+        return _per_row(theta, self.from_original.T)
 
     def original_covariance(self, cov_std: np.ndarray) -> np.ndarray:
         return self.to_original @ cov_std @ self.to_original.T
@@ -324,55 +406,108 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scaled_grad(g: np.ndarray, x: np.ndarray, f: float) -> float:
-    return float(np.max(np.abs(g) * np.maximum(1.0, np.abs(x)))) / max(1.0, abs(f))
+def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """h[i] @ x[i] = g[i] for a stack; a row of nan where h[i] is singular."""
+    try:
+        return np.linalg.solve(h, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(g.shape, np.nan)
+        for i in range(len(g)):
+            try:
+                x[i] = np.linalg.solve(h[i], g[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
-def _descent_step(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """The Newton step solving h @ step = g; where that is not a descent
-    direction (h singular or indefinite), retry with a growing ridge."""
-    ridge = 0.0
-    scale = float(np.max(np.abs(np.diag(h)))) or 1.0
-    for _ in range(12):
-        try:
-            step = np.linalg.solve(h + ridge * np.eye(g.size), g)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None and float(g @ step) > 0.0:
-            return step
-        ridge = max(ridge * 10.0, 1e-8 * scale)
-    return None
-
-
-def _newton(like: _Likelihood, point: _Point) -> tuple[_Point, int]:
-    """Damped Newton from `point`; returns the final point and the number
-    of steps taken."""
-    steps = 0
-    while steps < NEWTON_STEPS and np.all(np.isfinite(point.score())):
-        g = point.score()
-        step = _descent_step(point.hessian(), g)
-        if step is None:
-            break
-        if float(g @ step) < DECREMENT_TOL * max(1.0, abs(point.nll())):
-            # f cannot resolve the decrease the quadratic model predicts
-            # (half of g @ step) but the score can: take the full step if
-            # it shrinks the score, then stop.
-            trial = like.at(point.theta - step)
-            if np.max(np.abs(trial.score())) < np.max(np.abs(g)):
-                point = trial
-                steps += 1
-            break
-        alpha = 1.0
-        while alpha > 1e-10:
-            trial = like.at(point.theta - alpha * step)
-            if trial.nll() < point.nll():
+def _descent_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton steps solving h @ step = g, one stacked solve for all
+    replicates; where that is not a descent direction (h singular or
+    indefinite), that replicate retries with a growing ridge.  Returns the
+    steps and each one's g @ step, which is positive where a step was
+    found."""
+    steps = _solve(h, g)
+    decrease = np.einsum("ij,ij->i", g, steps)
+    for i in np.flatnonzero(~(decrease > 0.0)):
+        ridge = 1e-8 * (float(np.max(np.abs(np.diag(h[i])))) or 1.0)
+        for _ in range(11):
+            step = _solve(h[i : i + 1] + ridge * np.eye(g.shape[1]), g[i : i + 1])[0]
+            gain = float(g[i] @ step)
+            if gain > 0.0:
+                steps[i], decrease[i] = step, gain
                 break
-            alpha *= 0.5
-        else:
+            ridge *= 10.0
+    return steps, decrease
+
+
+class _Solution:
+    """Where the Newton loop has left each replicate: theta, the objective,
+    score and Hessian there, and the steps taken."""
+
+    def __init__(self, start: _Point):
+        self.theta = start.theta.copy()
+        self.nll = start.nll().copy()
+        self.score = start.score().copy()
+        self.hessian = start.hessian().copy()
+        self.steps = np.zeros(len(self.theta), dtype=int)
+
+    def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> np.ndarray:
+        """Move replicates idx[keep] to their trial points; returns them."""
+        if not keep.all():
+            trial, idx = trial.take(keep), idx[keep]
+        if idx.size:
+            self.theta[idx] = trial.theta
+            self.nll[idx] = trial.nll()
+            self.score[idx] = trial.score()
+            self.hessian[idx] = trial.hessian()
+            self.steps[idx] += 1
+        return idx
+
+    def scaled_grad(self) -> np.ndarray:
+        return np.max(
+            np.abs(self.score) * np.maximum(1.0, np.abs(self.theta)), axis=1
+        ) / np.maximum(1.0, np.abs(self.nll))
+
+
+def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
+    """Damped Newton from theta, one row per replicate.  The replicates
+    move together, one likelihood pass and one stacked solve per round,
+    but each has its own ridge, step length and stop."""
+    sol = _Solution(like.at(theta))
+    idx = np.flatnonzero(np.isfinite(sol.score).all(axis=1))
+    # Every replicate still moving has taken one step per round.
+    for _ in range(NEWTON_STEPS):
+        if not idx.size:
             break
-        point = trial
-        steps += 1
-    return point, steps
+        g = sol.score[idx]
+        step, decrease = _descent_steps(sol.hessian[idx], g)
+        found = decrease > 0.0
+        small = decrease < DECREMENT_TOL * np.maximum(1.0, np.abs(sol.nll[idx]))
+        last = found & small
+        if last.any():
+            # f cannot resolve the decrease the quadratic model predicts
+            # (half of g @ step) but the score can: take the full step
+            # where it shrinks the score, then stop.
+            trial = like.replicates(idx[last]).at(sol.theta[idx[last]] - step[last])
+            shrinks = np.abs(trial.score()).max(axis=1) < np.abs(g[last]).max(axis=1)
+            sol.accept(idx[last], trial, shrinks)
+        search = found & ~small
+        if not search.all():
+            idx, step = idx[search], step[search]
+        moved = []
+        alpha = 1.0
+        while idx.size and alpha > 1e-10:
+            trial = like.replicates(idx).at(sol.theta[idx] - alpha * step)
+            lower = trial.nll() < sol.nll[idx]
+            moved.append(sol.accept(idx, trial, lower))
+            if lower.all():
+                break
+            idx, step = idx[~lower], step[~lower]
+            alpha *= 0.5
+        # Replicates where no step lowered the objective stop here.
+        idx = moved[0] if len(moved) == 1 else np.sort(np.concatenate(moved or [idx]))
+        idx = idx[np.isfinite(sol.score[idx]).all(axis=1)]
+    return sol
 
 
 @dataclass
@@ -437,27 +572,27 @@ def fit_ml(
         raise InestimableError(
             "all records are censored; the model parameters are inestimable"
         )
-    if np.linalg.matrix_rank(like.x_mu) < like.x_mu.shape[1]:
+    if _rank_deficient(like, like.x_mu):
         raise IllPosedFitError("mu design matrix is rank deficient on these data")
-    if np.linalg.matrix_rank(like.x_sig) < like.x_sig.shape[1]:
+    if _rank_deficient(like, like.x_sig):
         raise IllPosedFitError("sigma design matrix is rank deficient on these data")
 
     std = _Standardizer(like)
-    nll = std.like
     if init is None:
-        x = _default_init(nll, spec.n_params)
+        x = _default_init(std.like)
     else:
         init = np.asarray(init, dtype=float)
         if init.size != spec.n_params:
             raise DomainError(f"init must have length {spec.n_params}")
-        x = std.standardized_params(init)
-    point, iterations = _newton(nll, nll.at(x))
-    f = point.nll()
-    scaled_grad = _scaled_grad(point.score(), point.theta, f)
+        x = std.standardized_params(init[None])
+    sol = _newton(std.like, x)
+    f = float(sol.nll[0])
+    iterations = int(sol.steps[0])
+    scaled_grad = float(sol.scaled_grad()[0])
     converged = scaled_grad < GRAD_TOL
 
     warnings: list[str] = []
-    hess = point.hessian()
+    hess = sol.hessian[0]
     try:
         cov_std = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -476,7 +611,7 @@ def fit_ml(
     result = FitResult(
         spec=spec,
         param_names=spec.param_names,
-        estimates=std.original_params(point.theta),
+        estimates=std.original_params(sol.theta)[0],
         loglik=-f,
         covariance=covariance,
         converged=converged,
@@ -584,29 +719,41 @@ def profile_lambda(
 ) -> list[ProfilePoint]:
     """Profile the power-transform exponent: refit all other parameters at
     each grid value and report the log-likelihood and the use-condition
-    quantile.  Grid points are independent; a point that fails to converge
-    is flagged, not fatal.
+    quantile.  A point that fails to converge is flagged, not fatal.
+
+    Each fit starts from the last converged point's solution in
+    standardized coordinates, where it stays close as the exponent moves
+    even though the transformed column changes scale; the first fit, and
+    every fit before a point has converged, starts cold.
     """
     data = list(data)
     spec.boxcox_lambda()  # validates that the model has a boxcox term
     lams = default_profile_grid() if grid is None else np.asarray(grid, dtype=float)
-
-    def eval_point(lam: float) -> ProfilePoint:
-        nan = float("nan")
+    nan = float("nan")
+    points: list[ProfilePoint] = []
+    warm = None  # standardized estimates of the last converged point
+    for lam in map(float, lams):
+        lspec = spec.with_boxcox_lambda(lam)
+        std = None
         try:
-            fit = fit_ml(data, spec.with_boxcox_lambda(lam))
+            if warm is not None:
+                std = _Standardizer(_Likelihood(data, lspec))
+            fit = fit_ml(data, lspec, None if std is None else std.original_params(warm)[0])
             ok = fit.converged
         except NonConvergenceError as err:
             fit, ok = err.result, False
         except (IllPosedFitError, InestimableError, DomainError):
-            return ProfilePoint(float(lam), nan, nan, nan, nan, False)
+            points.append(ProfilePoint(lam, nan, nan, nan, nan, False))
+            continue
+        if ok:
+            std = std or _Standardizer(_Likelihood(data, lspec))
+            warm = std.standardized_params(fit.estimates[None])
         try:
             q = quantile_at_use(fit, use, p)
-            return ProfilePoint(float(lam), fit.loglik, q.quantile, q.lower, q.upper, ok)
+            points.append(ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, ok))
         except (MissingVariableError, DomainError):
-            return ProfilePoint(float(lam), fit.loglik, nan, nan, nan, ok)
-
-    return [eval_point(lam) for lam in lams]
+            points.append(ProfilePoint(lam, fit.loglik, nan, nan, nan, ok))
+    return points
 
 
 @dataclass(frozen=True)
@@ -652,40 +799,124 @@ def reciprocity_test(
     return ReciprocityResult(p_hat, se, wald, p_value, fit)
 
 
+SKIP_REASONS = ("inestimable", "ill_posed", "non_converged", "domain")
+# A replicate's skip reason: _KEPT, or 1 + its index in SKIP_REASONS.
+_KEPT, _INESTIMABLE, _ILL_POSED, _NON_CONVERGED, _DOMAIN = range(1 + len(SKIP_REASONS))
+
+
 @dataclass(frozen=True)
 class BootstrapQuantiles:
-    """Bootstrap draws of a use-condition quantile."""
+    """Bootstrap draws of a use-condition quantile.
+
+    `quantiles` holds one value per kept replicate, or, when several p were
+    asked for, one row per kept replicate and one column per p.
+    `skip_reasons` counts the skipped replicates by the first rule each
+    broke, keyed by SKIP_REASONS: no failure resampled (inestimable), a
+    rank-deficient design (ill_posed), no convergence (non_converged), or
+    a quantile undefined at the use condition (domain).  The counts sum to
+    n_skipped.
+    """
 
     quantiles: np.ndarray
     n_requested: int
     n_skipped: int
+    skip_reasons: Mapping[str, int] = field(default_factory=dict)
 
     @property
-    def se_log(self) -> float:
-        return float(np.std(np.log(self.quantiles), ddof=1))
+    def se_log(self):
+        """Standard deviation of the log quantiles (one per p when there
+        are several); nan when fewer than 2 replicates were kept."""
+        logq = np.log(self.quantiles)
+        if len(logq) < 2:
+            se = np.full(logq.shape[1:], np.nan)
+        else:
+            se = np.std(logq, ddof=1, axis=0)
+        return float(se) if se.ndim == 0 else se
 
 
 def bootstrap_quantile(
     data: Sequence[LifeRecord],
     spec: ModelSpec,
     use: Mapping[str, float],
-    p: float,
+    p: float | Sequence[float],
     n_boot: int,
     seed: int,
 ) -> BootstrapQuantiles:
     """Nonparametric bootstrap of quantile_at_use; resamples records with
     replacement.  Replicates whose fit degenerates (no failures, rank
-    deficiency, non-convergence) are skipped and counted."""
+    deficiency, non-convergence) or whose quantile is undefined are skipped
+    and counted.
+
+    Each resample is fitted once: `p` may be a sequence, and then every p
+    is read off the same fits.  A resample is the count of each record in
+    n draws with replacement, and the resamples are fitted as weighted
+    replicates of one likelihood, all starting from the full-sample
+    estimates (from default_init when the full-sample fit fails).
+    """
+    if n_boot < 2:
+        raise DomainError(f"the bootstrap needs at least 2 resamples, got {n_boot}")
     data = list(data)
-    rng = np.random.default_rng(seed)
-    out: list[float] = []
-    skipped = 0
-    for _ in range(n_boot):
-        idx = rng.integers(0, len(data), size=len(data))
-        sample = [data[i] for i in idx]
+    n = len(data)
+    reasons = np.full(n_boot, _INESTIMABLE)
+    estimates = np.full((n_boot, spec.n_params), np.nan)
+    if data:
+        like = _Likelihood(data, spec)
+        std = _Standardizer(like)
         try:
-            fit = fit_ml(sample, spec)
-            out.append(quantile_at_use(fit, use, p).quantile)
-        except (InestimableError, IllPosedFitError, NonConvergenceError, DomainError):
-            skipped += 1
-    return BootstrapQuantiles(np.array(out), n_boot, skipped)
+            start = std.standardized_params(fit_ml(data, spec).estimates[None])
+        except (InestimableError, IllPosedFitError, NonConvergenceError):
+            start = None
+        rng = np.random.default_rng(seed)
+        block = max(1, _BLOCK_ELEMENTS // n)
+        for lo in range(0, n_boot, block):
+            counts = np.array([
+                np.bincount(rng.integers(0, n, size=n), minlength=n)
+                for _ in range(min(block, n_boot - lo))
+            ])
+            hi = lo + len(counts)
+            reasons[lo:hi], estimates[lo:hi] = _fit_resamples(like, std, counts, start)
+
+    kept = reasons == _KEPT
+    ps = np.atleast_1d(np.asarray(p, dtype=float))
+    quantiles = np.empty((0, ps.size))
+    if kept.any():
+        try:
+            if not np.all((ps > 0.0) & (ps < 1.0)):
+                raise DomainError("p must lie strictly inside (0, 1)")
+            xm = design_row(spec.mu_terms, use)
+            xs = design_row(spec.sigma_terms, use)
+        except DomainError:
+            reasons[kept] = _DOMAIN
+        else:
+            est = estimates[kept]
+            mu = _per_row(est[:, : spec.n_mu], xm[:, None])
+            sigma = np.exp(_per_row(est[:, spec.n_mu :], xs[:, None]))
+            quantiles = np.exp(mu + sigma * std_quantile(ps, spec.family))
+    tally = np.bincount(reasons, minlength=1 + len(SKIP_REASONS))
+    return BootstrapQuantiles(
+        quantiles[:, 0] if np.ndim(p) == 0 else quantiles,
+        n_boot,
+        int(n_boot - tally[_KEPT]),
+        dict(zip(SKIP_REASONS, map(int, tally[1:]))),
+    )
+
+
+def _fit_resamples(
+    like: _Likelihood, std: _Standardizer, counts: np.ndarray, start: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the resamples with record counts `counts` (replicates, records)
+    by the rules of fit_ml; returns each one's skip reason (_KEPT when it
+    converged) and its estimates."""
+    raw = like.weighted(counts)
+    reasons = np.full(len(counts), _KEPT)
+    reasons[_rank_deficient(raw, raw.x_mu) | _rank_deficient(raw, raw.x_sig)] = _ILL_POSED
+    reasons[raw.weights[:, : like.n_failed].sum(axis=1) == 0.0] = _INESTIMABLE
+    estimates = np.full((len(counts), like.x_mu.shape[1] + like.x_sig.shape[1]), np.nan)
+    fit = np.flatnonzero(reasons == _KEPT)
+    if fit.size:
+        scaled = std.like.weighted(counts[fit])
+        theta = _default_init(scaled) if start is None else np.repeat(start, fit.size, axis=0)
+        sol = _newton(scaled, theta)
+        reasons[fit[~(sol.scaled_grad() < GRAD_TOL)]] = _NON_CONVERGED
+        estimates[fit] = std.original_params(sol.theta)
+    return reasons, estimates

@@ -231,6 +231,47 @@ class TestQuantile:
         assert block["seed"] == 7
         assert block["se_log"] > 0.0
 
+    @pytest.mark.parametrize("n_boot", ["0", "-3", "1"])
+    def test_too_few_resamples_exit_2(self, gab_csv, capsys, n_boot):
+        # Fewer than 2 resamples have no spread to report: one line on
+        # stderr, no report and no numpy warning.
+        code = main(["quantile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ log(voltstress)", "--use", "voltstress=170",
+                     "--p", "0.1,0.5", f"--bootstrap={n_boot}", "--seed", "7"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "at least 2 resamples" in err
+
+    def test_one_bootstrap_for_every_p(self, gab_csv, capsys, monkeypatch):
+        # The resamples are fitted once, and each p's block matches a
+        # bootstrap of that p alone.
+        import altkit.cli
+        from altkit import parse_model
+        from altkit.fitml import bootstrap_quantile
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return bootstrap_quantile(*args)
+
+        monkeypatch.setattr(altkit.cli, "bootstrap_quantile", counted)
+        ps = [0.01, 0.1, 0.5]
+        code = main(["quantile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ log(voltstress)", "--use", "voltstress=170",
+                     "--p", ",".join(map(str, ps)), "--bootstrap", "12", "--seed", "3"])
+        assert code == 0
+        assert calls == [ps]
+        blocks = json.loads(capsys.readouterr().out)["bootstrap"]
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        for block, p in zip(blocks, ps):
+            alone = bootstrap_quantile(load_gab(), spec, {"voltstress": 170.0}, p, 12, 3)
+            assert block["p"] == p and block["n_resamples"] == 12
+            assert block["n_skipped"] == alone.n_skipped
+            assert_allclose(block["median"], np.median(alone.quantiles), rtol=1e-12)
+            assert_allclose(block["se_log"], alone.se_log, rtol=1e-12)
+
     def test_piped_data_matches_file(self, gab_csv, capsys):
         argv = ["quantile", "--model", "lognormal: mu ~ log(voltstress)",
                 "--use", "voltstress=120", "--p", "0.1,0.5",

@@ -1,6 +1,7 @@
 # Censored maximum-likelihood fitting: likelihood values, the optimizer,
 # delta-method quantiles, profile sweeps, the reciprocity test and the
-# bootstrap.
+# bootstrap (checked against one fit_ml per resample, kept below as the
+# reference).
 #
 # Frozen fit values were produced by this package's own optimizer, pinned
 # after verifying the score vanishes (max |gradient| < 1e-8) and the
@@ -9,13 +10,16 @@
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
+    BootstrapQuantiles,
     LifeRecord,
+    design_row,
     default_init,
     default_profile_grid,
     fit_ml,
@@ -34,7 +38,8 @@ from altkit.errors import (
     NonConvergenceError,
 )
 import altkit.fitml
-from altkit.fitml import NEWTON_STEPS, fd_gradient, fd_hessian, _Likelihood
+from altkit.fitml import NEWTON_STEPS, SKIP_REASONS, fd_gradient, fd_hessian, _Likelihood
+from altkit.lifetime import std_quantile
 
 
 def assert_hessian_matches_fd(like, theta):
@@ -423,6 +428,192 @@ class TestBootstrap:
         assert boot.n_skipped <= 6
         ratio = boot.se_log / q.se_log
         assert 0.5 < ratio < 2.0
+
+
+
+GAB_USE = {"voltstress": 120.0}
+# Two stress levels and heavy censoring: resamples without a failure
+# (inestimable), with one level (ill-posed), with one distinct failure per
+# level and nothing to bound sigma (non-converged), and usable ones.
+SMALL = [LifeRecord(t, status, {"v": v}) for t, status, v in [
+    (10.0, "failed", 1.0), (14.0, "failed", 1.0), (30.0, "censored", 1.0),
+    (25.0, "censored", 1.0), (5.0, "failed", 2.0), (9.0, "censored", 2.0)]]
+
+
+def point_quantile(fit, use, p):
+    """quantile_at_use(fit, use, p).quantile without the interval, which
+    overflows on the wildest resamples of SMALL."""
+    if not 0.0 < p < 1.0:
+        raise DomainError("p must lie strictly inside (0, 1)")
+    k = fit.spec.n_mu
+    mu = float(design_row(fit.spec.mu_terms, use) @ fit.estimates[:k])
+    sigma = math.exp(float(design_row(fit.spec.sigma_terms, use) @ fit.estimates[k:]))
+    return math.exp(mu + float(std_quantile(p, fit.spec.family)) * sigma)
+
+
+def bootstrap_one_at_a_time(data, spec, use, p, n_boot, seed, init=None):
+    """The reference bootstrap: the same draws, each resample a list of
+    duplicated records fitted by fit_ml.  Returns the kept quantiles, the
+    skip counts by reason, and per kept resample whether its failures
+    span more than one condition (otherwise the likelihood has no
+    maximum and the fit stops where its start leads it)."""
+    rng = np.random.default_rng(seed)
+    quantiles, spans = [], []
+    reasons = Counter({reason: 0 for reason in SKIP_REASONS})
+    for _ in range(n_boot):
+        sample = [data[i] for i in rng.integers(0, len(data), size=len(data))]
+        try:
+            quantiles.append(point_quantile(fit_ml(sample, spec, init), use, p))
+            spans.append(len({tuple(r.condition.items()) for r in sample if r.failed}) > 1)
+        except InestimableError:
+            reasons["inestimable"] += 1
+        except IllPosedFitError:
+            reasons["ill_posed"] += 1
+        except NonConvergenceError:
+            reasons["non_converged"] += 1
+        except DomainError:
+            reasons["domain"] += 1
+    return np.array(quantiles), dict(reasons), np.array(spans, dtype=bool)
+
+
+class TestWeightedLikelihood:
+    @pytest.mark.parametrize("model", [
+        "lognormal: mu ~ log(voltstress)",
+        "weibull: mu ~ log(voltstress)",
+        "lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)",
+        "weibull: mu ~ log(voltstress); sigma ~ log(voltstress)",
+    ])
+    def test_weights_equal_duplicated_records(self, gab, model):
+        spec = parse_model(model)
+        idx = np.random.default_rng(4).integers(0, len(gab), size=len(gab))
+        counts = np.bincount(idx, minlength=len(gab))
+        assert (counts == 0).any() and (counts > 1).any()
+        weighted = _Likelihood(gab, spec).weighted(counts[None])
+        duplicated = _Likelihood([gab[i] for i in idx], spec)
+        theta = fit_ml(gab, spec).estimates + 0.05
+        assert_allclose(weighted(theta), duplicated(theta), rtol=1e-12)
+        for a, b in ((weighted.gradient(theta), duplicated.gradient(theta)),
+                     (weighted.hessian(theta), duplicated.hessian(theta))):
+            assert_allclose(a, b, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_zero_weight_row_adds_exactly_nothing(self, family):
+        # sigma = exp(-400) puts the last unit's log survival at -inf; with
+        # weight 0 it must drop out, not turn the sums into nan.
+        spec = parse_model(f"{family}: mu ~ log(v)")
+        kept = [LifeRecord(1.0, "failed", {"v": v}) for v in (1.0, 2.0, 3.0)]
+        data = kept + [LifeRecord(1e300, "censored", {"v": 2.0})]
+        theta = np.array([0.0, 0.0, -400.0])
+        assert _Likelihood(data, spec)(theta) == altkit.fitml.BARRIER
+        weighted = _Likelihood(data, spec).weighted(np.array([[1, 1, 1, 0]]))
+        without = _Likelihood(kept, spec)
+        assert math.isfinite(weighted(theta))
+        assert weighted(theta) == without(theta)
+        assert_array_equal(weighted.gradient(theta), without.gradient(theta))
+        assert_array_equal(weighted.hessian(theta), without.hessian(theta))
+
+
+class TestBatchedBootstrap:
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_matches_one_fit_per_resample(self, gab, family, seed):
+        spec = parse_model(f"{family}: mu ~ log(voltstress)")
+        boot = bootstrap_quantile(gab, spec, GAB_USE, 0.1, 50, seed)
+        want, reasons, _ = bootstrap_one_at_a_time(gab, spec, GAB_USE, 0.1, 50, seed)
+        assert boot.skip_reasons == reasons
+        assert_allclose(boot.quantiles, want, rtol=1e-8)
+
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_every_skip_reason_matches(self, family):
+        # Every resample starts from the full-sample estimates, so the
+        # reference does too (from a cold start fit_ml fails to converge
+        # on some resamples that do have a maximum).
+        spec = parse_model(f"{family}: mu ~ log(v)")
+        init = fit_ml(SMALL, spec).estimates
+        use = {"v": 1.5}
+        boot = bootstrap_quantile(SMALL, spec, use, 0.1, 40, 39)
+        want, reasons, spans = bootstrap_one_at_a_time(SMALL, spec, use, 0.1, 40, 39, init)
+        assert all(reasons[r] > 0 for r in ("inestimable", "ill_posed", "non_converged"))
+        assert boot.skip_reasons == reasons
+        assert boot.n_skipped == sum(reasons.values()) == 40 - boot.quantiles.size
+        assert spans.sum() >= 20
+        assert_allclose(boot.quantiles[spans], want[spans], rtol=1e-8)
+        # A quantile undefined at the use condition skips every resample
+        # that fits, after the fit's own reasons.
+        for bad_use, p in (({"v": -1.0}, 0.1), (use, 1.5)):
+            boot = bootstrap_quantile(SMALL, spec, bad_use, p, 40, 39)
+            _, reasons, _ = bootstrap_one_at_a_time(SMALL, spec, bad_use, p, 40, 39, init)
+            assert reasons["domain"] > 0
+            assert boot.skip_reasons == reasons and boot.quantiles.size == 0
+
+    def test_default_start_when_the_full_sample_fit_fails(self):
+        data = TestDegenerateSamples.ON_LINE
+        spec = parse_model("weibull: mu ~ log(v)")
+        with pytest.raises(NonConvergenceError):
+            fit_ml(data, spec)
+        boot = bootstrap_quantile(data, spec, {"v": 120.0}, 0.1, 20, 2)
+        want, reasons, _ = bootstrap_one_at_a_time(data, spec, {"v": 120.0}, 0.1, 20, 2)
+        assert boot.skip_reasons == reasons
+        assert_allclose(boot.quantiles, want, rtol=1e-8)
+
+    @pytest.mark.parametrize("data, model, use, seed", [
+        ("gab", "lognormal: mu ~ log(voltstress)", GAB_USE, 5),
+        ("small", "weibull: mu ~ log(v)", {"v": 1.5}, 39),
+    ])
+    def test_block_size_does_not_change_results(self, gab, monkeypatch,
+                                                 data, model, use, seed):
+        data = gab if data == "gab" else SMALL
+        spec = parse_model(model)
+        default = bootstrap_quantile(data, spec, use, [0.1, 0.5], 40, seed)
+        monkeypatch.setattr(altkit.fitml, "_BLOCK_ELEMENTS", 1)
+        one_by_one = bootstrap_quantile(data, spec, use, [0.1, 0.5], 40, seed)
+        assert_array_equal(one_by_one.quantiles, default.quantiles)
+        assert one_by_one.skip_reasons == default.skip_reasons
+
+    def test_several_p_share_the_fits(self, gab):
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        both = bootstrap_quantile(gab, spec, GAB_USE, [0.1, 0.5], 30, 5)
+        assert both.quantiles.shape == (30 - both.n_skipped, 2)
+        for j, p in enumerate((0.1, 0.5)):
+            alone = bootstrap_quantile(gab, spec, GAB_USE, p, 30, 5)
+            assert_array_equal(both.quantiles[:, j], alone.quantiles)
+            assert_allclose(both.se_log[j], alone.se_log, rtol=1e-14)
+
+    @pytest.mark.parametrize("n_boot", [1, 0, -3])
+    def test_needs_two_resamples(self, gab, n_boot):
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        with pytest.raises(DomainError):
+            bootstrap_quantile(gab, spec, GAB_USE, 0.1, n_boot, 1)
+
+    @pytest.mark.parametrize("quantiles", [np.array([500.0]), np.empty(0), np.full((1, 2), 500.0)])
+    def test_se_log_is_nan_below_two_kept(self, quantiles):
+        boot = BootstrapQuantiles(quantiles, 2, 2 - len(quantiles))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            se = boot.se_log
+        assert np.all(np.isnan(se)) and np.shape(se) == quantiles.shape[1:]
+
+
+class TestProfileWarmStart:
+    def test_matches_cold_fits_in_fewer_steps(self, gab, monkeypatch):
+        spec = parse_model("lognormal: mu ~ boxcox(voltstress, 1)")
+        steps = []
+        cold_fit = altkit.fitml.fit_ml
+
+        def counted(*args):
+            fit = cold_fit(*args)
+            steps.append(fit.iterations)
+            return fit
+
+        monkeypatch.setattr(altkit.fitml, "fit_ml", counted)
+        points = profile_lambda(gab, spec, GAB_USE)
+        monkeypatch.undo()
+        cold = [fit_ml(gab, spec.with_boxcox_lambda(pt.lam)) for pt in points]
+        assert len(steps) == len(cold) == 31
+        for pt, fit in zip(points, cold):
+            assert pt.converged
+            assert_allclose(pt.loglik, fit.loglik, rtol=1e-10)
+        assert sum(steps) < sum(fit.iterations for fit in cold)
 
 
 class TestHessianUtilities:

@@ -129,6 +129,15 @@ class TestDesignMatrix:
         direct = design_row(spec.mu_terms, {"voltstress": 170.0})
         assert_allclose(row[1], direct[1], rtol=0)
 
+    def test_derived_division_by_zero_is_a_data_error(self):
+        # The scalar and the column path reject a zero thickness alike.
+        condition = {"voltage": 1.0, "thickness": 0.0}
+        with pytest.raises(DataError, match="voltstress"):
+            resolve_variable(condition, "voltstress")
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        with pytest.raises(DataError, match="voltstress"):
+            design_row(spec.mu_terms, condition)
+
     def test_unit_suffixed_column_resolution(self):
         # A bare variable name picks up its unit-suffixed column.
         spec = parse_model("lognormal: mu ~ log(voltstress)")
