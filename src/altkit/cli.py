@@ -184,6 +184,14 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _write_life_output(records, path: str | None) -> None:
+    if path is None:
+        write_life_csv(records, sys.stdout)
+    else:
+        with open(path, "w", newline="") as fh:
+            write_life_csv(records, fh)
+
+
 def _table_value(x: float) -> str:
     return format_float(x, TABLE_SIG_DIGITS)
 
@@ -249,6 +257,16 @@ def _quantile_blocks(fit: FitResult, use: dict[str, float], ps) -> list[dict]:
     return blocks
 
 
+def _warn_non_finite(blocks: list[dict]) -> None:
+    """Name on one stderr line each p whose block holds a value that the
+    JSON prints as null (an overflow gives inf)."""
+    ps = dict.fromkeys(b["p"] for b in blocks if not all(
+        math.isfinite(v) for v in b.values() if isinstance(v, float)))
+    if ps:
+        print(f"warning: non-finite quantile values for p={','.join(map(str, ps))} "
+              "are reported as null", file=sys.stderr)
+
+
 def _parse_probabilities(text: str) -> list[float]:
     try:
         ps = [float(x) for x in text.split(",") if x.strip()]
@@ -275,6 +293,7 @@ def cmd_fit(args) -> int:
     if args.use:
         use = _parse_assignments(args.use)
         report["quantiles"] = _quantile_blocks(fit, use, _parse_probabilities(args.quantiles))
+        _warn_non_finite(report["quantiles"])
     _write_output(dump_json(report), args.output)
     return code
 
@@ -304,6 +323,7 @@ def cmd_quantile(args) -> int:
                 }
             )
         report["bootstrap"] = blocks
+    _warn_non_finite(report["quantiles"] + report.get("bootstrap", []))
     _write_output(dump_json(report), args.output)
     return code
 
@@ -348,11 +368,7 @@ def cmd_pseudo(args) -> int:
     records = pseudo_failure_times(
         samples, args.threshold, time_transform=args.time_scale, horizon=horizon
     )
-    if args.output is None:
-        write_life_csv(records, sys.stdout)
-    else:
-        with open(args.output, "w", newline="") as fh:
-            write_life_csv(records, fh)
+    _write_life_output(records, args.output)
     return 0
 
 
@@ -403,12 +419,7 @@ def cmd_dose(args) -> int:
 
 
 def cmd_gab(args) -> int:
-    records = load_gab()
-    if args.output is None:
-        write_life_csv(records, sys.stdout)
-    else:
-        with open(args.output, "w", newline="") as fh:
-            write_life_csv(records, fh)
+    _write_life_output(load_gab(), args.output)
     return 0
 
 

@@ -210,7 +210,6 @@ def pseudo_failure_times(
     samples: Sequence[DegradationSample],
     threshold: float,
     time_transform: str = "identity",
-    response_transform: str = "identity",
     horizon: float | None = None,
 ) -> list[LifeRecord]:
     """Convert degradation paths to life records by per-unit line fits.
@@ -230,8 +229,6 @@ def pseudo_failure_times(
         Response level defining failure.
     time_transform : {"identity", "sqrt"}
         Scale on which the path is linear in time.
-    response_transform : {"identity"}
-        Reserved; only the identity response scale is supported.
     horizon : float or None
         Cutoff for declaring a unit censored.  None (the default) uses the
         last observed time of each sample; math.inf disables the cutoff so
@@ -244,8 +241,6 @@ def pseudo_failure_times(
     """
     if time_transform not in _TIME_TRANSFORMS:
         raise ConfigError(f"time_transform must be one of {sorted(_TIME_TRANSFORMS)}")
-    if response_transform != "identity":
-        raise ConfigError("only the identity response transform is supported")
     if horizon is not None and horizon <= 0.0:
         raise ConfigError("horizon must be > 0")
     fwd, inv = _TIME_TRANSFORMS[time_transform]

@@ -593,20 +593,24 @@ def fit_ml(
 
     warnings: list[str] = []
     hess = sol.hessian[0]
-    try:
-        cov_std = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        cov_std = np.linalg.pinv(hess)
-        warnings.append("observed information is singular; covariance is a pseudo-inverse")
-    covariance = std.original_covariance(cov_std)
-    covariance = 0.5 * (covariance + covariance.T)
-    # Congruence preserves eigenvalue signs, so test definiteness where the
-    # parameters are O(1) instead of on the unit-dependent original scale.
-    min_eig = float(np.linalg.eigvalsh(0.5 * (cov_std + cov_std.T)).min())
-    if min_eig < -1e-8:
-        warnings.append(
-            f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-        )
+    if not np.isfinite(hess).all():
+        covariance = np.full_like(hess, np.nan)
+        warnings.append("observed information is not finite; covariance is undefined")
+    else:
+        try:
+            cov_std = np.linalg.inv(hess)
+        except np.linalg.LinAlgError:
+            cov_std = np.linalg.pinv(hess)
+            warnings.append("observed information is singular; covariance is a pseudo-inverse")
+        covariance = std.original_covariance(cov_std)
+        covariance = 0.5 * (covariance + covariance.T)
+        # Congruence preserves eigenvalue signs, so test definiteness where the
+        # parameters are O(1) instead of on the unit-dependent original scale.
+        min_eig = float(np.linalg.eigvalsh(0.5 * (cov_std + cov_std.T)).min())
+        if min_eig < -1e-8:
+            warnings.append(
+                f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
+            )
 
     result = FitResult(
         spec=spec,
@@ -654,6 +658,14 @@ def _is_extrapolated(row: np.ndarray, ranges: tuple[tuple[float, float], ...]) -
     return False
 
 
+def _exp(x: float) -> float:
+    """math.exp, but inf where the result overflows double precision."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def quantile_at_use(
     fit: FitResult, use: Mapping[str, float], p: float
 ) -> QuantileEstimate:
@@ -661,7 +673,9 @@ def quantile_at_use(
     standard error and a normal-approximation interval on the log scale.
 
     A use condition outside the fitted covariate range is allowed but the
-    estimate is flagged as extrapolated.
+    estimate is flagged as extrapolated.  A value whose exponential
+    overflows double precision is inf (and anything computed from an inf
+    may be nan); the JSON report prints both as null.
     """
     if not 0.0 < p < 1.0:
         raise DomainError("p must lie strictly inside (0, 1)")
@@ -671,21 +685,21 @@ def quantile_at_use(
     beta = fit.estimates[: spec.n_mu]
     s = fit.estimates[spec.n_mu :]
     mu = float(xm @ beta)
-    sigma = math.exp(float(xs @ s))
+    sigma = _exp(float(xs @ s))
     zp = float(std_quantile(p, spec.family))
     log_tp = mu + zp * sigma
     grad = np.concatenate([xm, zp * sigma * xs])
     var_log = float(grad @ fit.covariance @ grad)
     se_log = math.sqrt(max(var_log, 0.0))
-    tp = math.exp(log_tp)
+    tp = _exp(log_tp)
     return QuantileEstimate(
         p=p,
         quantile=tp,
         se=tp * se_log,
         log_quantile=log_tp,
         se_log=se_log,
-        lower=math.exp(log_tp - _Z975 * se_log),
-        upper=math.exp(log_tp + _Z975 * se_log),
+        lower=_exp(log_tp - _Z975 * se_log),
+        upper=_exp(log_tp + _Z975 * se_log),
         extrapolated=(
             _is_extrapolated(xm, fit.mu_column_ranges)
             or _is_extrapolated(xs, fit.sigma_column_ranges)
@@ -826,11 +840,12 @@ class BootstrapQuantiles:
     def se_log(self):
         """Standard deviation of the log quantiles (one per p when there
         are several); nan when fewer than 2 replicates were kept."""
-        logq = np.log(self.quantiles)
-        if len(logq) < 2:
-            se = np.full(logq.shape[1:], np.nan)
-        else:
-            se = np.std(logq, ddof=1, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # draws of 0 or inf give nan
+            logq = np.log(self.quantiles)
+            if len(logq) < 2:
+                se = np.full(logq.shape[1:], np.nan)
+            else:
+                se = np.std(logq, ddof=1, axis=0)
         return float(se) if se.ndim == 0 else se
 
 
@@ -890,8 +905,9 @@ def bootstrap_quantile(
         else:
             est = estimates[kept]
             mu = _per_row(est[:, : spec.n_mu], xm[:, None])
-            sigma = np.exp(_per_row(est[:, spec.n_mu :], xs[:, None]))
-            quantiles = np.exp(mu + sigma * std_quantile(ps, spec.family))
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigma = np.exp(_per_row(est[:, spec.n_mu :], xs[:, None]))
+                quantiles = np.exp(mu + sigma * std_quantile(ps, spec.family))
     tally = np.bincount(reasons, minlength=1 + len(SKIP_REASONS))
     return BootstrapQuantiles(
         quantiles[:, 0] if np.ndim(p) == 0 else quantiles,

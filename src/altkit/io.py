@@ -5,7 +5,9 @@ per condition variable, headers carrying unit suffixes (temp_C,
 voltstress_V_per_mm, rh_frac).  Degradation CSV: `unit`, `time`,
 `response` plus condition columns constant within each unit.  Spectral
 CSV: `wavelength_nm` plus `irradiance` and/or `absorbance`.  Moisture
-CSV: `rh`, `moisture_content`.
+CSV: `rh`, `moisture_content`.  All four stream through one reader:
+blank lines are skipped, every row has one cell per header column, a
+column name may appear once, and errors name the file line.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -17,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager, nullcontext
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -30,47 +33,66 @@ JSON_SIG_DIGITS = 17
 TABLE_SIG_DIGITS = 6
 
 
-def _open_rows(path_or_file) -> tuple[csv.DictReader, IO | None]:
-    if hasattr(path_or_file, "read"):
-        return csv.DictReader(path_or_file), None
-    fh = open(path_or_file, newline="")
-    return csv.DictReader(fh), fh
+@contextmanager
+def _csv_table(path_or_file, required: Sequence[str], missing: str):
+    """Open a CSV table and check its header; give (header, rows), rows
+    streaming (line number, cells) per non-blank row.  The header must hold
+    every `required` column (else DataError(missing)) and no name twice;
+    each row needs one cell per column.  A file passed in is left open."""
+    is_file = hasattr(path_or_file, "read")
+    with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise DataError("empty CSV: no header row")
+        if any(c not in header for c in required):
+            raise DataError(missing)
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        if dupes:
+            raise DataError(f"duplicate column name(s) {dupes} in the header")
+
+        def rows():
+            for cells in reader:
+                if len(cells) != len(header):
+                    if not cells:
+                        continue
+                    raise DataError(
+                        f"line {reader.line_num}: expected {len(header)} cells, got {len(cells)}"
+                    )
+                yield reader.line_num, cells
+
+        yield header, rows()
 
 
-def _parse_float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise DataError(f"{what}: expected a number, got {text!r}")
+def _floats(line: int, header: list[str], cells: list[str], cols: list[int]) -> list[float]:
+    """The cells at `cols` as floats; the first that fails names itself."""
+    values = []
+    for j in cols:
+        try:
+            values.append(float(cells[j]))
+        except ValueError:
+            raise DataError(
+                f"line {line}, column {header[j]}: expected a number, got {cells[j]!r}"
+            ) from None
+    return values
 
 
 def read_life_csv(path_or_file) -> list[LifeRecord]:
     """Read life records; every non-time/status column becomes a condition
     variable."""
-    reader, fh = _open_rows(path_or_file)
-    try:
-        header = reader.fieldnames
-        if not header:
-            raise DataError("empty CSV: no header row")
-        if "time" not in header or "status" not in header:
-            raise DataError("life-data CSV needs 'time' and 'status' columns")
-        cond_cols = [c for c in header if c not in ("time", "status")]
+    with _csv_table(path_or_file, ("time", "status"),
+                    "life-data CSV needs 'time' and 'status' columns") as (header, rows):
+        status_col = header.index("status")
+        cond_names = [c for c in header if c not in ("time", "status")]
+        cols = [header.index(c) for c in (*cond_names, "time")]
         records = []
-        for i, row in enumerate(reader, start=2):
-            status = (row["status"] or "").strip()
+        for line, cells in rows:
+            status = cells[status_col].strip()
             if status not in STATUSES:
-                raise DataError(
-                    f"line {i}: status must be one of {STATUSES}, got {status!r}"
-                )
-            condition = {c: _parse_float(row[c], f"line {i}, column {c}") for c in cond_cols}
-            records.append(
-                LifeRecord(_parse_float(row["time"], f"line {i}, column time"),
-                           status, condition)
-            )
+                raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
+            *values, time = _floats(line, header, cells, cols)
+            records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
         return records
-    finally:
-        if fh is not None:
-            fh.close()
 
 
 def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
@@ -91,78 +113,48 @@ def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
 
 def read_degradation_csv(path_or_file) -> list[DegradationSample]:
     """Read per-unit degradation paths grouped by the `unit` column."""
-    reader, fh = _open_rows(path_or_file)
-    try:
-        header = reader.fieldnames
-        if not header:
-            raise DataError("empty CSV: no header row")
-        for col in ("unit", "time", "response"):
-            if col not in header:
-                raise DataError("degradation CSV needs 'unit', 'time' and 'response'")
-        cond_cols = [c for c in header if c not in ("unit", "time", "response")]
-        order: list[str] = []
-        times: dict[str, list[float]] = {}
-        resps: dict[str, list[float]] = {}
-        conds: dict[str, dict[str, float]] = {}
-        for i, row in enumerate(reader, start=2):
-            unit = (row["unit"] or "").strip()
+    with _csv_table(path_or_file, ("unit", "time", "response"),
+                    "degradation CSV needs 'unit', 'time' and 'response'") as (header, rows):
+        unit_col = header.index("unit")
+        cond_names = [c for c in header if c not in ("unit", "time", "response")]
+        cols = [header.index(c) for c in (*cond_names, "time", "response")]
+        paths: dict[str, tuple[list[float], list[float], dict[str, float]]] = {}
+        for line, cells in rows:
+            unit = cells[unit_col].strip()
             if not unit:
-                raise DataError(f"line {i}: empty unit id")
-            cond = {c: _parse_float(row[c], f"line {i}, column {c}") for c in cond_cols}
-            if unit not in times:
-                order.append(unit)
-                times[unit], resps[unit], conds[unit] = [], [], cond
-            elif cond != conds[unit]:
-                raise DataError(f"line {i}: unit {unit!r} changes condition mid-path")
-            times[unit].append(_parse_float(row["time"], f"line {i}, column time"))
-            resps[unit].append(_parse_float(row["response"], f"line {i}, column response"))
-        return [DegradationSample(u, times[u], resps[u], conds[u]) for u in order]
-    finally:
-        if fh is not None:
-            fh.close()
+                raise DataError(f"line {line}: empty unit id")
+            *values, time, response = _floats(line, header, cells, cols)
+            cond = dict(zip(cond_names, values))
+            times, resps, first = paths.setdefault(unit, ([], [], cond))
+            if cond != first:
+                raise DataError(f"line {line}: unit {unit!r} changes condition mid-path")
+            times.append(time)
+            resps.append(response)
+    return [DegradationSample(u, t, r, c) for u, (t, r, c) in paths.items()]
 
 
 def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read a spectrum: wavelengths plus any of irradiance/absorbance columns."""
-    reader, fh = _open_rows(path_or_file)
-    try:
-        header = reader.fieldnames
-        if not header or "wavelength_nm" not in header:
-            raise DataError("spectral CSV needs a 'wavelength_nm' column")
-        value_cols = [c for c in header if c != "wavelength_nm"]
-        if not value_cols:
+    with _csv_table(path_or_file, ("wavelength_nm",),
+                    "spectral CSV needs a 'wavelength_nm' column") as (header, rows):
+        if len(header) < 2:
             raise DataError("spectral CSV needs at least one value column")
-        wavelengths = []
-        values: dict[str, list[float]] = {c: [] for c in value_cols}
-        for i, row in enumerate(reader, start=2):
-            wavelengths.append(
-                _parse_float(row["wavelength_nm"], f"line {i}, column wavelength_nm")
-            )
-            for c in value_cols:
-                values[c].append(_parse_float(row[c], f"line {i}, column {c}"))
-        if len(wavelengths) < 2:
-            raise DataError("spectral CSV needs at least 2 rows")
-        return np.array(wavelengths), {c: np.array(v) for c, v in values.items()}
-    finally:
-        if fh is not None:
-            fh.close()
+        cols = [header.index("wavelength_nm")]
+        cols += [j for j, c in enumerate(header) if c != "wavelength_nm"]
+        table = [_floats(line, header, cells, cols) for line, cells in rows]
+    if len(table) < 2:
+        raise DataError("spectral CSV needs at least 2 rows")
+    wavelengths, *values = np.array(table).T.copy()
+    return wavelengths, {header[j]: v for j, v in zip(cols[1:], values)}
 
 
 def read_mc_csv(path_or_file) -> MoistureTable:
     """Read a moisture-content table over relative humidity."""
-    reader, fh = _open_rows(path_or_file)
-    try:
-        header = reader.fieldnames
-        if not header or "rh" not in header or "moisture_content" not in header:
-            raise DataError("moisture CSV needs 'rh' and 'moisture_content' columns")
-        rh, mc = [], []
-        for i, row in enumerate(reader, start=2):
-            rh.append(_parse_float(row["rh"], f"line {i}, column rh"))
-            mc.append(_parse_float(row["moisture_content"], f"line {i}, column moisture_content"))
-        return MoistureTable(rh, mc)
-    finally:
-        if fh is not None:
-            fh.close()
+    with _csv_table(path_or_file, ("rh", "moisture_content"),
+                    "moisture CSV needs 'rh' and 'moisture_content' columns") as (header, rows):
+        cols = [header.index("rh"), header.index("moisture_content")]
+        table = [_floats(line, header, cells, cols) for line, cells in rows]
+    return MoistureTable([rh for rh, _ in table], [mc for _, mc in table])
 
 
 def format_float(x: float, sig: int = JSON_SIG_DIGITS) -> str:

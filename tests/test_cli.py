@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,66 @@ class TestFit:
         code = main(["fit", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(current)"])
         assert code == 2
+
+
+OVF_CSV = ("time,status,v\n25,censored,1\n14,failed,1\n9,censored,2\n"
+           "10,failed,1\n14,failed,1\n30,censored,1\n")
+LINE4_CSV = "time,status,v\n5,failed,1\n6,failed,2\n7,failed,3\n8,failed,4\n"
+
+
+class TestOverflow:
+    """A quantile or bound beyond double precision is null in the JSON
+    report, with one stderr warning line naming p and no traceback."""
+
+    @pytest.mark.parametrize("data, argv, p, null", [
+        (OVF_CSV, ["fit", "--model", "lognormal: mu ~ log(v)", "--use", "v=1.5",
+                   "--quantiles", "0.1"], "0.1", ("quantiles", "upper")),
+        (OVF_CSV, ["fit", "--model", "weibull: mu ~ log(v)", "--use", "v=1.5",
+                   "--quantiles", "0.1"], "0.1", ("quantiles", "upper")),
+        (OVF_CSV, ["quantile", "--model", "lognormal: mu ~ log(v)", "--use", "v=1.5",
+                   "--p", "0.1", "--bootstrap", "20", "--seed", "1"], "0.1",
+         ("quantiles", "upper")),
+        (LINE4_CSV, ["fit", "--model", "weibull: mu ~ v", "--use", "v=1e6",
+                     "--quantiles", "0.5"], "0.5", ("quantiles", "quantile")),
+        (LINE4_CSV, ["quantile", "--model", "lognormal: mu ~ v", "--use", "v=1e5",
+                     "--p", "0.5", "--bootstrap", "20", "--seed", "1"], "0.5",
+         ("bootstrap", "median")),
+        (LINE4_CSV, ["quantile", "--model", "lognormal: mu ~ v", "--use", "v=-1e5",
+                     "--p", "0.5", "--bootstrap", "20", "--seed", "1"], "0.5",
+         ("bootstrap", "se_log")),
+    ], ids=["ovf-lognormal", "ovf-weibull", "ovf-bootstrap", "line4-weibull",
+            "line4-bootstrap", "line4-underflow"])
+    def test_overflow_reports_null(self, tmp_path, capsys, data, argv, p, null):
+        path = tmp_path / "life.csv"
+        path.write_text(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], "--data", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == f"warning: non-finite quantile values for p={p} are reported as null\n"
+        block, key = null
+        assert json.loads(out)[block][0][key] is None
+
+    def test_profile_prints_inf(self, tmp_path, capsys):
+        path = tmp_path / "life.csv"
+        path.write_text(LINE4_CSV)
+        code = main(["profile", "--data", str(path), "--model",
+                     "lognormal: mu ~ boxcox(v, 1)", "--use", "v=1e9",
+                     "--grid=-1:2:0.5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == 8
+        assert lines[-1].split(",")[2:] == ["inf", "inf", "inf", "true"]
+
+    def test_non_finite_information_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,v\n1e300,failed,1\n1e-300,failed,2\n5,censored,3\n")
+        code = main(["fit", "--data", str(path), "--model", "weibull: mu ~ log(v)",
+                     "--use", "v=1", "--quantiles", "0.5"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3 and report["converged"] is False
+        assert report["covariance"] == [[None] * 3] * 3
+        assert "observed information is not finite; covariance is undefined" in report["warnings"]
 
 
 class TestQuantile:

@@ -276,6 +276,18 @@ class TestDegenerateSamples:
         assert info.value.result.iterations <= NEWTON_STEPS
 
 
+    def test_non_finite_information(self):
+        # The start sits at the barrier, where the observed information is inf.
+        data = [LifeRecord(1e300, "failed", {"v": 1.0}),
+                LifeRecord(1e-300, "failed", {"v": 2.0}),
+                LifeRecord(5.0, "censored", {"v": 3.0})]
+        with pytest.raises(NonConvergenceError) as info:
+            fit_ml(data, parse_model("weibull: mu ~ log(v)"))
+        result = info.value.result
+        assert np.isnan(result.covariance).all()
+        assert result.warnings == ["observed information is not finite; covariance is undefined"]
+
+
 class TestVaryingSigma:
     def test_recovers_sigma_trend(self):
         # sigma doubles per unit of log stress; the fitted slope finds it.

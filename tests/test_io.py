@@ -67,6 +67,19 @@ class TestLifeCsv:
         with pytest.raises(DataError):
             read_life_csv(io.StringIO(""))
 
+    def test_blank_lines_keep_line_numbers(self):
+        with pytest.raises(DataError, match="^line 4, column v: expected a number, got 'x'$"):
+            read_life_csv(io.StringIO("time,status,v\n1,failed,1\n\n2,failed,x\n"))
+
+    @pytest.mark.parametrize("row", ["1,failed,1,9", "1,failed"])
+    def test_row_width_must_match_header(self, row):
+        with pytest.raises(DataError, match=r"^line 2: expected 3 cells, got \d$"):
+            read_life_csv(io.StringIO(f"time,status,v\n{row}\n"))
+
+    def test_duplicate_column_rejected(self):
+        with pytest.raises(DataError, match="duplicate column"):
+            read_life_csv(io.StringIO("time,status,time\n1,failed,2\n"))
+
     def test_statuses(self):
         recs = read_life_csv(io.StringIO(
             "time,status\n1.5,failed\n6.48,censored\n"))
