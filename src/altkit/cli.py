@@ -5,11 +5,12 @@ JSON report), quantile (use-condition lifetime quantiles, optionally with
 a seeded bootstrap), profile (power-transform exponent sweep as CSV),
 pseudo (degradation paths to a life-data CSV), dose (effective UV dosage).
 
-Exit codes: 0 success; 2 argument/validation errors (one-line diagnostic
-on stderr); 3 non-convergence (the JSON report is still emitted with
-converged=false).  Data go to stdout (or --output), diagnostics to
-stderr.  Identical invocations produce byte-identical output; --seed is
-required for anything stochastic (--bootstrap).
+Exit codes: 0 success; 2 argument/validation errors; 3 non-convergence
+(the JSON report is still emitted with converged=false).  Exits 2 and 3
+print a one-line diagnostic on stderr; an error in a CSV names its line.
+Data go to stdout (or --output), diagnostics to stderr.  Identical
+invocations produce byte-identical output; --seed is required for
+anything stochastic (--bootstrap).
 """
 
 from __future__ import annotations
@@ -284,6 +285,7 @@ def _run_fit(args) -> tuple[list, FitResult, int]:
     try:
         return records, fit_ml(records, spec), 0
     except NonConvergenceError as err:
+        print(f"error: {err}", file=sys.stderr)
         return records, err.result, 3
 
 

@@ -120,15 +120,21 @@ def generate(gen: SyntheticGenerator) -> list[LifeRecord]:
     rng = np.random.default_rng(gen.seed)
     u = rng.uniform(size=len(conditions))
     logt = mu + gen.sigma * std_quantile(u, gen.spec.family)
-    times = np.exp(logt)
-
-    if gen.censoring.kind == "none":
-        cutoff = math.inf
-    elif gen.censoring.kind == "time":
-        cutoff = gen.censoring.value
-    else:  # fraction: censor at the empirical (1 - f) quantile of the draws
-        frac = gen.censoring.value
-        cutoff = math.inf if frac == 0.0 else float(np.quantile(times, 1.0 - frac))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        times = np.exp(logt)
+        if gen.censoring.kind == "none":
+            cutoff = math.inf
+        elif gen.censoring.kind == "time":
+            cutoff = gen.censoring.value
+        else:  # fraction: censor at the empirical (1 - f) quantile of the draws
+            frac = gen.censoring.value
+            cutoff = math.inf if frac == 0.0 else float(np.quantile(times, 1.0 - frac))
+    # A draw of inf is fine where it is censored at a finite time.
+    if not (np.all(times > 0.0) and np.all(np.isfinite(np.minimum(times, cutoff)))):
+        raise ConfigError(
+            f"sigma = {gen.sigma:g} draws lifetimes of 0 or inf, beyond double "
+            "precision; use a smaller sigma"
+        )
 
     records = []
     for t, cond in zip(times, conditions):

@@ -28,11 +28,15 @@ kernel value is not finite.  The Newton loop moves all replicates
 together, with one likelihood pass and one stacked solve per round, while
 the ridge, the step halving and the stop are decided per replicate; every
 product is taken one replicate at a time, so no replicate's result depends
-on the others in its batch.  fit_ml is the batch of one with unit weights.
+on the others in its batch.  One replicate fit judges every fit by one
+set of rules, the first broken rule deciding: no failure weight, a
+standardized design that is not finite or loses rank under the row
+weights, a scaled gradient of GRAD_TOL or more after Newton.  fit_ml is
+its batch of one with unit weights.
 
 bootstrap_quantile standardizes once with the full sample's column
-statistics, starts every resample from the full-sample estimates, and
-fits the resamples in blocks of bounded size.  profile_lambda starts each
+statistics, starts every resample from the full sample's own replicate
+fit, and fits the resamples in blocks of bounded size.  profile_lambda starts each
 grid point from the last converged point's solution in standardized
 coordinates, which move little with the exponent even though the
 transformed column changes scale.
@@ -153,6 +157,10 @@ class _Likelihood:
     def replicates(self, which: np.ndarray) -> "_Likelihood":
         """The replicates selected by index or mask `which`."""
         return self if self.weights is None else self._with(weights=self.weights[which])
+
+    def row_weights(self) -> np.ndarray:
+        """The (replicates, rows) weights; one row of ones when unweighted."""
+        return np.ones((1, self.logt.size)) if self.weights is None else self.weights
 
     def weigh(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """`values` (replicates, rows) times the weights of `rows`; exactly 0
@@ -315,7 +323,7 @@ def _default_init(like: _Likelihood) -> np.ndarray:
     """default_init for each replicate, its rows counted by their weights."""
     nf, k = like.n_failed, like.n_mu
     xf, yf = like.x_mu[:nf], like.logt[:nf]
-    weights = np.ones((1, like.logt.size)) if like.weights is None else like.weights
+    weights = like.row_weights()
     theta = np.zeros((len(weights), k + like.x_sig.shape[1]))
     for row, w in zip(theta, weights):
         r = np.sqrt(w[:nf])
@@ -329,10 +337,12 @@ def _default_init(like: _Likelihood) -> np.ndarray:
 
 
 def _rank_deficient(like: _Likelihood, x: np.ndarray) -> np.ndarray:
-    """Whether design x (rows in the stored order) loses rank under each
-    replicate's row weights; a bool for an unweighted likelihood."""
-    if like.weights is not None:
-        x = np.sqrt(like.weights)[:, :, None] * x
+    """Whether design x (rows in the stored order) is not finite or loses
+    rank under each replicate's row weights."""
+    weights = like.row_weights()
+    if not np.isfinite(x).all():
+        return np.ones(len(weights), dtype=bool)
+    x = np.sqrt(weights)[:, :, None] * x
     return np.linalg.matrix_rank(x) < x.shape[-1]
 
 
@@ -342,7 +352,8 @@ class _Standardizer:
     The search runs where every covariate has mean 0 and spread 1, so the
     Hessian is well conditioned and the scaled-gradient stopping rule is
     meaningful regardless of covariate units; estimates and covariance map
-    back through the affine reparameterization afterwards.
+    back through the affine reparameterization afterwards.  A column with
+    x' = (x - m)/s has coefficient b = b'/s, and its intercept gains -b'm/s.
     """
 
     def __init__(self, like: _Likelihood):
@@ -353,19 +364,18 @@ class _Standardizer:
             s[s == 0.0] = 1.0  # constant column; the rank check rejects it
             return m, s
 
-        self.m_mu, self.s_mu = stats(like.x_mu)
-        self.m_sig, self.s_sig = stats(like.x_sig)
-        self.like = like.rescaled(
-            (like.x_mu - self.m_mu) / self.s_mu,
-            (like.x_sig - self.m_sig) / self.s_sig,
-        )
-        self.to_original = _block_diag(
-            _affine_map(self.m_mu, self.s_mu), _affine_map(self.m_sig, self.s_sig)
-        )
-        self.from_original = _block_diag(
-            _affine_inverse(self.m_mu, self.s_mu),
-            _affine_inverse(self.m_sig, self.s_sig),
-        )
+        # A column too wide for double precision standardizes to 0 or nan,
+        # which the rank check rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_mu, s_mu = stats(like.x_mu)
+            m_sig, s_sig = stats(like.x_sig)
+            self.like = like.rescaled((like.x_mu - m_mu) / s_mu, (like.x_sig - m_sig) / s_sig)
+            m, s = np.concatenate([m_mu, m_sig]), np.concatenate([s_mu, s_sig])
+            self.to_original = np.diag(1.0 / s)
+            self.from_original = np.diag(s)
+            for lo, hi in ((0, like.n_mu), (like.n_mu, s.size)):
+                self.to_original[lo, lo + 1 : hi] = -m[lo + 1 : hi] / s[lo + 1 : hi]
+                self.from_original[lo, lo + 1 : hi] = m[lo + 1 : hi]
 
     def original_params(self, theta_std: np.ndarray) -> np.ndarray:
         """Original-scale parameters, one row per replicate."""
@@ -376,34 +386,6 @@ class _Standardizer:
 
     def original_covariance(self, cov_std: np.ndarray) -> np.ndarray:
         return self.to_original @ cov_std @ self.to_original.T
-
-
-def _affine_map(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """b_original = map @ b_standardized for columns x' = (x - m)/s."""
-    k = m.size
-    t = np.zeros((k, k))
-    t[0, 0] = 1.0
-    for j in range(1, k):
-        t[j, j] = 1.0 / s[j]
-        t[0, j] = -m[j] / s[j]
-    return t
-
-
-def _affine_inverse(m: np.ndarray, s: np.ndarray) -> np.ndarray:
-    k = m.size
-    t = np.zeros((k, k))
-    t[0, 0] = 1.0
-    for j in range(1, k):
-        t[j, j] = s[j]
-        t[0, j] = m[j]
-    return t
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
-    return out
 
 
 def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -510,6 +492,32 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
     return sol
 
 
+SKIP_REASONS = ("inestimable", "ill_posed", "non_converged", "domain")
+# A replicate's skip reason: _KEPT, or 1 + its index in SKIP_REASONS.
+_KEPT, _INESTIMABLE, _ILL_POSED, _NON_CONVERGED, _DOMAIN = range(1 + len(SKIP_REASONS))
+
+
+def _fit_replicates(
+    like: _Likelihood, theta: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, _Solution | None]:
+    """Fit every replicate of the standardized `like` from `theta` (one
+    row for all; default_init when None) and give each one's reason: the
+    first of _INESTIMABLE, _ILL_POSED and _NON_CONVERGED whose rule it
+    breaks, else _KEPT.  Returns the reasons, the indices of the
+    replicates fitted and their _Solution (None when none was)."""
+    weights = like.row_weights()
+    reasons = np.full(len(weights), _KEPT)
+    reasons[_rank_deficient(like, like.x_mu) | _rank_deficient(like, like.x_sig)] = _ILL_POSED
+    reasons[weights[:, : like.n_failed].sum(axis=1) == 0.0] = _INESTIMABLE
+    fit = np.flatnonzero(reasons == _KEPT)
+    if not fit.size:
+        return reasons, fit, None
+    part = like.replicates(fit)
+    sol = _newton(part, _default_init(part) if theta is None else np.repeat(theta, fit.size, axis=0))
+    reasons[fit[~(sol.scaled_grad() < GRAD_TOL)]] = _NON_CONVERGED
+    return reasons, fit, sol
+
+
 @dataclass
 class FitResult:
     """A converged (or best-so-far) censored-ML fit."""
@@ -567,29 +575,22 @@ def fit_ml(
     data = list(data)
     if not data:
         raise InestimableError("no records")
-    like = _Likelihood(data, spec)
-    if like.n_failed == 0:
-        raise InestimableError(
-            "all records are censored; the model parameters are inestimable"
-        )
-    if _rank_deficient(like, like.x_mu):
-        raise IllPosedFitError("mu design matrix is rank deficient on these data")
-    if _rank_deficient(like, like.x_sig):
-        raise IllPosedFitError("sigma design matrix is rank deficient on these data")
-
-    std = _Standardizer(like)
-    if init is None:
-        x = _default_init(std.like)
-    else:
+    if init is not None:
         init = np.asarray(init, dtype=float)
         if init.size != spec.n_params:
             raise DomainError(f"init must have length {spec.n_params}")
-        x = std.standardized_params(init[None])
-    sol = _newton(std.like, x)
-    f = float(sol.nll[0])
-    iterations = int(sol.steps[0])
-    scaled_grad = float(sol.scaled_grad()[0])
-    converged = scaled_grad < GRAD_TOL
+    like = _Likelihood(data, spec)
+    std = _Standardizer(like)
+    (reason,), _, sol = _fit_replicates(
+        std.like, None if init is None else std.standardized_params(init[None])
+    )
+    if reason == _INESTIMABLE:
+        raise InestimableError(
+            "all records are censored; the model parameters are inestimable"
+        )
+    if reason == _ILL_POSED:
+        design = "mu" if _rank_deficient(std.like, std.like.x_mu)[0] else "sigma"
+        raise IllPosedFitError(f"{design} design matrix is rank deficient on these data")
 
     warnings: list[str] = []
     hess = sol.hessian[0]
@@ -616,20 +617,20 @@ def fit_ml(
         spec=spec,
         param_names=spec.param_names,
         estimates=std.original_params(sol.theta)[0],
-        loglik=-f,
+        loglik=-float(sol.nll[0]),
         covariance=covariance,
-        converged=converged,
-        iterations=iterations,
+        converged=bool(reason == _KEPT),
+        iterations=int(sol.steps[0]),
         warnings=warnings,
         n_records=len(data),
         n_failed=like.n_failed,
         mu_column_ranges=_column_ranges(like.x_mu),
         sigma_column_ranges=_column_ranges(like.x_sig),
     )
-    if not converged:
+    if not result.converged:
         raise NonConvergenceError(
-            f"no convergence after {iterations} Newton steps "
-            f"(scaled gradient {scaled_grad:.3e})",
+            f"no convergence after {result.iterations} Newton steps "
+            f"(scaled gradient {float(sol.scaled_grad()[0]):.3e})",
             result,
         )
     return result
@@ -748,11 +749,9 @@ def profile_lambda(
     warm = None  # standardized estimates of the last converged point
     for lam in map(float, lams):
         lspec = spec.with_boxcox_lambda(lam)
-        std = None
         try:
-            if warm is not None:
-                std = _Standardizer(_Likelihood(data, lspec))
-            fit = fit_ml(data, lspec, None if std is None else std.original_params(warm)[0])
+            std = _Standardizer(_Likelihood(data, lspec))
+            fit = fit_ml(data, lspec, None if warm is None else std.original_params(warm)[0])
             ok = fit.converged
         except NonConvergenceError as err:
             fit, ok = err.result, False
@@ -760,7 +759,6 @@ def profile_lambda(
             points.append(ProfilePoint(lam, nan, nan, nan, nan, False))
             continue
         if ok:
-            std = std or _Standardizer(_Likelihood(data, lspec))
             warm = std.standardized_params(fit.estimates[None])
         try:
             q = quantile_at_use(fit, use, p)
@@ -813,11 +811,6 @@ def reciprocity_test(
     return ReciprocityResult(p_hat, se, wald, p_value, fit)
 
 
-SKIP_REASONS = ("inestimable", "ill_posed", "non_converged", "domain")
-# A replicate's skip reason: _KEPT, or 1 + its index in SKIP_REASONS.
-_KEPT, _INESTIMABLE, _ILL_POSED, _NON_CONVERGED, _DOMAIN = range(1 + len(SKIP_REASONS))
-
-
 @dataclass(frozen=True)
 class BootstrapQuantiles:
     """Bootstrap draws of a use-condition quantile.
@@ -839,13 +832,14 @@ class BootstrapQuantiles:
     @property
     def se_log(self):
         """Standard deviation of the log quantiles (one per p when there
-        are several); nan when fewer than 2 replicates were kept."""
+        are several, each over its own contiguous column so that it does
+        not depend on the others); nan when fewer than 2 were kept."""
         with np.errstate(divide="ignore", invalid="ignore"):  # draws of 0 or inf give nan
-            logq = np.log(self.quantiles)
-            if len(logq) < 2:
-                se = np.full(logq.shape[1:], np.nan)
+            logq = np.ascontiguousarray(np.log(self.quantiles).T)
+            if logq.shape[-1] < 2:
+                se = np.full(logq.shape[:-1], np.nan)
             else:
-                se = np.std(logq, ddof=1, axis=0)
+                se = np.std(logq, ddof=1, axis=-1)
         return float(se) if se.ndim == 0 else se
 
 
@@ -875,12 +869,9 @@ def bootstrap_quantile(
     reasons = np.full(n_boot, _INESTIMABLE)
     estimates = np.full((n_boot, spec.n_params), np.nan)
     if data:
-        like = _Likelihood(data, spec)
-        std = _Standardizer(like)
-        try:
-            start = std.standardized_params(fit_ml(data, spec).estimates[None])
-        except (InestimableError, IllPosedFitError, NonConvergenceError):
-            start = None
+        std = _Standardizer(_Likelihood(data, spec))
+        (reason,), _, sol = _fit_replicates(std.like, None)
+        start = sol.theta if reason == _KEPT else None
         rng = np.random.default_rng(seed)
         block = max(1, _BLOCK_ELEMENTS // n)
         for lo in range(0, n_boot, block):
@@ -889,7 +880,9 @@ def bootstrap_quantile(
                 for _ in range(min(block, n_boot - lo))
             ])
             hi = lo + len(counts)
-            reasons[lo:hi], estimates[lo:hi] = _fit_resamples(like, std, counts, start)
+            reasons[lo:hi], fit, sol = _fit_replicates(std.like.weighted(counts), start)
+            if fit.size:
+                estimates[lo + fit] = std.original_params(sol.theta)
 
     kept = reasons == _KEPT
     ps = np.atleast_1d(np.asarray(p, dtype=float))
@@ -915,24 +908,3 @@ def bootstrap_quantile(
         int(n_boot - tally[_KEPT]),
         dict(zip(SKIP_REASONS, map(int, tally[1:]))),
     )
-
-
-def _fit_resamples(
-    like: _Likelihood, std: _Standardizer, counts: np.ndarray, start: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fit the resamples with record counts `counts` (replicates, records)
-    by the rules of fit_ml; returns each one's skip reason (_KEPT when it
-    converged) and its estimates."""
-    raw = like.weighted(counts)
-    reasons = np.full(len(counts), _KEPT)
-    reasons[_rank_deficient(raw, raw.x_mu) | _rank_deficient(raw, raw.x_sig)] = _ILL_POSED
-    reasons[raw.weights[:, : like.n_failed].sum(axis=1) == 0.0] = _INESTIMABLE
-    estimates = np.full((len(counts), like.x_mu.shape[1] + like.x_sig.shape[1]), np.nan)
-    fit = np.flatnonzero(reasons == _KEPT)
-    if fit.size:
-        scaled = std.like.weighted(counts[fit])
-        theta = _default_init(scaled) if start is None else np.repeat(start, fit.size, axis=0)
-        sol = _newton(scaled, theta)
-        reasons[fit[~(sol.scaled_grad() < GRAD_TOL)]] = _NON_CONVERGED
-        estimates[fit] = std.original_params(sol.theta)
-    return reasons, estimates

@@ -91,7 +91,10 @@ def read_life_csv(path_or_file) -> list[LifeRecord]:
             if status not in STATUSES:
                 raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
             *values, time = _floats(line, header, cells, cols)
-            records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
+            try:
+                records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
+            except DataError as err:
+                raise DataError(f"line {line}: {err}") from None
         return records
 
 

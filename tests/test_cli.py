@@ -194,6 +194,31 @@ class TestFit:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("v", ["1e200,2e200", "1e308,1.5e308"])
+    def test_overflowing_design_column_exits_2(self, tmp_path, capsys, v):
+        # The column's spread overflows double precision, so its design
+        # counts as rank deficient, with no numpy warning or traceback.
+        big, bigger = v.split(",")
+        path = tmp_path / "life.csv"
+        path.write_text(f"time,status,v\n5,failed,{big}\n6,failed,{bigger}\n7,failed,3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: mu design matrix is rank deficient on these data\n"
+
+    @pytest.mark.parametrize("command", [["fit"], ["quantile", "--use", "v=1"]],
+                             ids=["fit", "quantile"])
+    def test_non_convergence_prints_one_line(self, tmp_path, capsys, command):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,v\n1e300,failed,1\n1e-300,failed,2\n5,censored,3\n")
+        code = main([command[0], "--data", str(path), "--model", "lognormal: mu ~ log(v)",
+                     *command[1:]])
+        out, err = capsys.readouterr()
+        assert code == 3 and json.loads(out)["converged"] is False
+        assert err.startswith("error: no convergence after ") and err.count("\n") == 1
+        assert "Newton steps (scaled gradient " in err
+
     def test_unknown_variable_exits_2(self, gab_csv, capsys):
         code = main(["fit", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(current)"])

@@ -1,6 +1,7 @@
 # The embedded insulation life data and the synthetic life-data generator.
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestSyntheticGenerator:
         assert any(not r.failed for r in recs)
         assert all(r.time == 3.0 for r in recs if not r.failed)
         assert all(r.time <= 3.0 for r in recs)
+
+    @pytest.mark.parametrize("sigma", [400.0, 1e6])
+    def test_sigma_beyond_double_precision(self, sigma):
+        gen = SyntheticGenerator(
+            seed=7, spec=self.spec(), mu_params=(20.0, -5.0), sigma=sigma,
+            plan=(({"voltstress": 170.0}, 30),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="^sigma = "):
+                generate(gen)
 
     def test_marginal_distribution_location(self):
         # Median log-lifetime at 170 V/mm should sit near

@@ -451,6 +451,11 @@ SMALL = [LifeRecord(t, status, {"v": v}) for t, status, v in [
     (10.0, "failed", 1.0), (14.0, "failed", 1.0), (30.0, "censored", 1.0),
     (25.0, "censored", 1.0), (5.0, "failed", 2.0), (9.0, "censored", 2.0)]]
 
+# The "ovf" records: the full-sample fit's upper quantile bound overflows.
+OVF = [LifeRecord(t, status, {"v": v}) for t, status, v in [
+    (25.0, "censored", 1.0), (14.0, "failed", 1.0), (9.0, "censored", 2.0),
+    (10.0, "failed", 1.0), (14.0, "failed", 1.0), (30.0, "censored", 1.0)]]
+
 
 def point_quantile(fit, use, p):
     """quantile_at_use(fit, use, p).quantile without the interval, which
@@ -583,13 +588,18 @@ class TestBatchedBootstrap:
         assert one_by_one.skip_reasons == default.skip_reasons
 
     def test_several_p_share_the_fits(self, gab):
-        spec = parse_model("lognormal: mu ~ log(voltstress)")
-        both = bootstrap_quantile(gab, spec, GAB_USE, [0.1, 0.5], 30, 5)
-        assert both.quantiles.shape == (30 - both.n_skipped, 2)
-        for j, p in enumerate((0.1, 0.5)):
-            alone = bootstrap_quantile(gab, spec, GAB_USE, p, 30, 5)
-            assert_array_equal(both.quantiles[:, j], alone.quantiles)
-            assert_allclose(both.se_log[j], alone.se_log, rtol=1e-14)
+        # On the ovf records se_log once depended on which other p were asked for.
+        for data, model, use, n_boot, seed in (
+            (gab, "lognormal: mu ~ log(voltstress)", GAB_USE, 30, 5),
+            (OVF, "lognormal: mu ~ log(v)", {"v": 1.5}, 20, 1),
+        ):
+            spec = parse_model(model)
+            both = bootstrap_quantile(data, spec, use, [0.1, 0.5], n_boot, seed)
+            assert both.quantiles.shape == (n_boot - both.n_skipped, 2)
+            for j, p in enumerate((0.1, 0.5)):
+                alone = bootstrap_quantile(data, spec, use, p, n_boot, seed)
+                assert_array_equal(both.quantiles[:, j], alone.quantiles)
+                assert both.se_log[j] == alone.se_log
 
     @pytest.mark.parametrize("n_boot", [1, 0, -3])
     def test_needs_two_resamples(self, gab, n_boot):

@@ -66,6 +66,10 @@ class TestLifeCsv:
             read_life_csv(io.StringIO("time,status\ninf,failed\n"))
         with pytest.raises(DataError):
             read_life_csv(io.StringIO(""))
+        with pytest.raises(DataError, match=r"^line 3: lifetime must be > 0, got -1\.0$"):
+            read_life_csv(io.StringIO("time,status,v\n1,failed,1\n-1,failed,2\n"))
+        with pytest.raises(DataError, match="^line 3: lifetime must be finite, got inf$"):
+            read_life_csv(io.StringIO("time,status,v\n1,failed,1\ninf,failed,2\n"))
 
     def test_blank_lines_keep_line_numbers(self):
         with pytest.raises(DataError, match="^line 4, column v: expected a number, got 'x'$"):
