@@ -328,8 +328,9 @@ def _groups(conditions: Sequence[Mapping[str, float]]) -> list[tuple]:
 def _design(terms: Sequence[Term], conditions: Sequence[Mapping[str, float]]) -> np.ndarray:
     x = np.ones((len(conditions), 1 + len(terms)))
     if terms and conditions:
-        # Overflow gives inf, as float arithmetic on one row does.
-        with np.errstate(over="ignore", divide="ignore"):
+        # Overflow gives inf and inf * 0 gives nan, as float arithmetic on
+        # one row does.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for rows, columns in _groups(conditions):
                 for j, term in enumerate(terms):
                     x[rows, 1 + j] = term.value(columns)

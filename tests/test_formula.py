@@ -1,6 +1,7 @@
 # The model formula mini-language and design-matrix construction.
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,13 @@ class TestDesignMatrix:
         spec = parse_model("lognormal: mu ~ log(v):log(w)")
         row = design_row(spec.mu_terms, {"v": 7.0, "w": 11.0})
         assert_allclose(row[1], math.log(7.0) * math.log(11.0), rtol=1e-12)
+        # An overflowing factor times 0 is nan, as on Python floats, and
+        # no numpy warning escapes.
+        spec = parse_model("lognormal: mu ~ arrh(temp):v")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = design_row(spec.mu_terms, {"temp_K": 1e-305, "v": 0.0})
+        assert math.isnan(row[1])
 
     def test_derived_voltage_stress(self):
         # voltstress falls back to voltage / thickness when not given.
