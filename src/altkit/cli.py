@@ -7,7 +7,10 @@ pseudo (degradation paths to a life-data CSV), dose (effective UV dosage).
 
 Exit codes: 0 success; 2 argument/validation errors; 3 non-convergence
 (the JSON report is still emitted with converged=false).  Exits 2 and 3
-print a one-line diagnostic on stderr; an error in a CSV names its line.
+print a one-line diagnostic on stderr; an error in a CSV names its line,
+and an exit-2 error found after a fit stopped short replaces its exit-3
+line.  A value that overflows double precision (an af or a quantile) is
+inf, printed as inf in CSV and null in JSON, with one stderr warning.
 Data go to stdout (or --output), diagnostics to stderr.  Identical
 invocations produce byte-identical output; --seed is required for
 anything stochastic (--bootstrap).
@@ -66,17 +69,21 @@ from .units import ActivationEnergy, Temperature
 
 SCHEMA_VERSION = 1
 
-_RELATIONSHIPS = (
-    "arrhenius",
-    "eyring",
-    "userate",
-    "invpower",
-    "coffin-manson",
-    "boxcox",
-    "peck",
-    "klinger",
-    "blacks",
-)
+# Each af relationship: the stress it takes, its function and the options
+# it requires after the activation energy (if any).  "temp" takes a
+# temperature, "single" the one variable named in --use and --test, and a
+# variable name a temperature plus that variable through GenEyringParams.
+_AF = {
+    "arrhenius": ("temp", arrhenius_af, ()),
+    "eyring": ("temp", eyring_af, ("m",)),
+    "userate": ("single", use_rate_af, ("p",)),
+    "invpower": ("single", inverse_power_af, ("beta1",)),
+    "coffin-manson": ("single", coffin_manson_af, ("beta1",)),
+    "boxcox": ("single", box_cox_af, ("lam", "gamma1")),
+    "peck": ("rh", peck_af, ("gamma2",)),
+    "klinger": ("rh", klinger_af, ("gamma2",)),
+    "blacks": ("current", blacks_af, ("gamma2",)),
+}
 
 
 def _parse_assignments(chunks) -> dict[str, float]:
@@ -126,55 +133,28 @@ def _require(args, name: str) -> float:
     return value
 
 
-def _single_value(cond: dict[str, float], other: dict[str, float]) -> tuple[float, float]:
-    """The one stress variable shared by --use and --test assignments."""
-    if len(cond) != 1 or set(cond) != set(other):
-        raise ConfigError(
-            "this relationship takes exactly one stress variable, "
-            "named identically in --use and --test"
-        )
-    (key,) = cond
-    return cond[key], other[key]
-
-
 def _af_one(args, use: dict[str, float], test: dict[str, float]) -> float:
-    rel = args.rel
-    if rel == "arrhenius":
-        return arrhenius_af(_temperature(test), _temperature(use), _ea_from_args(args))
-    if rel == "eyring":
-        return eyring_af(
-            _temperature(test), _temperature(use), _ea_from_args(args),
-            _require(args, "m"),
+    """The --rel factor at one test condition; inf where it overflows."""
+    kind, af, names = _AF[args.rel]
+    options = (_require(args, name) for name in names)
+    try:
+        if kind == "temp":
+            return af(_temperature(test), _temperature(use), _ea_from_args(args), *options)
+        if kind == "single":
+            if len(test) != 1 or set(test) != set(use):
+                raise ConfigError(
+                    "this relationship takes exactly one stress variable, "
+                    "named identically in --use and --test"
+                )
+            (key,) = test
+            return af(test[key], use[key], *options)
+        params = GenEyringParams(1.0, _ea_from_args(args), *options)
+        return af(
+            _temperature(test), resolve_variable(test, kind),
+            _temperature(use), resolve_variable(use, kind), params,
         )
-    if rel == "userate":
-        test_v, use_v = _single_value(test, use)
-        return use_rate_af(test_v, use_v, args.p)
-    if rel == "invpower":
-        test_v, use_v = _single_value(test, use)
-        return inverse_power_af(test_v, use_v, _require(args, "beta1"))
-    if rel == "coffin-manson":
-        test_v, use_v = _single_value(test, use)
-        return coffin_manson_af(test_v, use_v, _require(args, "beta1"))
-    if rel == "boxcox":
-        test_v, use_v = _single_value(test, use)
-        return box_cox_af(test_v, use_v, _require(args, "lam"), _require(args, "gamma1"))
-    params = GenEyringParams(1.0, _ea_from_args(args), _require(args, "gamma2"))
-    if rel == "peck":
-        return peck_af(
-            _temperature(test), resolve_variable(test, "rh"),
-            _temperature(use), resolve_variable(use, "rh"), params,
-        )
-    if rel == "klinger":
-        return klinger_af(
-            _temperature(test), resolve_variable(test, "rh"),
-            _temperature(use), resolve_variable(use, "rh"), params,
-        )
-    if rel == "blacks":
-        return blacks_af(
-            _temperature(test), resolve_variable(test, "current"),
-            _temperature(use), resolve_variable(use, "current"), params,
-        )
-    raise ConfigError(f"unknown relationship {rel!r}")
+    except OverflowError:
+        return math.inf
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -205,6 +185,11 @@ def cmd_af(args) -> int:
         if sorted(t) != keys:
             raise ConfigError("every --test must assign the same variables")
     rows = [(t, _af_one(args, use, t)) for t in tests]
+    bad = [t for t, af in rows if not math.isfinite(af)]
+    if bad:
+        conditions = " ".join(
+            "--test " + ",".join(f"{k}={_table_value(t[k])}" for k in keys) for t in bad)
+        print(f"warning: non-finite af for {conditions}", file=sys.stderr)
     if args.json:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -278,32 +263,41 @@ def _parse_probabilities(text: str) -> list[float]:
     return ps
 
 
-def _run_fit(args) -> tuple[list, FitResult, int]:
-    """Read --data once (it may be a pipe) and fit --model to it."""
+def _run_fit(args) -> tuple[list, FitResult, str | None]:
+    """Read --data once (it may be a pipe) and fit --model to it; the last
+    item is the exit-3 diagnostic when the fit stops short, else None."""
     records = read_life_csv(args.data)
     spec = parse_model(args.model)
     try:
-        return records, fit_ml(records, spec), 0
+        return records, fit_ml(records, spec), None
     except NonConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return records, err.result, 3
+        return records, err.result, f"error: {err}"
+
+
+def _write_report(report: dict, output: str | None, error: str | None) -> int:
+    """Print the exit-3 diagnostic (only now, so that an exit 2 raised
+    while the report was built prints one line) and the non-finite
+    quantile warning, write the report and return the exit code."""
+    if error is not None:
+        print(error, file=sys.stderr)
+    _warn_non_finite(report.get("quantiles", []) + report.get("bootstrap", []))
+    _write_output(dump_json(report), output)
+    return 0 if error is None else 3
 
 
 def cmd_fit(args) -> int:
-    _, fit, code = _run_fit(args)
+    _, fit, error = _run_fit(args)
     report = _fit_report(fit)
     if args.use:
         use = _parse_assignments(args.use)
         report["quantiles"] = _quantile_blocks(fit, use, _parse_probabilities(args.quantiles))
-        _warn_non_finite(report["quantiles"])
-    _write_output(dump_json(report), args.output)
-    return code
+    return _write_report(report, args.output, error)
 
 
 def cmd_quantile(args) -> int:
     if args.bootstrap is not None and args.seed is None:
         raise ConfigError("--bootstrap draws are stochastic; --seed is required")
-    records, fit, code = _run_fit(args)
+    records, fit, error = _run_fit(args)
     use = _parse_assignments(args.use)
     ps = _parse_probabilities(args.p)
     report = _fit_report(fit)
@@ -325,20 +319,24 @@ def cmd_quantile(args) -> int:
                 }
             )
         report["bootstrap"] = blocks
-    _warn_non_finite(report["quantiles"] + report.get("bootstrap", []))
-    _write_output(dump_json(report), args.output)
-    return code
+    return _write_report(report, args.output, error)
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """START:STOP:STEP as grid points; ConfigError unless all three are
+    finite and numpy can build the grid."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ConfigError(f"expected start:stop:step, got {text!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
     if step <= 0.0 or stop < start:
         raise ConfigError("grid needs stop >= start and step > 0")
-    n = int(round((stop - start) / step)) + 1
-    return np.linspace(start, stop, n)
+    try:
+        return np.linspace(start, stop, int(round((stop - start) / step)) + 1)
+    except (OverflowError, ValueError, MemoryError):
+        raise ConfigError(f"grid {text!r} has too many points") from None
 
 
 def cmd_profile(args) -> int:
@@ -434,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("af", help="acceleration-factor table for a relationship")
-    p.add_argument("--rel", required=True, choices=_RELATIONSHIPS)
+    p.add_argument("--rel", required=True, choices=_AF)
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--test", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--ea-ev", type=float, default=None)

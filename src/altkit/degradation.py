@@ -132,21 +132,30 @@ class DielectricPathParams:
             raise DomainError("gamma0 must be > 0")
 
 
-def dielectric_strength(t: float, volt: float, p: DielectricPathParams,
-                        variant: str = "simple") -> float:
-    """Remaining strength at age t under the chosen decay variant."""
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+def _dielectric_variant(volt: float, p: DielectricPathParams,
+                        variant: str) -> tuple[float, float, float]:
+    """(k, gamma2, rate) of a decay variant: strength decays as
+    (rate*t)^(1/k) with rate R(volt) = gamma0 * volt^gamma2.  The simple
+    variant is (beta1, 0, 1), which gives its closed forms exactly."""
     if variant == "simple":
         if p.beta1 is None:
             raise ConfigError("simple variant needs beta1")
-        return p.delta0 * t ** (1.0 / p.beta1)
+        return p.beta1, 0.0, 1.0
     if variant == "rate_extended":
         if p.gamma1 is None or p.gamma2 is None:
             raise ConfigError("rate_extended variant needs gamma1 and gamma2")
-        rate = p.gamma0 * volt**p.gamma2
-        return p.delta0 * (rate * t) ** (1.0 / p.gamma1)
+        return p.gamma1, p.gamma2, p.gamma0 * volt**p.gamma2
     raise ConfigError(f"unknown variant {variant!r}")
+
+
+def dielectric_strength(t: float, volt: float, p: DielectricPathParams,
+                        variant: str = "simple") -> float:
+    """Remaining strength delta0 * (R(volt)*t)^(1/k) at age t; k is beta1
+    and R is 1 for the simple variant, k is gamma1 for the rate-extended one."""
+    if t < 0.0:
+        raise DomainError("time must be >= 0")
+    k, _, rate = _dielectric_variant(volt, p, variant)
+    return p.delta0 * (rate * t) ** (1.0 / k)
 
 
 def dielectric_failure_time(
@@ -162,20 +171,8 @@ def dielectric_failure_time(
     """
     if volt <= 0.0 or volt_u <= 0.0:
         raise DomainError("voltages must be > 0")
-    if variant == "simple":
-        if p.beta1 is None:
-            raise ConfigError("simple variant needs beta1")
-        t = (volt / p.delta0) ** p.beta1
-        af = (volt / volt_u) ** (-p.beta1)
-        return t, af
-    if variant == "rate_extended":
-        if p.gamma1 is None or p.gamma2 is None:
-            raise ConfigError("rate_extended variant needs gamma1 and gamma2")
-        rate = p.gamma0 * volt**p.gamma2
-        t = (volt / p.delta0) ** p.gamma1 / rate
-        af = (volt / volt_u) ** (p.gamma2 - p.gamma1)
-        return t, af
-    raise ConfigError(f"unknown variant {variant!r}")
+    k, gamma2, rate = _dielectric_variant(volt, p, variant)
+    return (volt / p.delta0) ** k / rate, (volt / volt_u) ** (gamma2 - k)
 
 
 @dataclass(frozen=True)

@@ -204,18 +204,6 @@ class _Point:
             self.z = (like.logt - _per_row(theta[:, : like.n_mu], like.x_mu.T)) / self.sigma
         self._nll = self._lprime = self._score = self._hessian = None
 
-    def take(self, keep: np.ndarray) -> "_Point":
-        """The replicates where `keep` is true, with what is computed so far."""
-        if keep.all():
-            return self
-        part = copy.copy(self)
-        part.like = self.like.replicates(keep)
-        for name in ("theta", "logsig", "sigma", "z", "_nll", "_lprime", "_score", "_hessian"):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(part, name, value[keep])
-        return part
-
     def nll(self) -> np.ndarray:
         """Negative log-likelihood per replicate; BARRIER where it is not
         finite."""
@@ -358,14 +346,19 @@ class _Standardizer:
 
     def __init__(self, like: _Likelihood):
         def stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            m = x.mean(axis=0)
-            s = x.std(axis=0)
+            # Each column is scaled by a power of two near its largest
+            # magnitude first, so its mean and spread do not overflow; the
+            # scaling and its undoing are exact.
+            _, e = np.frexp(np.abs(x).max(axis=0, initial=0.0))
+            x = np.ldexp(x, -e)
+            m = np.ldexp(x.mean(axis=0), e)
+            s = np.ldexp(x.std(axis=0), e)
             m[0], s[0] = 0.0, 1.0  # intercept column untouched
             s[s == 0.0] = 1.0  # constant column; the rank check rejects it
             return m, s
 
-        # A column too wide for double precision standardizes to 0 or nan,
-        # which the rank check rejects.
+        # A column whose values are not finite, or whose centred values
+        # overflow, standardizes to inf or nan, which the rank check rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             m_mu, s_mu = stats(like.x_mu)
             m_sig, s_sig = stats(like.x_sig)
@@ -433,17 +426,16 @@ class _Solution:
         self.hessian = start.hessian().copy()
         self.steps = np.zeros(len(self.theta), dtype=int)
 
-    def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> np.ndarray:
-        """Move replicates idx[keep] to their trial points; returns them."""
-        if not keep.all():
-            trial, idx = trial.take(keep), idx[keep]
-        if idx.size:
-            self.theta[idx] = trial.theta
-            self.nll[idx] = trial.nll()
-            self.score[idx] = trial.score()
-            self.hessian[idx] = trial.hessian()
+    def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> None:
+        """Move replicates idx[keep] to their trial points, the rows of
+        `trial` where `keep` is true."""
+        if keep.any():
+            idx = idx[keep]
+            self.theta[idx] = trial.theta[keep]
+            self.nll[idx] = trial.nll()[keep]
+            self.score[idx] = trial.score()[keep]
+            self.hessian[idx] = trial.hessian()[keep]
             self.steps[idx] += 1
-        return idx
 
     def scaled_grad(self) -> np.ndarray:
         return np.max(
@@ -456,9 +448,10 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
     move together, one likelihood pass and one stacked solve per round,
     but each has its own ridge, step length and stop."""
     sol = _Solution(like.at(theta))
-    idx = np.flatnonzero(np.isfinite(sol.score).all(axis=1))
+    moving = np.isfinite(sol.score).all(axis=1)
     # Every replicate still moving has taken one step per round.
     for _ in range(NEWTON_STEPS):
+        idx = np.flatnonzero(moving)
         if not idx.size:
             break
         g = sol.score[idx]
@@ -473,22 +466,19 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
             trial = like.replicates(idx[last]).at(sol.theta[idx[last]] - step[last])
             shrinks = np.abs(trial.score()).max(axis=1) < np.abs(g[last]).max(axis=1)
             sol.accept(idx[last], trial, shrinks)
+        # Only a replicate that a step below lowers keeps moving.
+        moving[idx] = False
         search = found & ~small
-        if not search.all():
-            idx, step = idx[search], step[search]
-        moved = []
+        idx, step = idx[search], step[search]
         alpha = 1.0
         while idx.size and alpha > 1e-10:
             trial = like.replicates(idx).at(sol.theta[idx] - alpha * step)
             lower = trial.nll() < sol.nll[idx]
-            moved.append(sol.accept(idx, trial, lower))
-            if lower.all():
-                break
+            sol.accept(idx, trial, lower)
+            moving[idx[lower]] = True
             idx, step = idx[~lower], step[~lower]
             alpha *= 0.5
-        # Replicates where no step lowered the objective stop here.
-        idx = moved[0] if len(moved) == 1 else np.sort(np.concatenate(moved or [idx]))
-        idx = idx[np.isfinite(sol.score[idx]).all(axis=1)]
+        moving &= np.isfinite(sol.score).all(axis=1)
     return sol
 
 
@@ -860,10 +850,13 @@ def bootstrap_quantile(
     is read off the same fits.  A resample is the count of each record in
     n draws with replacement, and the resamples are fitted as weighted
     replicates of one likelihood, all starting from the full-sample
-    estimates (from default_init when the full-sample fit fails).
+    estimates (from default_init when the full-sample fit fails).  Fewer
+    than 2 resamples or a negative seed raise DomainError.
     """
     if n_boot < 2:
         raise DomainError(f"the bootstrap needs at least 2 resamples, got {n_boot}")
+    if seed < 0:
+        raise DomainError(f"the bootstrap seed must be >= 0, got {seed}")
     data = list(data)
     n = len(data)
     reasons = np.full(n_boot, _INESTIMABLE)

@@ -165,13 +165,6 @@ def _parse_terms(text: str, what: str) -> tuple[Term, ...]:
     return tuple(terms)
 
 
-def _count_boxcox(factor: Factor) -> int:
-    n = 1 if factor.kind == "boxcox" else 0
-    if factor.inner is not None:
-        n += _count_boxcox(factor.inner)
-    return n
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A family plus linear predictors for mu and (on the log scale) sigma."""
@@ -185,13 +178,17 @@ class ModelSpec:
             raise FormulaError(
                 f"unknown family {self.family!r}; available: {', '.join(FAMILIES)}"
             )
-        n_boxcox = sum(
-            _count_boxcox(f)
-            for t in self.mu_terms + self.sigma_terms
-            for f in t.factors
-        )
-        if n_boxcox > 1:
+        if len(list(self._boxcox_factors())) > 1:
             raise FormulaError("at most one boxcox term is allowed per model")
+
+    def _boxcox_factors(self):
+        """The model's boxcox factors, nested ones included, outermost first."""
+        for term in self.mu_terms + self.sigma_terms:
+            for factor in term.factors:
+                while factor is not None:
+                    if factor.kind == "boxcox":
+                        yield factor
+                    factor = factor.inner
 
     @property
     def text(self) -> str:
@@ -223,19 +220,8 @@ class ModelSpec:
 
     def boxcox_lambda(self) -> float:
         """The lambda of the model's boxcox factor; error when there is none."""
-
-        def find(factor: Factor) -> float | None:
-            if factor.kind == "boxcox":
-                return factor.lam
-            if factor.inner is not None:
-                return find(factor.inner)
-            return None
-
-        for term in self.mu_terms + self.sigma_terms:
-            for factor in term.factors:
-                lam = find(factor)
-                if lam is not None:
-                    return lam
+        for factor in self._boxcox_factors():
+            return factor.lam
         raise FormulaError("model has no boxcox term")
 
     def with_boxcox_lambda(self, lam: float) -> "ModelSpec":

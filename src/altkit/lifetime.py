@@ -278,8 +278,10 @@ def check_time_transformation(
     the identity at the use condition.  The report also classifies the map
     against the diagonal: "accelerating" when transformed times fall below
     the original times everywhere on the grid, "decelerating" when above,
-    "crossing" when the sign changes (the crossing is then located by
-    bisection), and "identity" when indistinguishable from the diagonal.
+    "crossing" when both occur, and "identity" when indistinguishable from
+    the diagonal (within tol*max(1, t)).  crossing_time is located by
+    bisection at the first sign change between consecutive grid times
+    outside that band, at the first non-use condition that has one.
     """
     t_grid = sorted(float(t) for t in t_grid)
     if len(t_grid) < 2:
@@ -311,17 +313,16 @@ def check_time_transformation(
     if not identity_at_use:
         failures.append("not the identity at the use condition")
 
-    # Diagonal comparison at non-use conditions.
-    below = above = False
+    # The sign of v - t outside the band tol*max(1, t), with its grid time,
+    # at each non-use condition; points inside the band carry no sign, so
+    # a -1 ... 0 ... +1 run is one change between consecutive signs.
+    signs = {}
     for x in x_values:
-        if x == tt.x_use:
-            continue
-        for v, t in zip(values[x], t_grid):
-            d = v - t
-            if d < -tol * max(1.0, t):
-                below = True
-            elif d > tol * max(1.0, t):
-                above = True
+        if x != tt.x_use:
+            diffs = [(t, v - t, tol * max(1.0, t)) for v, t in zip(values[x], t_grid)]
+            signs[x] = [(t, -1 if d < -b else 1) for t, d, b in diffs if d < -b or d > b]
+    below = any(s < 0 for seq in signs.values() for _, s in seq)
+    above = any(s > 0 for seq in signs.values() for _, s in seq)
 
     if below and above:
         classification = "crossing"
@@ -333,28 +334,11 @@ def check_time_transformation(
         classification = "identity"
 
     crossing_time = None
-    if classification == "crossing":
-        for x in x_values:
-            if x == tt.x_use:
-                continue
-            diffs = [v - t for v, t in zip(values[x], t_grid)]
-            sign = [
-                -1 if d < -tol * max(1.0, t) else (1 if d > tol * max(1.0, t) else 0)
-                for d, t in zip(diffs, t_grid)
-            ]
-            # Bridge zero-band points so a -1 ... 0 ... +1 run still counts
-            # as one sign change between its nonzero endpoints.
-            last_t = last_s = None
-            for t1, s1 in zip(t_grid, sign):
-                if s1 == 0:
-                    continue
-                if last_s is not None and s1 * last_s == -1:
-                    crossing_time = _bisect_sign_change(
-                        lambda t: tt(t, x) - t, last_t, t1)
-                    break
-                last_t, last_s = t1, s1
-            if crossing_time is not None:
-                break
+    for x, seq in signs.items():
+        change = next(((t0, t1) for (t0, s0), (t1, s1) in zip(seq, seq[1:]) if s0 != s1), None)
+        if change is not None:
+            crossing_time = _bisect_sign_change(lambda t: tt(t, x) - t, *change)
+            break
 
     return AxiomReport(
         zero_at_origin=zero_at_origin,

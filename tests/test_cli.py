@@ -16,6 +16,19 @@ import altkit
 from altkit import gab_content_hash, load_gab, read_life_csv
 from altkit.cli import main
 from altkit.datasets import GAB_CONDITION_COLUMN
+from altkit.relationships import (
+    GenEyringParams,
+    arrhenius_af,
+    blacks_af,
+    box_cox_af,
+    coffin_manson_af,
+    eyring_af,
+    inverse_power_af,
+    klinger_af,
+    peck_af,
+    use_rate_af,
+)
+from altkit.units import ActivationEnergy, Temperature
 
 
 def run_altkit(args, **kwargs):
@@ -126,6 +139,96 @@ class TestAf:
         assert capsys.readouterr().out.splitlines()[1] == "412,6.86667"
 
 
+_C, _K, _EV = Temperature.celsius, Temperature.kelvin, ActivationEnergy.ev
+# Each relationship: `af` arguments and the library value they stand for.
+AF_CASES = {
+    "arrhenius": (["--use", "temp_C=50", "--test", "temp_K=400", "--ea-kj", "60"],
+                  arrhenius_af(_K(400.0), _C(50.0), ActivationEnergy.kj_per_mol(60.0))),
+    "eyring": (["--use", "temp_C=90", "--test", "temp_C=160", "--ea-ev", "1.2", "--m", "1"],
+               eyring_af(_C(160.0), _C(90.0), _EV(1.2), 1.0)),
+    "userate": (["--use", "rate=60", "--test", "rate=412", "--p", "0.7"],
+                use_rate_af(412.0, 60.0, 0.7)),
+    "invpower": (["--use", "v=120", "--test", "v=170", "--beta1", "-9"],
+                 inverse_power_af(170.0, 120.0, -9.0)),
+    "coffin-manson": (["--use", "dtemp=20", "--test", "dtemp=100", "--beta1", "2"],
+                      coffin_manson_af(100.0, 20.0, 2.0)),
+    "boxcox": (["--use", "v=120", "--test", "v=170", "--lambda", "0.5", "--gamma1", "-1.5"],
+               box_cox_af(170.0, 120.0, 0.5, -1.5)),
+    "peck": (["--use", "temp_C=30,rh=0.5", "--test", "temp_C=85,rh=0.85",
+              "--ea-ev", "0.7", "--gamma2", "3"],
+             peck_af(_C(85.0), 0.85, _C(30.0), 0.5, GenEyringParams(1.0, _EV(0.7), 3.0))),
+    "klinger": (["--use", "temp_C=30,rh=0.5", "--test", "temp_C=85,rh=0.85",
+                 "--ea-kcal", "15", "--gamma2", "1.5"],
+                klinger_af(_C(85.0), 0.85, _C(30.0), 0.5,
+                           GenEyringParams(1.0, ActivationEnergy.kcal_per_mol(15.0), 1.5))),
+    "blacks": (["--use", "temp_C=50,current=1", "--test", "temp_C=150,current=2",
+                "--ea-ev", "0.8", "--gamma2", "2"],
+               blacks_af(_C(150.0), 2.0, _C(50.0), 1.0, GenEyringParams(1.0, _EV(0.8), 2.0))),
+}
+
+
+class TestAfRelationships:
+    @pytest.mark.parametrize("rel", AF_CASES)
+    def test_matches_library(self, capsys, rel):
+        argv, want = AF_CASES[rel]
+        assert main(["af", "--rel", rel, *argv, "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert_allclose(json.loads(out)["rows"][0]["af"], want, rtol=1e-12)
+
+    @pytest.mark.parametrize("rel, argv, message", [
+        ("arrhenius", ["--use", "temp_C=50", "--test", "temp_C=120"], "activation energy"),
+        ("eyring", ["--use", "temp_C=90", "--test", "temp_C=160", "--ea-ev", "1.2"],
+         "--m is required for --rel eyring"),
+        ("userate", ["--use", "rate=60", "--test", "r=412"], "exactly one stress variable"),
+        ("invpower", ["--use", "v=120", "--test", "v=170"], "--beta1 is required"),
+        ("coffin-manson", ["--use", "dtemp=20", "--test", "dtemp=100"], "--beta1 is required"),
+        ("boxcox", ["--use", "v=120", "--test", "v=170", "--gamma1", "-1.5"],
+         "--lam is required"),
+        ("peck", ["--use", "temp_C=30,rh=0.5", "--test", "temp_C=85,rh=0.85", "--ea-ev", "0.7"],
+         "--gamma2 is required for --rel peck"),
+        ("klinger", ["--use", "temp_C=30", "--test", "temp_C=85", "--ea-ev", "0.7",
+                     "--gamma2", "1.5"], "'rh'"),
+        ("blacks", ["--use", "temp_C=50,current=1", "--test", "temp_C=150,current=2",
+                    "--gamma2", "2"], "activation energy"),
+    ])
+    def test_missing_option_exits_2(self, capsys, rel, argv, message):
+        code = main(["af", "--rel", rel, *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("rel, use, test, options", [
+        ("arrhenius", "temp_K=1", "temp_K=1e9", ["--ea-ev", "100"]),
+        ("eyring", "temp_K=1", "temp_K=1e9", ["--ea-ev", "100", "--m", "1"]),
+        ("userate", "rate=1", "rate=1e300", ["--p", "9"]),
+        ("invpower", "v=1", "v=1e300", ["--beta1", "-9"]),
+        ("coffin-manson", "dtemp=1", "dtemp=1e300", ["--beta1", "9"]),
+        ("boxcox", "v=1", "v=1e300", ["--lambda", "0", "--gamma1", "-9"]),
+        ("peck", "temp_K=1,rh=0.5", "temp_K=1e9,rh=0.5", ["--ea-ev", "100", "--gamma2", "1"]),
+        ("klinger", "temp_K=1,rh=0.5", "temp_K=1e9,rh=0.5", ["--ea-ev", "100", "--gamma2", "1"]),
+        ("blacks", "temp_K=1,current=1", "temp_K=1e9,current=1",
+         ["--ea-ev", "100", "--gamma2", "0"]),
+    ])
+    def test_overflow_is_inf(self, capsys, rel, use, test, options):
+        # A factor beyond double precision prints inf in the table and
+        # null in the JSON, with one warning naming its test condition.
+        argv = ["af", "--rel", rel, "--use", use, "--test", use, "--test", test, *options]
+        for json_flag in ([], ["--json"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv + json_flag)
+            out, err = capsys.readouterr()
+            assert code == 0
+            assert err.startswith("warning: non-finite af for --test ") and err.count("\n") == 1
+            assert err.endswith(("e+09\n", "e+300\n"))
+            if json_flag:
+                assert [row["af"] for row in json.loads(out)["rows"]] == [1.0, None]
+            else:
+                assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["1", "inf"]
+
+
 class TestFit:
     def test_fit_report(self, gab_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
@@ -195,17 +298,32 @@ class TestFit:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("v", ["1e200,2e200", "1e308,1.5e308"])
-    def test_overflowing_design_column_exits_2(self, tmp_path, capsys, v):
-        # The column's spread overflows double precision, so its design
-        # counts as rank deficient, with no numpy warning or traceback.
+    def test_overflowing_design_column_fits(self, tmp_path, capsys, v):
+        # The column's spread overflows double precision unless it is
+        # scaled first; [1, v] has rank 2, so the fit converges.
         big, bigger = v.split(",")
         path = tmp_path / "life.csv"
         path.write_text(f"time,status,v\n5,failed,{big}\n6,failed,{bigger}\n7,failed,3\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v"])
-        assert code == 2
-        assert capsys.readouterr().err == "error: mu design matrix is rank deficient on these data\n"
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert report["converged"] is True and report["warnings"] == []
+        if big == "1e200":
+            # The power-of-two scaling is exact: the fit on v * 2^-664
+            # gives the same numbers, the slope scaled by 2^-664.
+            scale = math.ldexp(1.0, -664)
+            path.write_text("time,status,v\n" + "".join(
+                f"{t},failed,{float(x) * scale!r}\n" for t, x in ((5, big), (6, bigger), (7, 3))))
+            assert main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v"]) == 0
+            scaled = json.loads(capsys.readouterr().out)
+            est, want = report["estimates"], scaled["estimates"]
+            assert est["mu:(Intercept)"] == want["mu:(Intercept)"]
+            assert est["logsigma:(Intercept)"] == want["logsigma:(Intercept)"]
+            assert report["loglik"] == scaled["loglik"]
+            assert est["mu:v"] == want["mu:v"] * scale
 
     @pytest.mark.parametrize("command", [["fit"], ["quantile", "--use", "v=1"]],
                              ids=["fit", "quantile"])
@@ -218,6 +336,25 @@ class TestFit:
         assert code == 3 and json.loads(out)["converged"] is False
         assert err.startswith("error: no convergence after ") and err.count("\n") == 1
         assert "Newton steps (scaled gradient " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["quantile", "--use", "v=1", "--p", "2"],
+        ["fit", "--use", "v=1", "--quantiles", "2"],
+        ["fit", "--use", "v"],
+        ["fit", "--use", "x=1"],
+        ["quantile", "--use", "v=1", "--bootstrap", "5", "--seed", "-1"],
+    ], ids=["p", "quantiles", "use-syntax", "use-variable", "seed"])
+    def test_exit_2_after_non_convergence_prints_one_line(self, tmp_path, capsys, argv):
+        # An exit 2 raised while the report of a fit that stopped short is
+        # built prints its own line only.
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,v\n1e300,failed,1\n1e-300,failed,2\n5,censored,3\n")
+        code = main([argv[0], "--data", str(path), "--model", "lognormal: mu ~ log(v)",
+                     *argv[1:]])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no convergence" not in err
 
     def test_unknown_variable_exits_2(self, gab_csv, capsys):
         code = main(["fit", "--data", gab_csv, "--model",
@@ -390,6 +527,16 @@ class TestProfile:
                      "lognormal: mu ~ boxcox(voltstress, 1)",
                      "--use", "voltstress=120", "--grid", "2:-1:0.5"])
         assert code == 2
+
+    # Only grids refused before anything is allocated.
+    @pytest.mark.parametrize("grid", ["0:1:nan", "-inf:1:0.1", "0:1:1e-300", "-1e308:1e308:1"])
+    def test_non_finite_or_huge_grid_exits_2(self, gab_csv, capsys, grid):
+        code = main(["profile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ boxcox(voltstress, 1)",
+                     "--use", "voltstress=120", f"--grid={grid}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_model_without_boxcox_exits_2(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",

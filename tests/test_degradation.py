@@ -188,6 +188,16 @@ class TestDielectric:
         with pytest.raises(DomainError):
             dielectric_failure_time(0.0, 120.0,
                                     DielectricPathParams(delta0=400.0, beta1=-9.0))
+        with pytest.raises(ConfigError, match="needs beta1"):
+            dielectric_strength(1.0, 170.0, DielectricPathParams(delta0=400.0))
+        with pytest.raises(ConfigError, match="needs gamma1 and gamma2"):
+            dielectric_strength(
+                1.0, 170.0, DielectricPathParams(delta0=400.0, beta1=-9.0, gamma1=-9.0),
+                variant="rate_extended")
+        with pytest.raises(ConfigError, match="unknown variant"):
+            dielectric_strength(
+                1.0, 170.0, DielectricPathParams(delta0=400.0, beta1=-9.0),
+                variant="quadratic")
 
 
 class TestPseudoFailureTimes:

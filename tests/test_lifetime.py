@@ -232,6 +232,15 @@ class TestTimeTransformationAxioms:
         assert report.classification == "crossing"
         assert_allclose(report.crossing_time, 4.0, atol=1e-6)
 
+    def test_crossing_in_a_later_condition(self):
+        # x = 2 stays below the diagonal; x = 3 (t^2/4) crosses it at t = 4.
+        tt = TimeTransformation(
+            func=lambda t, x: {1.0: t, 2.0: t / 2.0, 3.0: t * t / 4.0}[x], x_use=1.0)
+        report = check_time_transformation(
+            tt, np.linspace(0.0, 10.0, 41), [1.0, 2.0, 3.0])
+        assert report.classification == "crossing"
+        assert_allclose(report.crossing_time, 4.0, atol=1e-6)
+
     def test_axiom_failures_reported(self):
         tt = TimeTransformation(func=lambda t, x: t - x, x_use=0.0)
         report = check_time_transformation(
