@@ -9,8 +9,9 @@ Exit codes: 0 success; 2 argument/validation errors; 3 non-convergence
 (the JSON report is still emitted with converged=false).  Exits 2 and 3
 print a one-line diagnostic on stderr; an error in a CSV names its line,
 and an exit-2 error found after a fit stopped short replaces its exit-3
-line.  A value that overflows double precision (an af or a quantile) is
-inf, printed as inf in CSV and null in JSON, with one stderr warning.
+line.  A value that overflows double precision (an af, a dose or a
+quantile) is inf, printed as inf in CSV and null in JSON, with one stderr
+warning.
 Data go to stdout (or --output), diagnostics to stderr.  Identical
 invocations produce byte-identical output; --seed is required for
 anything stochastic (--bootstrap).
@@ -177,6 +178,14 @@ def _table_value(x: float) -> str:
     return format_float(x, TABLE_SIG_DIGITS)
 
 
+def _write_table(header: list[str], rows, path: str | None) -> None:
+    """A CSV table: string cells as given, numbers through _table_value."""
+    text = ",".join(header) + "\n"
+    for row in rows:
+        text += ",".join(c if isinstance(c, str) else _table_value(c) for c in row) + "\n"
+    _write_output(text, path)
+
+
 def cmd_af(args) -> int:
     use = _parse_assignments(args.use)
     tests = [_parse_assignments([chunk]) for chunk in args.test]
@@ -200,10 +209,7 @@ def cmd_af(args) -> int:
         }
         _write_output(dump_json(report), args.output)
     else:
-        lines = [",".join([*keys, "af"])]
-        for t, af in rows:
-            lines.append(",".join([*(_table_value(t[k]) for k in keys), _table_value(af)]))
-        _write_output("\n".join(lines) + "\n", args.output)
+        _write_table([*keys, "af"], ([*(t[k] for k in keys), af] for t, af in rows), args.output)
     return 0
 
 
@@ -344,21 +350,12 @@ def cmd_profile(args) -> int:
     spec = parse_model(args.model)
     use = _parse_assignments(args.use)
     points = profile_lambda(records, spec, use, p=args.p, grid=_parse_grid(args.grid))
-    lines = ["lambda,loglik,quantile,lower,upper,converged"]
-    for pt in points:
-        lines.append(
-            ",".join(
-                [
-                    _table_value(pt.lam),
-                    _table_value(pt.loglik),
-                    _table_value(pt.quantile),
-                    _table_value(pt.lower),
-                    _table_value(pt.upper),
-                    "true" if pt.converged else "false",
-                ]
-            )
-        )
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_table(
+        ["lambda", "loglik", "quantile", "lower", "upper", "converged"],
+        ([pt.lam, pt.loglik, pt.quantile, pt.lower, pt.upper, str(pt.converged).lower()]
+         for pt in points),
+        args.output,
+    )
     return 0
 
 
@@ -392,10 +389,16 @@ def cmd_dose(args) -> int:
     )
     if args.duration <= 0.0:
         raise ConfigError("--duration must be > 0")
-    time_grid = np.linspace(0.0, args.duration, max(2, args.time_steps))
-    d_inst = instantaneous_dosage(0.0, grid, f)
-    d_tot = total_dosage(args.duration, grid, f, time_grid)
-    effective = effective_exposure(d_tot, ExposureConfig(args.cf, args.p))
+    # A value beyond double precision is inf (or nan), reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        time_grid = np.linspace(0.0, args.duration, max(2, args.time_steps))
+        d_inst = instantaneous_dosage(0.0, grid, f)
+        d_tot = total_dosage(args.duration, grid, f, time_grid)
+        effective = effective_exposure(d_tot, ExposureConfig(args.cf, args.p))
+    values = {"d_inst": d_inst, "d_tot": d_tot, "effective_exposure": effective}
+    bad = [name for name, v in values.items() if not math.isfinite(v)]
+    if bad:
+        print(f"warning: non-finite dose values for {','.join(bad)}", file=sys.stderr)
     if args.json:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -403,18 +406,11 @@ def cmd_dose(args) -> int:
             "duration": args.duration,
             "cf": args.cf,
             "p": args.p,
-            "d_inst": d_inst,
-            "d_tot": d_tot,
-            "effective_exposure": effective,
+            **values,
         }
         _write_output(dump_json(report), args.output)
     else:
-        _write_output(
-            "d_inst,d_tot,effective_exposure\n"
-            + ",".join(_table_value(v) for v in (d_inst, d_tot, effective))
-            + "\n",
-            args.output,
-        )
+        _write_table(list(values), [values.values()], args.output)
     return 0
 
 
@@ -430,6 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "censored ML fits, degradation and UV-dosage utilities.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--data", required=True)
+    fitting.add_argument("--model", required=True, metavar="FORMULA")
 
     p = sub.add_parser("af", help="acceleration-factor table for a relationship")
     p.add_argument("--rel", required=True, choices=_AF)
@@ -445,34 +444,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_af)
 
-    p = sub.add_parser("fit", help="censored ML fit; JSON report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, metavar="FORMULA")
+    p = sub.add_parser("fit", parents=[fitting], help="censored ML fit; JSON report")
     p.add_argument("--use", action="append", default=None, metavar="VAR=VALUE")
     p.add_argument("--quantiles", default="0.01,0.05")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("quantile", help="use-condition quantiles; JSON report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, metavar="FORMULA")
+    p = sub.add_parser("quantile", parents=[fitting], help="use-condition quantiles; JSON report")
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--p", default="0.1", help="comma-separated probabilities")
     p.add_argument("--bootstrap", type=int, default=None, metavar="N")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_quantile)
 
-    p = sub.add_parser("profile", help="power-transform exponent sweep; CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model", required=True, metavar="FORMULA")
+    p = sub.add_parser("profile", parents=[fitting], help="power-transform exponent sweep; CSV")
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--grid", default="-1:2:0.1", metavar="START:STOP:STEP")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("pseudo", help="degradation paths to life-data CSV")
@@ -482,7 +471,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--horizon", type=float, default=None)
     group.add_argument("--extrapolate", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_pseudo)
 
     p = sub.add_parser("dose", help="effective UV dosage from a spectrum CSV")
@@ -494,13 +482,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cf", type=float, default=1.0)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_dose)
 
     p = sub.add_parser("gab", help="write the embedded insulation data as CSV")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_gab)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
     return parser
 
 

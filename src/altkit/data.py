@@ -109,17 +109,8 @@ def resolve_variable(condition: Mapping[str, float], name: str) -> float:
 def temperature_source(keys: Collection[str], name: str) -> tuple[str, str]:
     """The column carrying temperature `name` among `keys` and its unit,
     "celsius" or "kelvin"; the column must end in _C or _K."""
-    candidates = []
-    for suffix in ("_C", "_K"):
-        if name.endswith(suffix):
-            if name in keys:
-                candidates.append(name)
-            break
-    else:
-        for suffix in ("_C", "_K"):
-            key = name + suffix
-            if key in keys:
-                candidates.append(key)
+    names = [name] if name.endswith(("_C", "_K")) else [name + "_C", name + "_K"]
+    candidates = [key for key in names if key in keys]
     if not candidates:
         if name in keys or _prefix_matches(keys, name):
             raise UnitMismatchError(

@@ -238,7 +238,9 @@ def pseudo_failure_times(
     """
     if time_transform not in _TIME_TRANSFORMS:
         raise ConfigError(f"time_transform must be one of {sorted(_TIME_TRANSFORMS)}")
-    if horizon is not None and horizon <= 0.0:
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be finite, got {threshold}")
+    if horizon is not None and not horizon > 0.0:
         raise ConfigError("horizon must be > 0")
     fwd, inv = _TIME_TRANSFORMS[time_transform]
 
@@ -256,7 +258,8 @@ def pseudo_failure_times(
         cutoff = sample.times[-1] if horizon is None else horizon
         crossing = None
         if slope != 0.0:
-            u_star = (threshold - intercept) / slope
+            # In Python floats, an overflowing crossing is inf without a warning.
+            u_star = (threshold - float(intercept)) / float(slope)
             if u_star > 0.0:
                 crossing = inv(u_star)
         if crossing is not None and crossing <= cutoff:

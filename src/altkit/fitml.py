@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data import LifeRecord, resolve_variable
 from .errors import (
@@ -62,6 +61,7 @@ from .errors import (
 )
 from .formula import Factor, ModelSpec, Term, design_matrix, design_row
 from .lifetime import (
+    std_cdf,
     std_d2logpdf,
     std_d2logsf,
     std_dlogpdf,
@@ -279,25 +279,27 @@ def _gram(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T * c[:, None, :]) @ b
 
 
+def _params(values: Sequence[float], spec: ModelSpec, what: str) -> np.ndarray:
+    """`values` as a float array, or DomainError unless it has spec.n_params entries."""
+    values = np.asarray(values, dtype=float)
+    if values.size != spec.n_params:
+        raise DomainError(f"{what} must have length {spec.n_params}")
+    return values
+
+
 def neg_log_likelihood(
     data: Sequence[LifeRecord], spec: ModelSpec, theta: Sequence[float]
 ) -> float:
     """Negative log-likelihood at theta = (mu coefficients, log-sigma
     coefficients); returns a large barrier value instead of overflowing."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != spec.n_params:
-        raise DomainError(f"theta must have length {spec.n_params}")
-    return _Likelihood(list(data), spec)(theta)
+    return _Likelihood(list(data), spec)(_params(theta, spec, "theta"))
 
 
 def likelihood_gradient(
     data: Sequence[LifeRecord], spec: ModelSpec, theta: Sequence[float]
 ) -> np.ndarray:
     """Analytic gradient of neg_log_likelihood with respect to theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != spec.n_params:
-        raise DomainError(f"theta must have length {spec.n_params}")
-    return _Likelihood(list(data), spec).gradient(theta)
+    return _Likelihood(list(data), spec).gradient(_params(theta, spec, "theta"))
 
 
 def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
@@ -565,10 +567,7 @@ def fit_ml(
     data = list(data)
     if not data:
         raise InestimableError("no records")
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.size != spec.n_params:
-            raise DomainError(f"init must have length {spec.n_params}")
+    init = None if init is None else _params(init, spec, "init")
     like = _Likelihood(data, spec)
     std = _Standardizer(like)
     (reason,), _, sol = _fit_replicates(
@@ -649,6 +648,12 @@ def _is_extrapolated(row: np.ndarray, ranges: tuple[tuple[float, float], ...]) -
     return False
 
 
+def _check_probability(p) -> None:
+    """DomainError unless p (a number or an array) lies strictly inside (0, 1)."""
+    if not all(0.0 < q < 1.0 for q in np.atleast_1d(p)):
+        raise DomainError("p must lie strictly inside (0, 1)")
+
+
 def _exp(x: float) -> float:
     """math.exp, but inf where the result overflows double precision."""
     try:
@@ -668,8 +673,7 @@ def quantile_at_use(
     overflows double precision is inf (and anything computed from an inf
     may be nan); the JSON report prints both as null.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError("p must lie strictly inside (0, 1)")
+    _check_probability(p)
     spec = fit.spec
     xm = design_row(spec.mu_terms, use)
     xs = design_row(spec.sigma_terms, use)
@@ -724,7 +728,8 @@ def profile_lambda(
 ) -> list[ProfilePoint]:
     """Profile the power-transform exponent: refit all other parameters at
     each grid value and report the log-likelihood and the use-condition
-    quantile.  A point that fails to converge is flagged, not fatal.
+    quantile.  A point that fails to converge is flagged, not fatal; a p
+    outside (0, 1) raises DomainError before anything is fitted.
 
     Each fit starts from the last converged point's solution in
     standardized coordinates, where it stays close as the exponent moves
@@ -733,6 +738,7 @@ def profile_lambda(
     """
     data = list(data)
     spec.boxcox_lambda()  # validates that the model has a boxcox term
+    _check_probability(p)
     lams = default_profile_grid() if grid is None else np.asarray(grid, dtype=float)
     nan = float("nan")
     points: list[ProfilePoint] = []
@@ -797,7 +803,7 @@ def reciprocity_test(
     se = fit.standard_error("mu:log(cf)")
     p_hat = -slope
     wald = (p_hat - 1.0) / se
-    p_value = 2.0 * float(1.0 - ndtr(abs(wald)))
+    p_value = 2.0 * float(std_cdf(-abs(wald), "lognormal"))
     return ReciprocityResult(p_hat, se, wald, p_value, fit)
 
 
@@ -882,8 +888,7 @@ def bootstrap_quantile(
     quantiles = np.empty((0, ps.size))
     if kept.any():
         try:
-            if not np.all((ps > 0.0) & (ps < 1.0)):
-                raise DomainError("p must lie strictly inside (0, 1)")
+            _check_probability(ps)
             xm = design_row(spec.mu_terms, use)
             xs = design_row(spec.sigma_terms, use)
         except DomainError:

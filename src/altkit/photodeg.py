@@ -118,10 +118,11 @@ def total_dosage(
 
 def effective_exposure(dtot: float, cfg: ExposureConfig) -> float:
     """Scaled exposure cf**p * dtot placing runs at different intensities on
-    one axis; increasing in cf exactly when p > 0."""
+    one axis; increasing in cf exactly when p > 0.  The arithmetic is IEEE:
+    a value beyond double precision is inf, with numpy's overflow warning."""
     if dtot < 0.0:
         raise DomainError("dtot must be >= 0")
-    return cfg.cf**cfg.p * dtot
+    return float(np.float64(cfg.cf) ** cfg.p * dtot)
 
 
 @dataclass(frozen=True)

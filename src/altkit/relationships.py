@@ -114,12 +114,11 @@ def arrhenius_af(temp: Temperature, temp_u: Temperature, ea) -> float:
 
 
 def eyring_af(temp: Temperature, temp_u: Temperature, ea, m: float) -> float:
-    """Eyring factor (tempK/temp_uK)^m times the Arrhenius factor; m=0 reduces exactly."""
-    ratio = to_kelvin(temp) / to_kelvin(temp_u)
-    arr = arrhenius_af(temp, temp_u, ea)
-    if m == 0.0:
-        return arr
-    return ratio**m * arr
+    """Eyring factor (tempK/temp_uK)^m times the Arrhenius factor, taken as
+    one exponential so that neither part overflows alone; m=0 reduces exactly."""
+    c = _ea_coeff(ea)
+    kelvin, kelvin_u = to_kelvin(temp), to_kelvin(temp_u)
+    return math.exp(m * (math.log(kelvin) - math.log(kelvin_u)) + c / kelvin_u - c / kelvin)
 
 
 def use_rate_af(rate: float, rate_u: float, p: float = 1.0) -> float:
@@ -188,7 +187,10 @@ def box_cox_af(x1: float, x1_u: float, lam: float, gamma1: float) -> float:
         raise DomainError("box_cox_af requires positive stress values")
     if abs(lam) < 1e-6:
         return (x1_u / x1) ** gamma1
-    return math.exp(gamma1 * (x1_u**lam - x1**lam) / lam)
+    # IEEE powers: an overflowing x^lam is inf, so the factor tends to 0 or inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        difference = float(np.float64(x1_u) ** lam - np.float64(x1) ** lam)
+    return math.exp(gamma1 * difference / lam)
 
 
 def gen_eyring_rate(temp: Temperature, x: float, p: GenEyringParams) -> float:

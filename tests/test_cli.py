@@ -228,6 +228,19 @@ class TestAfRelationships:
             else:
                 assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["1", "inf"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--rel", "boxcox", "--use", "v=1", "--test", "v=1e200", "--lambda", "2",
+         "--gamma1", "1"],
+        ["--rel", "eyring", "--use", "temp_K=1e9", "--test", "temp_K=1", "--ea-ev", "100",
+         "--m", "-1000"],
+    ], ids=["boxcox", "eyring"])
+    def test_overflow_part_way_is_zero(self, capsys, argv):
+        # v^2 or (T/T_u)^-1000 overflows, but the factor is exp(-5e399) or
+        # about exp(-1.14e6): 0, with no warning.
+        assert main(["af", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[1].split(",")[-1] == "0"
+
 
 class TestFit:
     def test_fit_report(self, gab_csv, tmp_path, capsys):
@@ -538,6 +551,15 @@ class TestProfile:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("p", ["2", "nan", "0"])
+    def test_p_outside_unit_interval_exits_2(self, gab_csv, capsys, p):
+        code = main(["profile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ boxcox(voltstress, 1)",
+                     "--use", "voltstress=120", "--p", p])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: p must lie strictly inside (0, 1)\n"
+
     def test_model_without_boxcox_exits_2(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(voltstress)",
@@ -568,6 +590,21 @@ class TestPseudo:
         assert lines[0] == "time,status,temp_C"
         assert all(row.split(",")[1] == "censored" for row in lines[1:])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--threshold", "1e308", "--extrapolate"], "lifetime must be finite, got inf"),
+        (["--threshold", "nan"], "threshold must be finite, got nan"),
+        (["--threshold", "inf", "--extrapolate"], "threshold must be finite, got inf"),
+        (["--threshold", "2", "--horizon", "nan"], "horizon must be > 0"),
+    ])
+    def test_unreachable_or_non_finite_settings_exit_2(self, tmp_path, capsys, argv, message):
+        # 1 + 0.05 t reaches 1e308 only beyond double precision.
+        path = tmp_path / "rising.csv"
+        path.write_text("unit,time,response,temp_C\na,0,1.0,80\na,4,1.2,80\na,8,1.4,80\n")
+        code = main(["pseudo", "--data", str(path), *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_horizon_and_extrapolate_conflict(self, degradation_csv, capsys):
         code = main(["pseudo", "--data", degradation_csv,
                      "--threshold", "0.5", "--horizon", "12",
@@ -576,6 +613,8 @@ class TestPseudo:
 
 
 class TestDose:
+    FIELDS = ["d_inst", "d_tot", "effective_exposure"]
+
     def test_closed_form_values(self, spectrum_csv, capsys):
         # Constant unit irradiance, total absorption, flat efficiency:
         # d_inst = 30, d_tot = duration * 30, effective = cf * d_tot.
@@ -594,6 +633,27 @@ class TestDose:
         report = json.loads(capsys.readouterr().out)
         assert_allclose(report["effective_exposure"],
                         5.0**0.7 * report["d_tot"], rtol=1e-12)
+
+    @pytest.mark.parametrize("argv, fields", [
+        (["--cf", "1e300", "--p", "2"], ["effective_exposure"]),
+        (["--beta1", "1000"], ["d_inst", "d_tot", "effective_exposure"]),
+        (["--duration", "1e308"], ["d_tot", "effective_exposure"]),
+    ])
+    def test_overflow_is_inf(self, spectrum_csv, capsys, argv, fields):
+        # A dose beyond double precision prints inf in the table and null
+        # in the JSON, with one warning naming the fields.
+        for json_flag in ([], ["--json"]):
+            code = main(["dose", "--spectrum", spectrum_csv, *argv, *json_flag])
+            out, err = capsys.readouterr()
+            assert code == 0
+            assert err == f"warning: non-finite dose values for {','.join(fields)}\n"
+            if json_flag:
+                report = json.loads(out)
+                assert [k for k in self.FIELDS if report[k] is None] == fields
+            else:
+                header, row = out.splitlines()
+                assert header.split(",") == self.FIELDS
+                assert [k for k, v in zip(self.FIELDS, row.split(",")) if v == "inf"] == fields
 
     def test_missing_irradiance_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -380,6 +380,41 @@ class TestProfileLambda:
             profile_lambda(gab, parse_model("lognormal: mu ~ log(voltstress)"),
                            {"voltstress": 120.0})
 
+    @pytest.mark.parametrize("p", [0.0, 2.0, math.nan])
+    def test_p_checked_before_any_fit(self, gab, monkeypatch, p):
+        def no_fit(*args):
+            raise AssertionError("fit_ml was called")
+
+        monkeypatch.setattr(altkit.fitml, "fit_ml", no_fit)
+        with pytest.raises(DomainError, match="p must lie"):
+            profile_lambda(gab, parse_model("lognormal: mu ~ boxcox(voltstress, 1)"),
+                           GAB_USE, p=p)
+
+    def test_failed_points_are_flagged(self, gab):
+        spec = parse_model("lognormal: mu ~ boxcox(voltstress, 1)")
+        # voltstress^400 overflows, so the design is ill-posed: a nan row.
+        bad, good = profile_lambda(gab, spec, GAB_USE, grid=[400.0, 1.0])
+        assert not bad.converged and good.converged
+        assert all(math.isnan(v) for v in (bad.loglik, bad.quantile, bad.lower, bad.upper))
+        # A use condition without the variable: the fit stands, the quantile is nan.
+        (pt,) = profile_lambda(gab, spec, {"other": 1.0}, grid=[1.0])
+        assert pt.converged and pt.loglik == good.loglik
+        assert all(math.isnan(v) for v in (pt.quantile, pt.lower, pt.upper))
+
+    def test_point_that_stops_short_keeps_its_fit(self):
+        # A six-record Weibull sample on which fit_ml stops short from its
+        # default start; the point reports that fit, unconverged.
+        data = [LifeRecord(t, status, {"v": v}) for t, status, v in
+                [(10.0, "failed", 1.0)] * 3 + [(6.5, "failed", 2.0)] * 2
+                + [(7.0, "censored", 2.0)]]
+        spec = parse_model("weibull: mu ~ boxcox(v, 1)")
+        with pytest.raises(NonConvergenceError) as info:
+            fit_ml(data, spec)
+        (pt,) = profile_lambda(data, spec, {"v": 1.5}, grid=[1.0])
+        assert not pt.converged
+        assert pt.loglik == info.value.result.loglik
+        assert pt.lower < pt.quantile < pt.upper
+
 
 class TestReciprocityTest:
     @staticmethod
@@ -411,6 +446,12 @@ class TestReciprocityTest:
         from scipy.special import ndtr
         assert_allclose(res.p_value, 2.0 * (1.0 - ndtr(abs(res.wald_z))),
                         rtol=1e-10)
+
+    def test_p_value_in_the_far_tail(self):
+        # |z| of about 13.9, where 1 - Phi(|z|) is exactly 0 in doubles.
+        res = reciprocity_test(self.dosage_records(0.3, seed=14))
+        assert res.wald_z < -13.0
+        assert_allclose(res.p_value, math.erfc(abs(res.wald_z) / math.sqrt(2.0)), rtol=1e-12)
 
     def test_needs_two_levels(self):
         recs = [LifeRecord(1.0, "failed", {"cf": 2.0}) for _ in range(10)]

@@ -87,6 +87,12 @@ class TestBoxCoxHandling:
         assert spec.boxcox_lambda() == 0.5  # original untouched
         assert swapped.family == spec.family
 
+    def test_lambda_swap_keeps_other_terms(self):
+        spec = parse_model("lognormal: mu ~ boxcox(v, 1) + log(t)")
+        swapped = spec.with_boxcox_lambda(2.0)
+        assert swapped.boxcox_lambda() == 2.0
+        assert swapped.mu_terms[1] == spec.mu_terms[1]
+
     def test_missing_boxcox(self):
         spec = parse_model("lognormal: mu ~ log(voltstress)")
         with pytest.raises(FormulaError):
@@ -168,6 +174,13 @@ class TestDesignMatrix:
         spec = parse_model("lognormal: mu ~ arrh(temp)")
         with pytest.raises(UnitMismatchError):
             design_row(spec.mu_terms, {"temp": 120.0})
+
+    def test_temperature_named_with_its_own_suffix(self):
+        # A suffixed name is read from that column alone.
+        assert resolve_kelvin({"temp_K": 300.0}, "temp_K") == 300.0
+        assert resolve_kelvin({"temp_C": 20.0, "temp_K": 1.0}, "temp_C") == 293.15
+        with pytest.raises(MissingVariableError, match="temp_C"):
+            resolve_kelvin({"temp_K": 300.0}, "temp_C")
 
     def test_domain_errors_surface(self):
         spec = parse_model("lognormal: mu ~ log(v)")

@@ -241,6 +241,15 @@ class TestTimeTransformationAxioms:
         assert report.classification == "crossing"
         assert_allclose(report.crossing_time, 4.0, atol=1e-6)
 
+    def test_crossing_off_the_bracket_midpoints(self):
+        # t^2/1.3 crosses the diagonal at t = 1.3, which no midpoint of
+        # [1, 2] hits, so the bisection runs to its tolerance.
+        tt = TimeTransformation(func=lambda t, x: t * t / 1.3 if x != 1.0 else t,
+                                x_use=1.0)
+        report = check_time_transformation(tt, [1.0, 2.0], [1.0, 2.0])
+        assert report.classification == "crossing"
+        assert_allclose(report.crossing_time, 1.3, rtol=1e-11)
+
     def test_axiom_failures_reported(self):
         tt = TimeTransformation(func=lambda t, x: t - x, x_use=0.0)
         report = check_time_transformation(
