@@ -8,7 +8,7 @@ effective UV dosage and reciprocity; and censored maximum-likelihood
 regression with quantile, profile and bootstrap reporting.
 """
 
-from .data import CENSORED, FAILED, LifeRecord, resolve_kelvin, resolve_variable
+from .data import CENSORED, FAILED, LifeData, LifeRecord, resolve_kelvin, resolve_variable
 from .datasets import (
     Censoring,
     GAB_CENSOR_TIME,

@@ -387,8 +387,8 @@ def cmd_dose(args) -> int:
         beta0=args.beta0,
         beta1=args.beta1,
     )
-    if args.duration <= 0.0:
-        raise ConfigError("--duration must be > 0")
+    if not 0.0 < args.duration < math.inf:
+        raise ConfigError(f"--duration must be finite and > 0, got {args.duration:g}")
     # A value beyond double precision is inf (or nan), reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         time_grid = np.linspace(0.0, args.duration, max(2, args.time_steps))

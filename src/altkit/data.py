@@ -1,4 +1,5 @@
-"""Conditions, life records and condition-variable resolution.
+"""Conditions, life records, columnar life data and condition-variable
+resolution.
 
 A condition is a plain mapping from column name to value.  Column names may
 carry a unit suffix (temp_C, voltstress_V_per_mm, rh_frac); model formulas
@@ -7,14 +8,17 @@ Temperature variables must carry an explicit _C or _K suffix.
 
 Resolution is a lookup that depends only on a condition's keys
 (`variable_source`, `temperature_source`) followed by a read, so rows that
-share their keys resolve a variable once for all of them.
+share their keys resolve a variable once for all of them.  LifeData holds
+many records as columns, every row with the same condition keys.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError, MissingVariableError, UnitMismatchError
 from .units import Temperature, to_kelvin
@@ -127,3 +131,96 @@ def resolve_kelvin(condition: Mapping[str, float], name: str) -> float:
     """Resolve a temperature variable to kelvin; the column must end in _C or _K."""
     key, unit = temperature_source(condition, name)
     return to_kelvin(Temperature(float(condition[key]), unit))
+
+
+class LifeData(Sequence[LifeRecord]):
+    """Life records as columns: `time` (floats), `failed` (bools), one float
+    array per condition column in `columns`, and `lines`, each row's line
+    in the CSV it was read from (None when it was not read from one).
+
+    Indexing and iteration build each LifeRecord when it is asked for and
+    keep none; a slice is a LifeData.  It equals any sequence of records
+    that is equal to it record by record.  The arrays are taken as given:
+    the CSV reader and `of` check them.  Condition variables resolve a
+    column at a time, as resolve_variable and resolve_kelvin resolve them
+    in one condition, and a value that is not finite is an error that
+    names its row's line when it is known.
+    """
+
+    def __init__(self, time, failed, columns: Mapping[str, Any], lines=None):
+        self.time = np.asarray(time, dtype=float)
+        self.failed = np.asarray(failed, dtype=bool)
+        self.columns = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
+        self.lines = None if lines is None else np.asarray(lines)
+
+    @classmethod
+    def of(cls, records: Iterable[LifeRecord]) -> "LifeData":
+        """`records` as a LifeData (one is returned as it is).  Every record
+        must have the same condition keys."""
+        if isinstance(records, LifeData):
+            return records
+        records = list(records)
+        names = list(dict.fromkeys(key for r in records for key in r.condition))
+        for r in records:
+            if len(r.condition) != len(names):
+                missing = [c for c in sorted(names) if c not in r.condition]
+                raise DataError(f"record lacks condition column(s) {missing}")
+        n = len(records)
+        return cls(
+            np.fromiter((r.time for r in records), float, n),
+            np.fromiter((r.failed for r in records), bool, n),
+            {name: np.fromiter((r.condition[name] for r in records), float, n)
+             for name in names},
+        )
+
+    def __len__(self) -> int:
+        return self.time.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LifeData(
+                self.time[index], self.failed[index],
+                {name: v[index] for name, v in self.columns.items()},
+                None if self.lines is None else self.lines[index],
+            )
+        return LifeRecord(
+            float(self.time[index]), FAILED if self.failed[index] else CENSORED,
+            {name: float(v[index]) for name, v in self.columns.items()},
+        )
+
+    def __iter__(self):
+        names = list(self.columns)
+        columns = (v.tolist() for v in self.columns.values())
+        for time, failed, *values in zip(self.time.tolist(), self.failed.tolist(), *columns):
+            yield LifeRecord(time, FAILED if failed else CENSORED, dict(zip(names, values)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"LifeData({len(self)} records, condition columns {list(self.columns)})"
+
+    def column(self, key: str) -> np.ndarray:
+        return self._finite(self.columns[key], f"column {key!r}", key)
+
+    def variable(self, name: str) -> np.ndarray:
+        values = read_variable(variable_source(self.columns, name), self.column)
+        return self._finite(values, f"variable {name!r}")
+
+    def kelvin(self, name: str) -> np.ndarray:
+        key, unit = temperature_source(self.columns, name)
+        return to_kelvin(Temperature(self.column(key), unit))
+
+    def _finite(self, values: np.ndarray, what: str, key: str | None = None) -> np.ndarray:
+        finite = np.isfinite(values)
+        if finite.all():
+            return values
+        i = int(np.argmin(finite))
+        message = f"condition {what} has a non-finite value ({values[i]})"
+        if self.lines is not None:
+            message = (f"line {self.lines[i]}: {message}" if key is None else
+                       f"line {self.lines[i]}, column {key}: expected a finite number, "
+                       f"got {values[i]}")
+        raise DataError(message)

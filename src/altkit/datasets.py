@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import CENSORED, FAILED, LifeRecord
+from .data import CENSORED, FAILED, LifeData, LifeRecord
 from .errors import ConfigError
 from .formula import ModelSpec, design_matrix
 from .lifetime import std_quantile
@@ -85,11 +85,12 @@ class Censoring:
 class SyntheticGenerator:
     """Seeded draws from a log-location-scale regression model.
 
-    `plan` lists (condition, count) groups; `mu_params` matches the spec's
-    mu design (intercept first); sigma is a single constant (sigma = 0
-    collapses every log-lifetime onto mu).  The same seed and configuration
-    give bit-identical data on every run and thread count: a single
-    explicit stream is drawn in plan order.
+    `plan` lists (condition, count) groups, every condition with the same
+    keys; `mu_params` matches the spec's mu design (intercept first);
+    sigma is a single constant (sigma = 0 collapses every log-lifetime
+    onto mu).  The same seed and configuration give bit-identical data on
+    every run and thread count: a single explicit stream is drawn in plan
+    order.
     """
 
     seed: int
@@ -108,17 +109,18 @@ class SyntheticGenerator:
             )
         if any(count <= 0 for _, count in self.plan):
             raise ConfigError("plan counts must be > 0")
+        if len({frozenset(cond) for cond, _ in self.plan}) > 1:
+            raise ConfigError("every plan condition must have the same keys")
 
 
-def generate(gen: SyntheticGenerator) -> list[LifeRecord]:
+def generate(gen: SyntheticGenerator) -> LifeData:
     """Draw lifetimes and apply the censoring rule; reproducible by seed."""
-    conditions = []
-    for cond, count in gen.plan:
-        conditions.extend([cond] * count)
-    x_mu = design_matrix(gen.spec.mu_terms, conditions)
+    counts = [count for _, count in gen.plan]
+    # One design row per plan group, repeated for each of its units.
+    x_mu = np.repeat(design_matrix(gen.spec.mu_terms, [c for c, _ in gen.plan]), counts, axis=0)
     mu = x_mu @ np.asarray(gen.mu_params, dtype=float)
     rng = np.random.default_rng(gen.seed)
-    u = rng.uniform(size=len(conditions))
+    u = rng.uniform(size=sum(counts))
     logt = mu + gen.sigma * std_quantile(u, gen.spec.family)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         times = np.exp(logt)
@@ -135,11 +137,7 @@ def generate(gen: SyntheticGenerator) -> list[LifeRecord]:
             f"sigma = {gen.sigma:g} draws lifetimes of 0 or inf, beyond double "
             "precision; use a smaller sigma"
         )
-
-    records = []
-    for t, cond in zip(times, conditions):
-        if t <= cutoff:
-            records.append(LifeRecord(float(t), FAILED, dict(cond)))
-        else:
-            records.append(LifeRecord(cutoff, CENSORED, dict(cond)))
-    return records
+    failed = times <= cutoff
+    names = gen.plan[0][0] if gen.plan else ()
+    columns = {k: np.repeat([float(c[k]) for c, _ in gen.plan], counts) for k in names}
+    return LifeData(np.where(failed, times, cutoff), failed, columns)

@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LifeRecord, resolve_variable
+from .data import LifeData, LifeRecord
 from .errors import (
     DomainError,
     IllPosedFitError,
@@ -130,13 +130,12 @@ class _Likelihood:
     """
 
     def __init__(self, data: Sequence[LifeRecord], spec: ModelSpec):
-        failed = np.array([r.failed for r in data], dtype=bool)
-        self.order = np.argsort(~failed, kind="stable")
-        conditions = [r.condition for r in data]
-        self.x_mu = design_matrix(spec.mu_terms, conditions)[self.order]
-        self.x_sig = design_matrix(spec.sigma_terms, conditions)[self.order]
-        self.logt = np.log(np.array([r.time for r in data]))[self.order]
-        self.n_failed = int(failed.sum())
+        data = LifeData.of(data)
+        self.order = np.argsort(~data.failed, kind="stable")
+        self.x_mu = design_matrix(spec.mu_terms, data)[self.order]
+        self.x_sig = design_matrix(spec.sigma_terms, data)[self.order]
+        self.logt = np.log(data.time)[self.order]
+        self.n_failed = int(data.failed.sum())
         self.family = spec.family
         self.n_mu = spec.n_mu
         self.weights = None
@@ -292,21 +291,21 @@ def neg_log_likelihood(
 ) -> float:
     """Negative log-likelihood at theta = (mu coefficients, log-sigma
     coefficients); returns a large barrier value instead of overflowing."""
-    return _Likelihood(list(data), spec)(_params(theta, spec, "theta"))
+    return _Likelihood(data, spec)(_params(theta, spec, "theta"))
 
 
 def likelihood_gradient(
     data: Sequence[LifeRecord], spec: ModelSpec, theta: Sequence[float]
 ) -> np.ndarray:
     """Analytic gradient of neg_log_likelihood with respect to theta."""
-    return _Likelihood(list(data), spec).gradient(_params(theta, spec, "theta"))
+    return _Likelihood(data, spec).gradient(_params(theta, spec, "theta"))
 
 
 def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
     """Deterministic starting point: OLS of log time on the mu design over
     failed records; log sigma from the residual spread inflated by the
     reciprocal of the failed fraction (heavy censoring hides spread)."""
-    return _default_init(_Likelihood(list(data), spec))[0]
+    return _default_init(_Likelihood(data, spec))[0]
 
 
 def _default_init(like: _Likelihood) -> np.ndarray:
@@ -564,7 +563,7 @@ def fit_ml(
     best-so-far FitResult in `.result`) when the Newton loop stops short
     of the scaled-gradient tolerance.
     """
-    data = list(data)
+    data = LifeData.of(data)
     if not data:
         raise InestimableError("no records")
     init = None if init is None else _params(init, spec, "init")
@@ -736,7 +735,7 @@ def profile_lambda(
     even though the transformed column changes scale; the first fit, and
     every fit before a point has converged, starts cold.
     """
-    data = list(data)
+    data = LifeData.of(data)
     spec.boxcox_lambda()  # validates that the model has a boxcox term
     _check_probability(p)
     lams = default_profile_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -791,8 +790,8 @@ def reciprocity_test(
     has slope -p on log(cf): the fit estimates p_hat = -slope, and the Wald
     statistic (p_hat - 1)/se tests p = 1.
     """
-    data = list(data)
-    levels = {resolve_variable(r.condition, "cf") for r in data}
+    data = LifeData.of(data)
+    levels = set(data.variable("cf").tolist())
     if len(levels) < 2:
         raise InestimableError("need at least 2 distinct cf levels to estimate p")
     spec = ModelSpec(
@@ -863,7 +862,7 @@ def bootstrap_quantile(
         raise DomainError(f"the bootstrap needs at least 2 resamples, got {n_boot}")
     if seed < 0:
         raise DomainError(f"the bootstrap seed must be >= 0, got {seed}")
-    data = list(data)
+    data = LifeData.of(data)
     n = len(data)
     reasons = np.full(n_boot, _INESTIMABLE)
     estimates = np.full((n_boot, spec.n_params), np.nan)

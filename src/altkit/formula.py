@@ -15,26 +15,25 @@ Terms are separated by `+`; interactions are products of factors joined by
 part).  The `sigma ~` part, when present, models log(sigma) linearly; when
 absent sigma is a single constant.
 
-Design matrices are built a column at a time.  Rows whose conditions have
-the same keys form one group; in each group every variable is resolved
-once, its values are gathered into one array, and each term is a numpy
-expression over those arrays.
+Design matrices are built a column at a time: over a LifeData every
+variable is resolved once, as one array, and each term is a numpy
+expression over those arrays.  A sequence of conditions is evaluated one
+condition at a time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import read_variable, temperature_source, variable_source
-from .errors import AltkitError, DataError, DomainError, FormulaError
+from .data import LifeData
+from .errors import AltkitError, DomainError, FormulaError
 from .lifetime import FAMILIES
 from .relationships import box_cox_transform
-from .units import ARRHENIUS_COEFF_EV, Temperature, to_kelvin
+from .units import ARRHENIUS_COEFF_EV
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((.*)\)\Z", re.DOTALL)
@@ -78,13 +77,13 @@ class Factor:
             return f"boxcox({self.inner.name()},{self.lam:g})"
         return f"{self.kind}({self.inner.name()})"
 
-    def value(self, columns: "Columns") -> np.ndarray:
-        """The factor over the rows of one group of conditions."""
+    def value(self, data: LifeData) -> np.ndarray:
+        """The factor over the rows of `data`."""
         if self.kind == "var":
-            return columns.variable(self.var)
+            return data.variable(self.var)
         if self.kind == "arrh":
-            return ARRHENIUS_COEFF_EV / columns.kelvin(self.var)
-        v = self.inner.value(columns)
+            return ARRHENIUS_COEFF_EV / data.kelvin(self.var)
+        v = self.inner.value(data)
         if self.kind == "log":
             if (v <= 0.0).any():
                 raise DomainError(f"log of non-positive value in {self.name()}")
@@ -109,11 +108,11 @@ class Term:
     def name(self) -> str:
         return ":".join(f.name() for f in self.factors)
 
-    def value(self, columns: "Columns") -> np.ndarray:
-        """The product of the factors over the rows of one group."""
-        out = self.factors[0].value(columns)
+    def value(self, data: LifeData) -> np.ndarray:
+        """The product of the factors over the rows of `data`."""
+        out = self.factors[0].value(data)
         for f in self.factors[1:]:
-            out = out * f.value(columns)
+            out = out * f.value(data)
         return out
 
 
@@ -265,88 +264,49 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(family, mu_terms, sigma_terms)
 
 
-class Columns:
-    """The condition values of rows whose conditions have the same keys,
-    gathered one array per column on first use."""
-
-    def __init__(self, conditions: Sequence[Mapping[str, float]]):
-        self.conditions = conditions
-        self.keys = conditions[0].keys()
-        self._gathered: dict[str, np.ndarray] = {}
-
-    def column(self, key: str) -> np.ndarray:
-        values = self._gathered.get(key)
-        if values is None:
-            values = np.fromiter(map(itemgetter(key), self.conditions), float,
-                                 len(self.conditions))
-            self._gathered[key] = _finite(values, f"column {key!r}")
-        return values
-
-    def variable(self, name: str) -> np.ndarray:
-        values = read_variable(variable_source(self.keys, name), self.column)
-        return _finite(values, f"variable {name!r}")
-
-    def kelvin(self, name: str) -> np.ndarray:
-        key, unit = temperature_source(self.keys, name)
-        return to_kelvin(Temperature(self.column(key), unit))
-
-
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = values[~finite][0]
-        raise DataError(f"condition {what} has a non-finite value ({bad})")
-    return values
-
-
-def _groups(conditions: Sequence[Mapping[str, float]]) -> list[tuple]:
-    """(rows, Columns) for each set of conditions with the same keys, in
-    the order each key tuple first appears."""
-    first = tuple(conditions[0])
-    if all(map(first.__eq__, map(tuple, conditions))):
-        return [(slice(None), Columns(conditions))]
-    rows: dict[tuple, list[int]] = {}
-    for i, condition in enumerate(conditions):
-        rows.setdefault(tuple(condition), []).append(i)
-    return [(idx, Columns([conditions[i] for i in idx])) for idx in rows.values()]
-
-
-def _design(terms: Sequence[Term], conditions: Sequence[Mapping[str, float]]) -> np.ndarray:
-    x = np.ones((len(conditions), 1 + len(terms)))
-    if terms and conditions:
+def _design(terms: Sequence[Term], data: LifeData) -> np.ndarray:
+    x = np.ones((len(data), 1 + len(terms)))
+    if terms and data:
         # Overflow gives inf and inf * 0 gives nan, as float arithmetic on
         # one row does.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for rows, columns in _groups(conditions):
-                for j, term in enumerate(terms):
-                    x[rows, 1 + j] = term.value(columns)
+            for j, term in enumerate(terms):
+                x[:, 1 + j] = term.value(data)
     return x
 
 
 def design_matrix(terms: Sequence[Term],
-                  conditions: Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Rows of [1, term values...] for each condition.
+                  data: LifeData | Sequence[Mapping[str, float]]) -> np.ndarray:
+    """Rows of [1, term values...] for each row of a LifeData, or for each
+    condition of a sequence, one condition at a time (their keys may
+    differ).
 
     When some row cannot be evaluated, the error raised is the one the
     first such row raises on its own.
     """
+    if not isinstance(data, LifeData):
+        return np.array([design_row(terms, c) for c in data]).reshape(-1, 1 + len(terms))
     try:
-        return _design(terms, conditions)
+        return _design(terms, data)
     except AltkitError:
-        if len(conditions) == 1:
+        if len(data) == 1:
             raise
-    # Bisect for the first failing row: conditions[:hi] fails, [:lo] does not.
-    lo, hi = 0, len(conditions)
+    # Bisect for the first failing row: data[:hi] fails, [:lo] does not.
+    lo, hi = 0, len(data)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _design(terms, conditions[:mid])
+            _design(terms, data[:mid])
             lo = mid
         except AltkitError:
             hi = mid
-    _design(terms, conditions[hi - 1 : hi])  # raises that row's error
+    _design(terms, data[hi - 1 : hi])  # raises that row's error
     raise AssertionError("a row's error does not depend on the other rows")
 
 
 def design_row(terms: Sequence[Term], condition: Mapping[str, float]) -> np.ndarray:
-    return design_matrix(terms, [condition])[0]
+    """[1, term values...] for one condition."""
+    if not terms:
+        return np.ones(1)
+    # The condition as a one-row LifeData; its time and status do not enter.
+    return _design(terms, LifeData([1.0], [True], {k: [v] for k, v in condition.items()}))[0]

@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
+from io import StringIO
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import STATUSES, LifeRecord
+from .data import CENSORED, FAILED, STATUSES, LifeData, LifeRecord
 from .degradation import DegradationSample
 from .errors import DataError
 from .photodeg import MoistureTable
@@ -64,54 +65,80 @@ def _csv_table(path_or_file, required: Sequence[str], missing: str):
         yield header, rows()
 
 
-def _floats(line: int, header: list[str], cells: list[str], cols: list[int]) -> list[float]:
-    """The cells at `cols` as floats; the first that fails names itself."""
-    values = []
-    for j in cols:
-        try:
-            values.append(float(cells[j]))
-        except ValueError:
-            raise DataError(
-                f"line {line}, column {header[j]}: expected a number, got {cells[j]!r}"
-            ) from None
+def _leading_floats(cells: Sequence[str]) -> list[float]:
+    """The cells as floats, up to the first that is not a number."""
+    values: list[float] = []
+    with suppress(ValueError):
+        values.extend(map(float, cells))  # keeps the floats before a failure
     return values
 
 
-def read_life_csv(path_or_file) -> list[LifeRecord]:
-    """Read life records; every non-time/status column becomes a condition
-    variable."""
+def _floats(line: int, header: list[str], cells: list[str], cols: list[int]) -> list[float]:
+    """The cells at `cols` as floats; the first that fails names itself."""
+    values = _leading_floats([cells[j] for j in cols])
+    if len(values) < len(cols):
+        j = cols[len(values)]
+        raise DataError(f"line {line}, column {header[j]}: expected a number, got {cells[j]!r}")
+    return values
+
+
+def read_life_csv(path_or_file) -> LifeData:
+    """Read life records as a LifeData; every non-time/status column becomes
+    a condition variable.
+
+    The rows are read, then checked a column at a time.  The first row that
+    breaks a rule is checked again on its own, so the error is the one it
+    gives read row by row: its status first, then its condition cells in
+    header order, then its time."""
     with _csv_table(path_or_file, ("time", "status"),
                     "life-data CSV needs 'time' and 'status' columns") as (header, rows):
-        status_col = header.index("status")
-        cond_names = [c for c in header if c not in ("time", "status")]
-        cols = [header.index(c) for c in (*cond_names, "time")]
-        records = []
-        for line, cells in rows:
-            status = cells[status_col].strip()
-            if status not in STATUSES:
-                raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
-            *values, time = _floats(line, header, cells, cols)
-            try:
-                records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
-            except DataError as err:
-                raise DataError(f"line {line}: {err}") from None
-        return records
+        table, stop = [], None
+        try:
+            table.extend(rows)  # keeps the rows before one of the wrong width
+        except (DataError, csv.Error) as err:
+            stop = err
+    status_col = header.index("status")
+    cond_names = [c for c in header if c not in ("time", "status")]
+    cols = [header.index(c) for c in (*cond_names, "time")]
+    columns = list(zip(*(cells for _, cells in table))) or [()] * len(header)
+    status = [s.strip() for s in columns[status_col]]
+    *conditions, time = (_leading_floats(columns[j]) for j in cols)
+    time = np.array(time)
+    first_bad = min(
+        next((i for i, s in enumerate(status) if s not in STATUSES), len(table)),
+        *map(len, conditions), time.size,
+        *np.flatnonzero(~((time > 0.0) & (time < math.inf)))[:1],
+    )
+    if first_bad < len(table):
+        line, cells = table[first_bad]
+        if status[first_bad] not in STATUSES:
+            raise DataError(f"line {line}: status must be one of {STATUSES}, "
+                            f"got {status[first_bad]!r}")
+        *_, t = _floats(line, header, cells, cols)
+        try:
+            LifeRecord(t, FAILED)
+        except DataError as err:
+            raise DataError(f"line {line}: {err}") from None
+    if stop is not None:
+        raise stop
+    return LifeData(time, [s == FAILED for s in status], dict(zip(cond_names, conditions)),
+                    [line for line, _ in table])
 
 
 def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
     """Write records with shortest lossless floats so round trips refit
-    identically."""
-    cond_cols = sorted({k for r in records for k in r.condition})
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["time", "status", *cond_cols])
-    for r in records:
-        missing = [c for c in cond_cols if c not in r.condition]
-        if missing:
-            raise DataError(f"record lacks condition column(s) {missing}")
-        writer.writerow(
-            [repr(float(r.time)), r.status,
-             *(repr(float(r.condition[c])) for c in cond_cols)]
-        )
+    identically.  A list is converted to a LifeData once; the rows are
+    formatted a column at a time and written at once."""
+    data = LifeData.of(records)
+    names = sorted(data.columns)
+    header = StringIO()
+    csv.writer(header, lineterminator="\n").writerow(["time", "status", *names])
+    columns = [
+        map(repr, data.time.tolist()),
+        [FAILED if f else CENSORED for f in data.failed.tolist()],
+        *(map(repr, data.columns[name].tolist()) for name in names),
+    ]
+    out.write(header.getvalue() + "".join(",".join(row) + "\n" for row in zip(*columns)))
 
 
 def read_degradation_csv(path_or_file) -> list[DegradationSample]:

@@ -119,9 +119,12 @@ def total_dosage(
 def effective_exposure(dtot: float, cfg: ExposureConfig) -> float:
     """Scaled exposure cf**p * dtot placing runs at different intensities on
     one axis; increasing in cf exactly when p > 0.  The arithmetic is IEEE:
-    a value beyond double precision is inf, with numpy's overflow warning."""
+    a value beyond double precision is inf, with numpy's overflow warning.
+    No dosage is no exposure, even where cf**p overflows."""
     if dtot < 0.0:
         raise DomainError("dtot must be >= 0")
+    if dtot == 0.0:
+        return 0.0
     return float(np.float64(cfg.cf) ** cfg.p * dtot)
 
 

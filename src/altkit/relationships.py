@@ -188,8 +188,14 @@ def box_cox_af(x1: float, x1_u: float, lam: float, gamma1: float) -> float:
     if abs(lam) < 1e-6:
         return (x1_u / x1) ** gamma1
     # IEEE powers: an overflowing x^lam is inf, so the factor tends to 0 or inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        difference = float(np.float64(x1_u) ** lam - np.float64(x1) ** lam)
+    with np.errstate(over="ignore"):
+        power_u, power = np.float64(x1_u) ** lam, np.float64(x1) ** lam
+    if math.isinf(power_u) and math.isinf(power):
+        # Both overflow: the difference has the sign of lam*(log x1_u - log x1).
+        log_gap = lam * (math.log(x1_u) - math.log(x1))
+        difference = math.inf * log_gap if log_gap else 0.0
+    else:
+        difference = float(power_u - power)
     return math.exp(gamma1 * difference / lam)
 
 

@@ -231,12 +231,14 @@ class TestAfRelationships:
     @pytest.mark.parametrize("argv", [
         ["--rel", "boxcox", "--use", "v=1", "--test", "v=1e200", "--lambda", "2",
          "--gamma1", "1"],
+        ["--rel", "boxcox", "--use", "v=1e200", "--test", "v=1e300", "--lambda", "2",
+         "--gamma1", "1"],
         ["--rel", "eyring", "--use", "temp_K=1e9", "--test", "temp_K=1", "--ea-ev", "100",
          "--m", "-1000"],
-    ], ids=["boxcox", "eyring"])
+    ], ids=["boxcox", "boxcox-both", "eyring"])
     def test_overflow_part_way_is_zero(self, capsys, argv):
-        # v^2 or (T/T_u)^-1000 overflows, but the factor is exp(-5e399) or
-        # about exp(-1.14e6): 0, with no warning.
+        # v^2 or (T/T_u)^-1000 overflows, but the factor is exp(-5e399),
+        # exp((1e400 - 1e600)/2) or about exp(-1.14e6): 0, with no warning.
         assert main(["af", *argv]) == 0
         out, err = capsys.readouterr()
         assert err == "" and out.splitlines()[1].split(",")[-1] == "0"
@@ -309,6 +311,26 @@ class TestFit:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_condition_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,v,w\n1,failed,1,nan\n2,failed,nan,1\n3,failed,2,inf\n")
+        code = main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: line 3, column v: expected a finite number, got nan\n"
+        # A column the model does not use may hold nan and inf.
+        path.write_text("time,status,v,w\n1,failed,1,nan\n2,failed,3,1\n3,failed,2,inf\n")
+        assert main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v"]) == 0
+
+    def test_non_finite_derived_variable_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,voltage,thickness\n1,failed,1,1\n\n"
+                        "2,failed,3,0\n3,failed,2,1\n")
+        code = main(["fit", "--data", str(path), "--model", "lognormal: mu ~ voltstress"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 4: condition variable 'voltstress' has a non-finite value (inf)\n")
 
     @pytest.mark.parametrize("v", ["1e200,2e200", "1e308,1.5e308"])
     def test_overflowing_design_column_fits(self, tmp_path, capsys, v):
@@ -654,6 +676,22 @@ class TestDose:
                 header, row = out.splitlines()
                 assert header.split(",") == self.FIELDS
                 assert [k for k, v in zip(self.FIELDS, row.split(",")) if v == "inf"] == fields
+
+    def test_no_dose_is_no_exposure(self, spectrum_csv, capsys):
+        # phi underflows, so d_tot = 0; cf**p overflows, but 0 dose gives 0.
+        code = main(["dose", "--spectrum", spectrum_csv, "--cf", "1e300", "--p", "2",
+                     "--beta0", "-1000"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == "0,0,0"
+
+    @pytest.mark.parametrize("duration", ["0", "-1", "inf", "nan"])
+    def test_duration_must_be_finite_and_positive(self, spectrum_csv, capsys, duration):
+        code = main(["dose", "--spectrum", spectrum_csv, "--duration", duration])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: --duration must be finite and > 0, got ")
+        assert err.count("\n") == 1
 
     def test_missing_irradiance_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

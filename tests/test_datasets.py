@@ -13,6 +13,7 @@ from altkit import (
     GAB_CONDITION_COLUMN,
     GAB_CONTENT_SHA256,
     GAB_USE_VOLTSTRESS,
+    LifeData,
     SyntheticGenerator,
     gab_content_hash,
     generate,
@@ -95,6 +96,7 @@ class TestSyntheticGenerator:
             plan=(({"voltstress": 170.0}, 20), ({"voltstress": 220.0}, 20)),
             censoring=Censoring("fraction", 0.25))
         a, b = generate(gen), generate(gen)
+        assert isinstance(a, LifeData) and list(a.columns) == ["voltstress"]
         assert a == b
         other = generate(SyntheticGenerator(
             seed=100, spec=self.spec(), mu_params=(20.0, -5.0), sigma=0.5,
@@ -178,3 +180,7 @@ class TestSyntheticGenerator:
                                mu_params=(20.0, -5.0), sigma=0.5,
                                plan=(({"voltstress": 170.0}, 0),),
                                censoring=Censoring("none", 0.0))
+        with pytest.raises(ConfigError, match="same keys"):
+            SyntheticGenerator(seed=1, spec=self.spec(),
+                               mu_params=(20.0, -5.0), sigma=0.5,
+                               plan=(({"voltstress": 170.0}, 5), ({"voltstress_V": 9.0}, 5)))

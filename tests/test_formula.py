@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from altkit import ModelSpec, design_matrix, design_row, parse_model
+from altkit import LifeData, LifeRecord, ModelSpec, design_matrix, design_row, parse_model
 from altkit.data import resolve_kelvin, resolve_variable
 from altkit.errors import (
     AltkitError,
@@ -198,6 +198,21 @@ class TestDesignMatrix:
         with pytest.raises(DataError, match="'temp_C'"):
             design_row(spec.mu_terms, {"temp_C": float("inf"), "v": 2.0})
 
+    def test_non_finite_life_data_cell_names_its_line(self):
+        spec = parse_model("lognormal: mu ~ arrh(temp) + log(v)")
+        data = LifeData([1.0, 2.0, 3.0], [True, True, False],
+                        {"temp_C": [80.0, 90.0, 100.0], "v": [2.0, 3.0, math.inf],
+                         "w": [math.nan] * 3}, lines=[2, 4, 5])
+        with pytest.raises(DataError,
+                           match="^line 5, column v: expected a finite number, got inf$"):
+            design_matrix(spec.mu_terms, data)
+        # The unused column w may hold nan.
+        assert design_matrix(spec.mu_terms, data[:2]).shape == (2, 3)
+        data.lines = None
+        with pytest.raises(DataError,
+                           match=r"^condition column 'v' has a non-finite value \(inf\)$"):
+            design_matrix(spec.mu_terms, data)
+
 
 # Row-wise reference: each condition and term evaluated on its own with
 # scalar arithmetic, in row order.  design_matrix must agree with it on
@@ -284,12 +299,18 @@ class TestColumnsMatchRowWise:
     )
     def test_design_matrix(self, terms, rows):
         spec = parse_model("lognormal: mu ~ " + " + ".join(terms))
+        inputs = [rows]
+        if len({frozenset(row) for row in rows}) == 1:
+            # Rows with one set of keys as a LifeData: one group, no grouping.
+            inputs.append(LifeData.of([LifeRecord(1.0, "failed", row) for row in rows]))
         try:
             expected = oracle_matrix(spec.mu_terms, rows)
         except AltkitError as err:
-            with pytest.raises(AltkitError) as raised:
-                design_matrix(spec.mu_terms, rows)
-            assert type(raised.value) is type(err)
-            assert str(raised.value) == str(err)
+            for data in inputs:
+                with pytest.raises(AltkitError) as raised:
+                    design_matrix(spec.mu_terms, data)
+                assert type(raised.value) is type(err)
+                assert str(raised.value) == str(err)
             return
-        assert_allclose(design_matrix(spec.mu_terms, rows), expected, rtol=1e-15, atol=0)
+        for data in inputs:
+            assert_allclose(design_matrix(spec.mu_terms, data), expected, rtol=1e-15, atol=0)

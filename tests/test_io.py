@@ -1,14 +1,21 @@
 # CSV readers/writers and the JSON report serializer.
 
+import csv
+import gc
 import io
 import json
 import math
+import re
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from altkit import (
+    LifeData,
     LifeRecord,
     MoistureTable,
     dump_json,
@@ -19,7 +26,9 @@ from altkit import (
     read_spectral_csv,
     write_life_csv,
 )
+from altkit.data import STATUSES
 from altkit.errors import DataError
+from altkit.io import _csv_table, _floats
 
 
 class TestLifeCsv:
@@ -88,6 +97,191 @@ class TestLifeCsv:
         recs = read_life_csv(io.StringIO(
             "time,status\n1.5,failed\n6.48,censored\n"))
         assert recs[0].failed and not recs[1].failed
+
+
+# Row-wise references: the life-CSV reader and writer one LifeRecord at a
+# time.  The columnar ones must give the same records, errors and bytes.
+def oracle_read_life_csv(path_or_file) -> list[LifeRecord]:
+    with _csv_table(path_or_file, ("time", "status"),
+                    "life-data CSV needs 'time' and 'status' columns") as (header, rows):
+        status_col = header.index("status")
+        cond_names = [c for c in header if c not in ("time", "status")]
+        cols = [header.index(c) for c in (*cond_names, "time")]
+        records = []
+        for line, cells in rows:
+            status = cells[status_col].strip()
+            if status not in STATUSES:
+                raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
+            *values, time = _floats(line, header, cells, cols)
+            try:
+                records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
+            except DataError as err:
+                raise DataError(f"line {line}: {err}") from None
+        return records
+
+
+def oracle_write_life_csv(records, out) -> None:
+    cond_cols = sorted({k for r in records for k in r.condition})
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["time", "status", *cond_cols])
+    for r in records:
+        missing = [c for c in cond_cols if c not in r.condition]
+        if missing:
+            raise DataError(f"record lacks condition column(s) {missing}")
+        writer.writerow(
+            [repr(float(r.time)), r.status,
+             *(repr(float(r.condition[c])) for c in cond_cols)]
+        )
+
+
+def exact(records) -> list:
+    """Records as comparable values, nan and the sign of zero included."""
+    return [(repr(r.time), r.status, [(k, repr(v)) for k, v in r.condition.items()])
+            for r in records]
+
+
+_NUMBERS = ["1", "2.5", " 3 ", "1e300", "1e-300", "0", "-1", "-0.0", "nan", "inf",
+            "-inf", "1_000", "", " ", "x", "0x10", "1,5", '2"', "4e400"]
+_STATUSES = ["failed"] * 4 + ["censored"] * 4 + [" failed", "censored ", "running", "", "FAILED"]
+
+
+@st.composite
+def life_csvs(draw):
+    """A life CSV, mostly well formed: quoted and spaced cells, blank
+    lines and cells, nan/inf, underscores, now and then a bad status, a
+    row of the wrong width, a duplicate or missing header name."""
+    names = draw(st.lists(st.sampled_from(["v", "temp_C", "w", "a,b"]), max_size=2,
+                          unique=True))
+    header = draw(st.permutations(["time", "status", *names]))
+    if draw(st.integers(0, 9)) == 0:
+        header = header + [draw(st.sampled_from(header))]
+    if draw(st.integers(0, 19)) == 0:
+        header = header[1:]
+    mostly_good = draw(st.booleans())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n", quoting=draw(
+        st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            buf.write("\n")
+            continue
+        row = []
+        for name in header:
+            if name == "status":
+                row.append(draw(st.sampled_from(_STATUSES[:8] if mostly_good else _STATUSES)))
+            elif mostly_good:
+                row.append(repr(draw(st.floats(1e-300, 1e300))))
+            else:
+                row.append(draw(st.sampled_from(_NUMBERS)))
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+@st.composite
+def life_records(draw):
+    """Records with positive finite times and condition values of any kind;
+    now and then a record lacks a column."""
+    names = draw(st.lists(st.sampled_from(["v", "temp_C", "w", "a,b", 'q"x']), max_size=3,
+                          unique=True))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        keys = names if draw(st.integers(0, 14)) else names[1:]
+        records.append(LifeRecord(
+            draw(st.floats(5e-324, 1.7e308)), draw(st.sampled_from(STATUSES)),
+            {k: draw(st.floats() | st.integers(-5, 5)) for k in keys},
+        ))
+    return records
+
+
+class TestColumnarMatchesRowWise:
+    @settings(max_examples=400, deadline=None)
+    @given(text=life_csvs())
+    def test_reader(self, text):
+        try:
+            expected = oracle_read_life_csv(io.StringIO(text))
+        except DataError as err:
+            with pytest.raises(DataError) as raised:
+                read_life_csv(io.StringIO(text))
+            assert type(raised.value) is type(err)
+            assert str(raised.value) == str(err)
+            return
+        data = read_life_csv(io.StringIO(text))
+        assert isinstance(data, LifeData)
+        assert exact(data) == exact(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=life_records())
+    def test_writer(self, records):
+        expected = io.StringIO()
+        try:
+            oracle_write_life_csv(records, expected)
+        except DataError as err:
+            with pytest.raises(DataError, match=f"^{re.escape(str(err))}$"):
+                write_life_csv(records, io.StringIO())
+            return
+        for given_as in (records, LifeData.of(records)):
+            out = io.StringIO()
+            write_life_csv(given_as, out)
+            assert out.getvalue() == expected.getvalue()
+
+
+class TestLifeData:
+    RECORDS = [
+        LifeRecord(1.5, "failed", {"v": 1.0, "w": 10.0}),
+        LifeRecord(2.5, "censored", {"v": 2.0, "w": math.nan}),
+        LifeRecord(3.5, "failed", {"v": 3.0, "w": 30.0}),
+    ]
+
+    def data(self) -> LifeData:
+        return read_life_csv(io.StringIO(
+            "time,status,v,w\n1.5,failed,1,10\n\n2.5,censored,2,nan\n3.5,failed,3,30\n"))
+
+    def test_columns_and_lines(self):
+        data = self.data()
+        assert data.time.tolist() == [1.5, 2.5, 3.5]
+        assert data.failed.tolist() == [True, False, True]
+        assert list(data.columns) == ["v", "w"]
+        assert data.columns["v"].tolist() == [1.0, 2.0, 3.0]
+        assert data.lines.tolist() == [2, 4, 5]
+
+    def test_len_index_and_slice(self):
+        data = self.data()
+        assert len(data) == 3
+        assert exact([data[0], data[-1]]) == exact([self.RECORDS[0], self.RECORDS[-1]])
+        with pytest.raises(IndexError):
+            data[3]
+        part = data[1:]
+        assert isinstance(part, LifeData) and len(part) == 2
+        assert part.lines.tolist() == [4, 5]
+        assert exact(part) == exact(self.RECORDS[1:])
+        assert len(data[5:]) == 0 and list(data[5:]) == []
+
+    def test_equality_with_sequences(self):
+        data = self.data()
+        same = self.RECORDS[::2]  # rows without nan, which equals nothing
+        assert data[::2] == same and same == data[::2]
+        assert data[::2] == LifeData.of(same)
+        assert data[::2] != same[:1] and data[::2] != same[::-1]
+        assert data != "abc" and data[:0] == [] and data[:0] == ()
+
+    def test_iteration_keeps_no_record(self):
+        data = self.data()
+        attrs = set(vars(data))
+        refs = [weakref.ref(r) for r in data]
+        refs.append(weakref.ref(data[0]))
+        gc.collect()
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert set(vars(data)) == attrs
+
+    def test_of_requires_one_set_of_keys(self):
+        data = self.data()
+        assert LifeData.of(data) is data
+        with pytest.raises(DataError, match=r"^record lacks condition column\(s\) \['w'\]$"):
+            LifeData.of([LifeRecord(1.0, "failed", {"v": 1.0}),
+                         LifeRecord(1.0, "failed", {"v": 1.0, "w": 2.0})])
 
 
 class TestDegradationCsv:

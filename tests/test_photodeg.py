@@ -135,6 +135,12 @@ class TestEffectiveExposure:
         assert effective_exposure(12.0, ExposureConfig(cf=5.0)) == 60.0
         assert effective_exposure(12.0, ExposureConfig(cf=1.0, p=0.7)) == 12.0
 
+    def test_no_dose_is_no_exposure(self):
+        # cf**p overflows, yet zero dosage is zero exposure, not inf * 0.
+        assert effective_exposure(0.0, ExposureConfig(cf=1e300, p=2.0)) == 0.0
+        with np.errstate(over="ignore"):
+            assert effective_exposure(1.0, ExposureConfig(cf=1e300, p=2.0)) == math.inf
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ExposureConfig(cf=0.0)

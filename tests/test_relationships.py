@@ -197,6 +197,14 @@ class TestBoxCox:
         afs = [box_cox_af(v, 120.0, 0.5, -3.0) for v in (130.0, 150.0, 170.0)]
         assert all(b > a for a, b in zip(afs, afs[1:]))
 
+    def test_af_when_both_powers_overflow(self):
+        # exp(gamma1 (x_u^lam - x^lam)/lam) with both powers beyond double
+        # precision: the sign of the difference decides.
+        assert box_cox_af(1e300, 1e200, 2.0, 1.0) == 0.0
+        assert box_cox_af(1e-200, 1e-300, -2.0, 1.0) == 0.0
+        assert box_cox_af(1e300, 1e300, 2.0, 1.0) == 1.0
+        assert box_cox_af(1e200, 1e300, 2.0, 1.0) == math.inf
+
     def test_domain(self):
         with pytest.raises(DomainError):
             box_cox_transform(0.0, 0.5)
