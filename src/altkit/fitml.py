@@ -12,13 +12,14 @@ when the objective can no longer resolve the predicted decrease, when no
 step lowers it, or after NEWTON_STEPS steps; the fit has converged when
 the scaled gradient max-norm at the returned point is below 1e-5.
 
-Each point the search visits is evaluated in one pass.  Records are
-stored failures first, so the density kernels run on the failures only
-and the survival kernels on the censored units only.  sigma and z are
-computed once per point; the objective, the score and the Hessian are
-built from them on first use, the survival derivative runs at most once
-per point, and the accepted point's score and Hessian serve both the next
-step and the final covariance.
+Each point the search visits is evaluated in at most two passes.  The
+first, when the point is made, computes sigma, z and the objective; the
+second computes the score and the observed information together, once,
+when the point is accepted or its score is asked for, so a trial step
+that is rejected costs the first pass only.  Records are stored failures
+first, so the density kernels run on the failures only and the survival
+kernels on the censored units only.  The accepted point's score and
+observed information serve both the next step and the final covariance.
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
@@ -47,6 +48,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,45 +81,6 @@ DECREMENT_TOL = 1e-12
 # arrays hold at most this many elements.
 _BLOCK_ELEMENTS = 1 << 16
 _Z975 = 1.959963984540054  # standard normal 0.975 quantile
-
-
-def fd_gradient(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step rel_step*(1+|x_i|)."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g
-
-
-def fd_hessian(f, x: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian, symmetrized, step rel_step*(1+|x_i|)."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    h = rel_step * (1.0 + np.abs(x))
-    hess = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h[i]
-        xm[i] -= h[i]
-        hess[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / h[i] ** 2
-        for j in range(i + 1, n):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += [h[i], h[j]]
-            xpm[i] += h[i]
-            xpm[j] -= h[j]
-            xmp[i] -= h[i]
-            xmp[j] += h[j]
-            xmm[[i, j]] -= [h[i], h[j]]
-            hess[i, j] = hess[j, i] = (
-                f(xpp) - f(xpm) - f(xmp) + f(xmm)
-            ) / (4.0 * h[i] * h[j])
-    return 0.5 * (hess + hess.T)
 
 
 class _Likelihood:
@@ -174,96 +137,68 @@ class _Likelihood:
         return _Point(self, np.asarray(theta, dtype=float))
 
     def __call__(self, theta: np.ndarray) -> float:
-        return float(self.at(np.atleast_2d(theta)).nll()[0])
+        return float(self.at(np.atleast_2d(theta)).nll[0])
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         """Analytic score of the negative log-likelihood (same sign as the
         finite-difference gradient of ``__call__``)."""
-        return self.at(np.atleast_2d(theta)).score()[0]
+        return self.at(np.atleast_2d(theta)).derivatives[0][0]
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         """Analytic Hessian of the negative log-likelihood (the observed
         information)."""
-        return self.at(np.atleast_2d(theta)).hessian()[0]
+        return self.at(np.atleast_2d(theta)).derivatives[1][0]
 
 
 class _Point:
-    """The likelihood at one theta per replicate.  sigma and z are computed
-    once; the objective, the score and the Hessian are each computed on
-    first use and kept.  The kernels see the failed rows and the censored
-    rows apart: log density and its derivatives on failures, log survival
-    and its derivatives on censored units."""
+    """The likelihood at one theta per replicate.  Construction computes
+    sigma, z and `nll`, the objective per replicate (BARRIER where it is
+    not finite); `derivatives` computes the score and the observed
+    information together on first use.  The density kernels see the
+    failed rows only, the survival kernels the censored rows only."""
 
     def __init__(self, like: _Likelihood, theta: np.ndarray):
         self.like = like
         self.theta = theta
+        k, fail, cens = like.n_mu, slice(None, like.n_failed), slice(like.n_failed, None)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            self.logsig = _per_row(theta[:, like.n_mu :], like.x_sig.T)
-            self.sigma = np.exp(self.logsig)
-            self.z = (like.logt - _per_row(theta[:, : like.n_mu], like.x_mu.T)) / self.sigma
-        self._nll = self._lprime = self._score = self._hessian = None
+            logsig = _per_row(theta[:, k:], like.x_sig.T)
+            self.sigma = np.exp(logsig)
+            self.z = z = (like.logt - _per_row(theta[:, :k], like.x_mu.T)) / self.sigma
+            ll = like.weigh(
+                std_logpdf(z[:, fail], like.family) - logsig[:, fail] - like.logt[fail], fail
+            ).sum(axis=1) + like.weigh(std_logsf(z[:, cens], like.family), cens).sum(axis=1)
+        self.nll = np.where(np.isfinite(ll) & np.isfinite(theta).all(axis=1), -ll, BARRIER)
 
-    def nll(self) -> np.ndarray:
-        """Negative log-likelihood per replicate; BARRIER where it is not
-        finite."""
-        if self._nll is None:
-            like, nf, z = self.like, self.like.n_failed, self.z
-            fail, cens = slice(None, nf), slice(nf, None)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                ll = like.weigh(
-                    std_logpdf(z[:, fail], like.family) - self.logsig[:, fail] - like.logt[fail],
-                    fail,
-                ).sum(axis=1) + like.weigh(std_logsf(z[:, cens], like.family), cens).sum(axis=1)
-            finite = np.isfinite(ll) & np.isfinite(self.theta).all(axis=1)
-            self._nll = np.where(finite, -ll, BARRIER)
-        return self._nll
-
-    def _l1(self) -> np.ndarray:
-        """L' = d/dz of each row's log density (failures) or log survival
-        (censored units)."""
-        if self._lprime is None:
-            like, nf, z = self.like, self.like.n_failed, self.z
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                self._lprime = np.concatenate([
-                    std_dlogpdf(z[:, :nf], like.family), std_dlogsf(z[:, nf:], like.family)
-                ], axis=1)
-        return self._lprime
-
-    def score(self) -> np.ndarray:
-        """Analytic score of the negative log-likelihood, per replicate."""
-        if self._score is None:
-            like, l1 = self.like, self._l1()
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                w_sig = l1 * self.z
-                w_sig[:, : like.n_failed] += 1.0
-                self._score = np.concatenate(
-                    [_per_row(like.weigh(l1 / self.sigma), like.x_mu),
-                     _per_row(like.weigh(w_sig), like.x_sig)],
-                    axis=1,
-                )
-        return self._score
-
-    def hessian(self) -> np.ndarray:
-        """Observed information per replicate.  With L'' the second
-        z-derivative per row, the (mu, mu), (mu, log sigma) and (log sigma,
-        log sigma) blocks are X'diag(w)X with w = -L''/sigma^2,
-        -(L''z + L')/sigma and -(L''z^2 + L'z)."""
-        if self._hessian is None:
-            like, nf, z, l1 = self.like, self.like.n_failed, self.z, self._l1()
-            k = like.n_mu
-            h = np.empty((self.theta.shape[0],) + (self.theta.shape[1],) * 2)
-            with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                l2 = np.concatenate([
-                    std_d2logpdf(z[:, :nf], like.family),
-                    std_d2logsf(z[:, nf:], like.family, dlogsf=l1[:, nf:]),
-                ], axis=1)
-                w = -(l2 * z + l1)
-                h[:, :k, :k] = _gram(like.x_mu, like.weigh(-l2 / self.sigma**2), like.x_mu)
-                h[:, :k, k:] = _gram(like.x_mu, like.weigh(w / self.sigma), like.x_sig)
-                h[:, k:, :k] = h[:, :k, k:].transpose(0, 2, 1)
-                h[:, k:, k:] = _gram(like.x_sig, like.weigh(w * z), like.x_sig)
-            self._hessian = h
-        return self._hessian
+    @cached_property
+    def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """The score of the negative log-likelihood and the observed
+        information, per replicate.  With L' and L'' the first and second
+        z-derivatives per row, the score is X'w with w = L'/sigma (mu) and
+        L'z, plus 1 on failures (log sigma); the information's (mu, mu),
+        (mu, log sigma) and (log sigma, log sigma) blocks are X'diag(w)X
+        with w = -L''/sigma^2, -(L''z + L')/sigma and -(L''z^2 + L'z)."""
+        like, z, sigma = self.like, self.z, self.sigma
+        nf, k = like.n_failed, like.n_mu
+        h = np.empty((self.theta.shape[0],) + (self.theta.shape[1],) * 2)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            l1_cens = std_dlogsf(z[:, nf:], like.family)
+            l1 = np.concatenate([std_dlogpdf(z[:, :nf], like.family), l1_cens], axis=1)
+            l2 = np.concatenate([
+                std_d2logpdf(z[:, :nf], like.family),
+                std_d2logsf(z[:, nf:], like.family, dlogsf=l1_cens),
+            ], axis=1)
+            w_sig = l1 * z
+            w_sig[:, :nf] += 1.0
+            score = np.concatenate([
+                _per_row(like.weigh(l1 / sigma), like.x_mu), _per_row(like.weigh(w_sig), like.x_sig)
+            ], axis=1)
+            w = -(l2 * z + l1)
+            h[:, :k, :k] = _gram(like.x_mu, like.weigh(-l2 / sigma**2), like.x_mu)
+            h[:, :k, k:] = _gram(like.x_mu, like.weigh(w / sigma), like.x_sig)
+            h[:, k:, :k] = h[:, :k, k:].transpose(0, 2, 1)
+            h[:, k:, k:] = _gram(like.x_sig, like.weigh(w * z), like.x_sig)
+        return score, h
 
 
 def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -422,9 +357,8 @@ class _Solution:
 
     def __init__(self, start: _Point):
         self.theta = start.theta.copy()
-        self.nll = start.nll().copy()
-        self.score = start.score().copy()
-        self.hessian = start.hessian().copy()
+        self.nll = start.nll.copy()
+        self.score, self.hessian = (a.copy() for a in start.derivatives)
         self.steps = np.zeros(len(self.theta), dtype=int)
 
     def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> None:
@@ -433,9 +367,10 @@ class _Solution:
         if keep.any():
             idx = idx[keep]
             self.theta[idx] = trial.theta[keep]
-            self.nll[idx] = trial.nll()[keep]
-            self.score[idx] = trial.score()[keep]
-            self.hessian[idx] = trial.hessian()[keep]
+            score, hessian = trial.derivatives
+            self.nll[idx] = trial.nll[keep]
+            self.score[idx] = score[keep]
+            self.hessian[idx] = hessian[keep]
             self.steps[idx] += 1
 
     def scaled_grad(self) -> np.ndarray:
@@ -465,7 +400,7 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
             # (half of g @ step) but the score can: take the full step
             # where it shrinks the score, then stop.
             trial = like.replicates(idx[last]).at(sol.theta[idx[last]] - step[last])
-            shrinks = np.abs(trial.score()).max(axis=1) < np.abs(g[last]).max(axis=1)
+            shrinks = np.abs(trial.derivatives[0]).max(axis=1) < np.abs(g[last]).max(axis=1)
             sol.accept(idx[last], trial, shrinks)
         # Only a replicate that a step below lowers keeps moving.
         moving[idx] = False
@@ -474,7 +409,7 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
         alpha = 1.0
         while idx.size and alpha > 1e-10:
             trial = like.replicates(idx).at(sol.theta[idx] - alpha * step)
-            lower = trial.nll() < sol.nll[idx]
+            lower = trial.nll < sol.nll[idx]
             sol.accept(idx, trial, lower)
             moving[idx[lower]] = True
             idx, step = idx[~lower], step[~lower]

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LifeData
-from .errors import AltkitError, DomainError, FormulaError
+from .errors import AltkitError, DomainError, FormulaError, InvalidTemperatureError
 from .lifetime import FAMILIES
 from .relationships import box_cox_transform
 from .units import ARRHENIUS_COEFF_EV
@@ -282,15 +282,15 @@ def design_matrix(terms: Sequence[Term],
     differ).
 
     When some row cannot be evaluated, the error raised is the one the
-    first such row raises on its own.
+    first such row raises on its own; a value outside a transform's domain
+    names that row's CSV line when it is known.
     """
     if not isinstance(data, LifeData):
         return np.array([design_row(terms, c) for c in data]).reshape(-1, 1 + len(terms))
     try:
         return _design(terms, data)
     except AltkitError:
-        if len(data) == 1:
-            raise
+        pass
     # Bisect for the first failing row: data[:hi] fails, [:lo] does not.
     lo, hi = 0, len(data)
     while hi - lo > 1:
@@ -300,7 +300,12 @@ def design_matrix(terms: Sequence[Term],
             lo = mid
         except AltkitError:
             hi = mid
-    _design(terms, data[hi - 1 : hi])  # raises that row's error
+    try:
+        _design(terms, data[hi - 1 : hi])  # raises that row's error
+    except (DomainError, InvalidTemperatureError) as err:
+        if data.lines is None:
+            raise
+        raise type(err)(f"line {data.lines[hi - 1]}: {err}") from None
     raise AssertionError("a row's error does not depend on the other rows")
 
 

@@ -35,6 +35,21 @@ TABLE_SIG_DIGITS = 6
 
 
 @contextmanager
+def _naming_read_errors(reader):
+    """Turn a failed read of csv `reader` into a DataError naming its line.
+    Text is decoded a block at a time, so the line of a byte that is not
+    UTF-8 is the lines read before its block plus the newlines in the
+    block before it."""
+    try:
+        yield
+    except csv.Error as err:
+        raise DataError(f"line {reader.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        line = reader.line_num + 1 + err.object.count(b"\n", 0, err.start)
+        raise DataError(f"line {line}: not UTF-8 text ({err.reason})") from None
+
+
+@contextmanager
 def _csv_table(path_or_file, required: Sequence[str], missing: str):
     """Open a CSV table and check its header; give (header, rows), rows
     streaming (line number, cells) per non-blank row.  The header must hold
@@ -43,7 +58,8 @@ def _csv_table(path_or_file, required: Sequence[str], missing: str):
     is_file = hasattr(path_or_file, "read")
     with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        with _naming_read_errors(reader):
+            header = next(reader, None)
         if not header:
             raise DataError("empty CSV: no header row")
         if any(c not in header for c in required):
@@ -53,14 +69,14 @@ def _csv_table(path_or_file, required: Sequence[str], missing: str):
             raise DataError(f"duplicate column name(s) {dupes} in the header")
 
         def rows():
-            for cells in reader:
-                if len(cells) != len(header):
-                    if not cells:
-                        continue
-                    raise DataError(
-                        f"line {reader.line_num}: expected {len(header)} cells, got {len(cells)}"
-                    )
-                yield reader.line_num, cells
+            with _naming_read_errors(reader):
+                for cells in reader:
+                    if len(cells) != len(header):
+                        if not cells:
+                            continue
+                        raise DataError(f"line {reader.line_num}: expected {len(header)} "
+                                        f"cells, got {len(cells)}")
+                    yield reader.line_num, cells
 
         yield header, rows()
 
@@ -95,7 +111,7 @@ def read_life_csv(path_or_file) -> LifeData:
         table, stop = [], None
         try:
             table.extend(rows)  # keeps the rows before one of the wrong width
-        except (DataError, csv.Error) as err:
+        except DataError as err:
             stop = err
     status_col = header.index("status")
     cond_names = [c for c in header if c not in ("time", "status")]

@@ -54,7 +54,8 @@ from altkit import (
     total_dosage,
     use_rate_af,
 )
-from altkit.fitml import _Likelihood, fd_gradient
+from altkit.fitml import _Likelihood
+from fd import fd_gradient
 
 C = Temperature.celsius
 

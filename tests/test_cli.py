@@ -332,6 +332,25 @@ class TestFit:
         assert capsys.readouterr().err == (
             "error: line 4: condition variable 'voltstress' has a non-finite value (inf)\n")
 
+    @pytest.mark.parametrize("model,text,want", [
+        ("lognormal: mu ~ log(v)", b"time,status,v\n1,failed,1\n2,failed,-1\n3,failed,2\n",
+         "line 3: log of non-positive value in log(v)"),
+        ("lognormal: mu ~ arrh(temp)", b"time,status,temp_C\n\n1,failed,-300\n",
+         "line 3: temperature -26.850000000000023 K is not > 0"),
+        ("lognormal: mu ~ v", b"time,status,v\n1,failed,1\n2,failed,\xff\xfe\n",
+         "line 3: not UTF-8 text (invalid start byte)"),
+        ("lognormal: mu ~ v",
+         b"time,status,v\n1,failed,1\n2,failed,1\n3,failed," + b"1" * 131_073 + b"\n",
+         "line 4: field larger than field limit (131072)"),
+    ], ids=["log", "one-row-arrh", "not-utf8", "long-cell"])
+    def test_row_error_names_its_line(self, tmp_path, capsys, model, text, want):
+        path = tmp_path / "life.csv"
+        path.write_bytes(text)
+        code = main(["fit", "--data", str(path), "--model", model])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {want}\n"
+
     @pytest.mark.parametrize("v", ["1e200,2e200", "1e308,1.5e308"])
     def test_overflowing_design_column_fits(self, tmp_path, capsys, v):
         # The column's spread overflows double precision unless it is

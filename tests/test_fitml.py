@@ -38,8 +38,9 @@ from altkit.errors import (
     NonConvergenceError,
 )
 import altkit.fitml
-from altkit.fitml import NEWTON_STEPS, SKIP_REASONS, fd_gradient, fd_hessian, _Likelihood
+from altkit.fitml import NEWTON_STEPS, SKIP_REASONS, _Likelihood
 from altkit.lifetime import std_quantile
+from fd import fd_gradient, fd_hessian
 
 
 def assert_hessian_matches_fd(like, theta):
@@ -153,29 +154,50 @@ class TestGradient:
             assert_hessian_matches_fd(like, theta)
 
 
+def count_kernel_rows(monkeypatch) -> dict[str, list[int]]:
+    """Replace the lifetime kernels that altkit.fitml calls with wrappers
+    that record the number of rows each call sees, by kernel name."""
+    rows: dict[str, list[int]] = {}
+    for name in ("std_logpdf", "std_logsf", "std_dlogpdf", "std_dlogsf"):
+        kernel = getattr(altkit.fitml, name)
+
+        def counted(z, fam, _kernel=kernel, _rows=rows.setdefault(name, [])):
+            _rows.append(np.size(z))
+            return _kernel(z, fam)
+
+        monkeypatch.setattr(altkit.fitml, name, counted)
+    return rows
+
+
 class TestKernelPass:
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_failures_and_censored_units_reach_their_own_kernels(
             self, gab, monkeypatch, family):
         # Every call sees exactly the failed rows (density kernels) or
-        # exactly the censored rows (survival kernels), and the survival
-        # derivative runs at most once per likelihood evaluation.
-        rows: dict[str, list[int]] = {}
-        for name in ("std_logpdf", "std_logsf", "std_dlogpdf", "std_dlogsf"):
-            kernel = getattr(altkit.fitml, name)
-
-            def counted(z, fam, _kernel=kernel, _rows=rows.setdefault(name, [])):
-                _rows.append(np.size(z))
-                return _kernel(z, fam)
-
-            monkeypatch.setattr(altkit.fitml, name, counted)
+        # exactly the censored rows (survival kernels).
+        rows = count_kernel_rows(monkeypatch)
         fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
         n_censored = fit.n_records - fit.n_failed
         assert rows["std_logpdf"] and set(rows["std_logpdf"]) == {fit.n_failed}
         assert rows["std_dlogpdf"] and set(rows["std_dlogpdf"]) == {fit.n_failed}
         assert rows["std_logsf"] and set(rows["std_logsf"]) == {n_censored}
         assert rows["std_dlogsf"] and set(rows["std_dlogsf"]) == {n_censored}
-        assert len(rows["std_dlogsf"]) <= len(rows["std_logsf"])
+
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_objective_and_derivative_passes(self, gab, monkeypatch, family):
+        # A point computes its objective once, when it is made, and its
+        # derivatives only when they are read, then once however often.
+        like = _Likelihood(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
+        rows = count_kernel_rows(monkeypatch)
+        point = like.at(np.array([[40.0, -7.0, -0.5], [50.0, -9.0, 0.0]]))
+        assert np.isfinite(point.nll).all()
+        assert [len(rows[k]) for k in ("std_logpdf", "std_logsf")] == [1, 1]
+        assert rows["std_dlogpdf"] == rows["std_dlogsf"] == []
+        score, hessian = point.derivatives
+        again = point.derivatives
+        assert again[0] is score and again[1] is hessian
+        assert [len(rows[k]) for k in ("std_dlogpdf", "std_dlogsf")] == [1, 1]
+        assert [len(rows[k]) for k in ("std_logpdf", "std_logsf")] == [1, 1]
 
 
 class TestFitInsulationData:
