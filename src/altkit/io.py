@@ -5,9 +5,13 @@ per condition variable, headers carrying unit suffixes (temp_C,
 voltstress_V_per_mm, rh_frac).  Degradation CSV: `unit`, `time`,
 `response` plus condition columns constant within each unit.  Spectral
 CSV: `wavelength_nm` plus `irradiance` and/or `absorbance`.  Moisture
-CSV: `rh`, `moisture_content`.  All four stream through one reader:
+CSV: `rh`, `moisture_content`.  All four follow one row-wise csv reader:
 blank lines are skipped, every row has one cell per header column, a
-column name may appear once, and errors name the file line.
+column name may appear once, and errors name the file line.  The life
+CSV is read whole first; when its text is plain and every row is clean,
+numpy's C reader splits it and float() converts it a column at a time,
+which gives what the row-wise reader gives.  Any other text falls back to
+the row-wise reader, the only source of errors.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -20,7 +24,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager, nullcontext, suppress
-from io import StringIO
+from io import BytesIO, StringIO
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -102,11 +106,82 @@ def read_life_csv(path_or_file) -> LifeData:
     """Read life records as a LifeData; every non-time/status column becomes
     a condition variable.
 
-    The rows are read, then checked a column at a time.  The first row that
-    breaks a rule is checked again on its own, so the error is the one it
-    gives read row by row: its status first, then its condition cells in
-    header order, then its time."""
-    with _csv_table(path_or_file, ("time", "status"),
+    The text is read whole.  Plain text whose rows are all clean is read by
+    `_read_life_columns`; any other text is read row by row, where the first
+    row that breaks a rule gives the error: its status first, then its
+    condition cells in header order, then its time.  The two give the same
+    LifeData, so the accepted inputs and the errors are those of the
+    row-wise read.  A byte that is not UTF-8 is an error naming its line
+    only when the lines before it are clean."""
+    is_file = hasattr(path_or_file, "read")
+    # A path is read with universal newlines, as csv asks; a file passed in
+    # splits at "\n", as iterating a StringIO does.
+    newline = "\n" if is_file else ""
+    try:
+        with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as err:
+        before = err.object[:err.start]
+        clean = before[:before.rfind(b"\n") + 1]
+        if clean:
+            _read_life_rows(StringIO(clean.decode(err.encoding), newline=newline))
+        line = before.count(b"\n") + 1
+        raise DataError(f"line {line}: not UTF-8 text ({err.reason})") from None
+    if isinstance(text, bytes):  # a binary file, which csv rejects
+        return _read_life_rows(BytesIO(text))
+    data = _read_life_columns(text)
+    return _read_life_rows(StringIO(text, newline=newline)) if data is None else data
+
+
+def _read_life_columns(text: str) -> LifeData | None:
+    """`text` read by numpy's C reader, or None when this path does not
+    apply; it never raises.  It applies to plain text: no quote, no carriage
+    return and a final newline, so the csv module would split each line at
+    every comma, and no blank or whitespace-only line, so a row's line is its
+    index + 2.  Every cell must be within csv's field size limit, every
+    status exactly failed or censored, every other cell a number to float()
+    (as in the row-wise read) and every time finite and > 0."""
+    if '"' in text or "\r" in text or "\n\n" in text or not text.endswith("\n"):
+        return None
+    head, body = text.split("\n", 1)
+    header = head.split(",")
+    limit = csv.field_size_limit()
+    if not body or "time" not in header or "status" not in header \
+            or len(set(header)) < len(header) or max(map(len, header)) > limit:
+        return None
+    try:
+        cells = np.loadtxt(StringIO(body), delimiter=",", comments=None, dtype=object,
+                           ndmin=2)
+    except ValueError:
+        return None
+    n = body.count("\n")
+    if cells.shape != (n, len(header)):
+        return None
+    status = cells[:, header.index("status")]
+    failed = status == FAILED
+    if not (failed | (status == CENSORED)).all():
+        return None
+    columns = {}
+    for name, column in zip(header, cells.T):
+        if name == "status":
+            continue
+        if max(map(len, column.tolist())) > limit:
+            return None
+        try:
+            columns[name] = column.astype(float)  # float() on each str
+        except ValueError:
+            return None
+    time = columns.pop("time")
+    if not ((time > 0.0) & (time < math.inf)).all():
+        return None
+    return LifeData(time, failed, columns, np.arange(2, n + 2))
+
+
+def _read_life_rows(fh) -> LifeData:
+    """Life CSV text in `fh` read row by row, then checked a column at a
+    time.  The first row that breaks a rule is checked again on its own, so
+    the error is the one it gives read row by row."""
+    with _csv_table(fh, ("time", "status"),
                     "life-data CSV needs 'time' and 'status' columns") as (header, rows):
         table, stop = [], None
         try:

@@ -339,10 +339,12 @@ class TestFit:
          "line 3: temperature -26.850000000000023 K is not > 0"),
         ("lognormal: mu ~ v", b"time,status,v\n1,failed,1\n2,failed,\xff\xfe\n",
          "line 3: not UTF-8 text (invalid start byte)"),
+        ("lognormal: mu ~ v", b"time,status,v\n1,bogus,1\n2,failed,\xff\n",
+         "line 2: status must be one of ('failed', 'censored'), got 'bogus'"),
         ("lognormal: mu ~ v",
          b"time,status,v\n1,failed,1\n2,failed,1\n3,failed," + b"1" * 131_073 + b"\n",
          "line 4: field larger than field limit (131072)"),
-    ], ids=["log", "one-row-arrh", "not-utf8", "long-cell"])
+    ], ids=["log", "one-row-arrh", "not-utf8", "bad-row-before-not-utf8", "long-cell"])
     def test_row_error_names_its_line(self, tmp_path, capsys, model, text, want):
         path = tmp_path / "life.csv"
         path.write_bytes(text)

@@ -28,7 +28,7 @@ from altkit import (
 )
 from altkit.data import STATUSES
 from altkit.errors import DataError
-from altkit.io import _csv_table, _floats
+from altkit.io import _csv_table, _floats, _read_life_columns
 
 
 class TestLifeCsv:
@@ -93,6 +93,20 @@ class TestLifeCsv:
         with pytest.raises(DataError, match="duplicate column"):
             read_life_csv(io.StringIO("time,status,time\n1,failed,2\n"))
 
+    @pytest.mark.parametrize("rows,want", [
+        (b"1,failed,1\n2,failed,\xff\n", "line 3: not UTF-8 text (invalid start byte)"),
+        (b"1,bogus,1\n2,failed,\xff\n",
+         "line 2: status must be one of ('failed', 'censored'), got 'bogus'"),
+    ], ids=["clean-rows", "bad-row-first"])
+    def test_not_utf8_after_the_rows_before_it(self, rows, want):
+        fh = io.TextIOWrapper(io.BytesIO(b"time,status,v\n" + rows), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            read_life_csv(fh)
+
+    def test_binary_file_rejected(self):
+        with pytest.raises(DataError, match="^line 0: iterator should return strings, not bytes"):
+            read_life_csv(io.BytesIO(b"time,status\n1,failed\n"))
+
     def test_statuses(self):
         recs = read_life_csv(io.StringIO(
             "time,status\n1.5,failed\n6.48,censored\n"))
@@ -100,14 +114,16 @@ class TestLifeCsv:
 
 
 # Row-wise references: the life-CSV reader and writer one LifeRecord at a
-# time.  The columnar ones must give the same records, errors and bytes.
-def oracle_read_life_csv(path_or_file) -> list[LifeRecord]:
+# time.  The columnar ones must give the same records, lines, errors and
+# bytes.
+def oracle_read_life_csv(path_or_file) -> tuple[list[LifeRecord], list[int]]:
+    """The records and each one's line, csv.reader's line_num after its row."""
     with _csv_table(path_or_file, ("time", "status"),
                     "life-data CSV needs 'time' and 'status' columns") as (header, rows):
         status_col = header.index("status")
         cond_names = [c for c in header if c not in ("time", "status")]
         cols = [header.index(c) for c in (*cond_names, "time")]
-        records = []
+        records, lines = [], []
         for line, cells in rows:
             status = cells[status_col].strip()
             if status not in STATUSES:
@@ -117,7 +133,8 @@ def oracle_read_life_csv(path_or_file) -> list[LifeRecord]:
                 records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
             except DataError as err:
                 raise DataError(f"line {line}: {err}") from None
-        return records
+            lines.append(line)
+        return records, lines
 
 
 def oracle_write_life_csv(records, out) -> None:
@@ -180,6 +197,56 @@ def life_csvs(draw):
     return buf.getvalue()
 
 
+# Cells float() reads (spaced, underscored, full-width digits, Unicode
+# whitespace) or not; none holds a quote, a comma, "\n" or "\r".
+_PLAIN_NUMBERS = ["1_000", " 3 ", "\uff11\uff12", "1\x85", "\x0b4\u2028", "1e-300", "nan", "-0.0",
+                  "inf", "4e400", "0", "-1", "", " ", "x", "0x10", "1\x00", "\u0663"]
+
+
+@st.composite
+def plain_life_csvs(draw):
+    """A life CSV as numpy's reader takes it: no quote, no blank line, "\n"
+    endings.  Mostly clean, with times and conditions now and then written
+    in forms only float() reads; else now and then a bad cell or status or
+    a row of the wrong width."""
+    names = draw(st.lists(st.sampled_from(["v", "temp_C", "w"]), max_size=2, unique=True))
+    header = draw(st.permutations(["time", "status", *names]))
+    mostly_good = draw(st.booleans())
+    rows = [header]
+    for _ in range(draw(st.integers(1, 6))):
+        row = []
+        for name in header:
+            if name == "status":
+                row.append(draw(st.sampled_from(_STATUSES[:8] if mostly_good else _STATUSES)))
+            elif not mostly_good:
+                row.append(draw(st.sampled_from(_PLAIN_NUMBERS)))
+            elif name == "time":
+                row.append(draw(st.sampled_from(_PLAIN_NUMBERS[:6])
+                                | st.floats(5e-324, 1.7e308).map(repr)))
+            else:
+                row.append(draw(st.sampled_from(_PLAIN_NUMBERS[:10]) | st.floats().map(repr)))
+        if not mostly_good and draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        rows.append(row)
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+def assert_reads_as_oracle(text: str) -> None:
+    """read_life_csv gives the oracle's records and lines, or its error."""
+    try:
+        expected, lines = oracle_read_life_csv(io.StringIO(text))
+    except DataError as err:
+        with pytest.raises(DataError) as raised:
+            read_life_csv(io.StringIO(text))
+        assert type(raised.value) is type(err)
+        assert str(raised.value) == str(err)
+        return
+    data = read_life_csv(io.StringIO(text))
+    assert isinstance(data, LifeData)
+    assert exact(data) == exact(expected)
+    assert data.lines.tolist() == lines
+
+
 @st.composite
 def life_records(draw):
     """Records with positive finite times and condition values of any kind;
@@ -197,20 +264,33 @@ def life_records(draw):
 
 
 class TestColumnarMatchesRowWise:
-    @settings(max_examples=400, deadline=None)
-    @given(text=life_csvs())
+    # life_csvs mostly takes the row-wise path, plain_life_csvs mostly
+    # numpy's reader.
+    @settings(max_examples=800, deadline=None)
+    @given(text=life_csvs() | plain_life_csvs())
     def test_reader(self, text):
-        try:
-            expected = oracle_read_life_csv(io.StringIO(text))
-        except DataError as err:
-            with pytest.raises(DataError) as raised:
-                read_life_csv(io.StringIO(text))
-            assert type(raised.value) is type(err)
-            assert str(raised.value) == str(err)
-            return
-        data = read_life_csv(io.StringIO(text))
-        assert isinstance(data, LifeData)
-        assert exact(data) == exact(expected)
+        assert_reads_as_oracle(text)
+
+    PLAIN = "time,status,v\n1.5,failed,1\n2.5,censored,nan\n"
+
+    @pytest.mark.parametrize("text,fast", [
+        (PLAIN, True),
+        ("time,status,v\n1_000,failed,\uff11\uff12\n 3 ,censored,-0.0\n", True),
+        ("time,status,v\n1,failed," + "1" * 131_072 + "\n", True),
+        ("time,status,v\n1,failed," + "1" * 131_073 + "\n", False),
+        ("time,status," + "v" * 131_073 + "\n1,failed,1\n", False),
+        (PLAIN.replace("\n", "\r\n"), False),
+        (PLAIN.replace("\n1.5", "\n \n1.5"), False),
+        (PLAIN.replace("\n1.5", "\n\n1.5"), False),
+        (PLAIN[:-1], False),
+        (PLAIN.replace("failed", " failed").replace("censored", "censored "), False),
+        (PLAIN.replace("nan", '"nan"'), False),
+        (PLAIN.replace("1.5", "0"), False),
+    ], ids=["plain", "float-forms", "cell-at-limit", "cell-over-limit", "name-over-limit", "crlf",
+            "space-line", "blank-line", "no-final-newline", "spaced-status", "quote", "bad-time"])
+    def test_each_input_takes_its_path(self, text, fast):
+        assert (_read_life_columns(text) is not None) is fast
+        assert_reads_as_oracle(text)
 
     @settings(max_examples=200, deadline=None)
     @given(records=life_records())
