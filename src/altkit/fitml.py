@@ -12,14 +12,17 @@ when the objective can no longer resolve the predicted decrease, when no
 step lowers it, or after NEWTON_STEPS steps; the fit has converged when
 the scaled gradient max-norm at the returned point is below 1e-5.
 
-Each point the search visits is evaluated in at most two passes.  The
-first, when the point is made, computes sigma, z and the objective; the
+Each point the search visits is evaluated in at most two passes over
+the stacked design X = [x_mu | x_sig], held transposed so each column is
+contiguous.  The first, when the point is made, computes sigma, z and the
+objective, the linear predictors as elementwise column updates; the
 second computes the score and the observed information together, once,
-when the point is accepted or its score is asked for, so a trial step
-that is rejected costs the first pass only.  Records are stored failures
-first, so the density kernels run on the failures only and the survival
-kernels on the censored units only.  The accepted point's score and
-observed information serve both the next step and the final covariance.
+when the point is accepted or its score is asked for, as one product of
+stacked per-row weights with X, so a trial step that is rejected costs
+the first pass only.  Records are stored failures first, so the density
+kernels run on the failures only and the survival kernels on the
+censored units only.  The accepted point's score and observed
+information serve both the next step and the final covariance.
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
@@ -86,6 +89,7 @@ _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 class _Likelihood:
     """Prepared design matrices and the negative log-likelihood callable.
 
+    `xt` is [x_mu | x_sig] transposed, a contiguous row per column, each intercept (ones) first.
     Rows are stored failures first, so the failed and the censored rows
     are the two slices [:n_failed] and [n_failed:] of every array.
     `weights` is None for one replicate that counts every row once, or a
@@ -94,9 +98,9 @@ class _Likelihood:
 
     def __init__(self, data: Sequence[LifeRecord], spec: ModelSpec):
         data = LifeData.of(data)
-        self.order = np.argsort(~data.failed, kind="stable")
-        self.x_mu = design_matrix(spec.mu_terms, data)[self.order]
-        self.x_sig = design_matrix(spec.sigma_terms, data)[self.order]
+        self.order = np.concatenate([np.flatnonzero(data.failed), np.flatnonzero(~data.failed)])
+        x = [design_matrix(spec.mu_terms, data).T, design_matrix(spec.sigma_terms, data).T]
+        self.xt = np.concatenate(x).take(self.order, axis=1)
         self.logt = np.log(data.time)[self.order]
         self.n_failed = int(data.failed.sum())
         self.family = spec.family
@@ -107,9 +111,6 @@ class _Likelihood:
         clone = copy.copy(self)
         clone.__dict__.update(attrs)
         return clone
-
-    def rescaled(self, x_mu: np.ndarray, x_sig: np.ndarray) -> "_Likelihood":
-        return self._with(x_mu=x_mu, x_sig=x_sig)
 
     def weighted(self, counts: np.ndarray) -> "_Likelihood":
         """One replicate per row of `counts` (replicates, records), the
@@ -125,8 +126,8 @@ class _Likelihood:
         return np.ones((1, self.logt.size)) if self.weights is None else self.weights
 
     def weigh(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """`values` (replicates, rows) times the weights of `rows`; exactly 0
-        where a weight is 0, even where the value is not finite."""
+        """`values` (..., replicates, rows) times the weights of `rows`;
+        exactly 0 where a weight is 0, even where the value is not finite."""
         if self.weights is None:
             return values
         w = self.weights[:, rows]
@@ -162,9 +163,9 @@ class _Point:
         self.theta = theta
         k, fail, cens = like.n_mu, slice(None, like.n_failed), slice(like.n_failed, None)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            logsig = _per_row(theta[:, k:], like.x_sig.T)
+            logsig = _linear(theta[:, k:], like.xt[k:])
             self.sigma = np.exp(logsig)
-            self.z = z = (like.logt - _per_row(theta[:, :k], like.x_mu.T)) / self.sigma
+            self.z = z = (like.logt - _linear(theta[:, :k], like.xt[:k])) / self.sigma
             ll = like.weigh(
                 std_logpdf(z[:, fail], like.family) - logsig[:, fail] - like.logt[fail], fail
             ).sum(axis=1) + like.weigh(std_logsf(z[:, cens], like.family), cens).sum(axis=1)
@@ -179,8 +180,7 @@ class _Point:
         (mu, log sigma) and (log sigma, log sigma) blocks are X'diag(w)X
         with w = -L''/sigma^2, -(L''z + L')/sigma and -(L''z^2 + L'z)."""
         like, z, sigma = self.like, self.z, self.sigma
-        nf, k = like.n_failed, like.n_mu
-        h = np.empty((self.theta.shape[0],) + (self.theta.shape[1],) * 2)
+        nf, k, xt, p = like.n_failed, like.n_mu, like.xt, len(like.xt)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             l1_cens = std_dlogsf(z[:, nf:], like.family)
             l1 = np.concatenate([std_dlogpdf(z[:, :nf], like.family), l1_cens], axis=1)
@@ -188,17 +188,29 @@ class _Point:
                 std_d2logpdf(z[:, :nf], like.family),
                 std_d2logsf(z[:, nf:], like.family, dlogsf=l1_cens),
             ], axis=1)
-            w_sig = l1 * z
-            w_sig[:, :nf] += 1.0
-            score = np.concatenate([
-                _per_row(like.weigh(l1 / sigma), like.x_mu), _per_row(like.weigh(w_sig), like.x_sig)
-            ], axis=1)
-            w = -(l2 * z + l1)
-            h[:, :k, :k] = _gram(like.x_mu, like.weigh(-l2 / sigma**2), like.x_mu)
-            h[:, :k, k:] = _gram(like.x_mu, like.weigh(w / sigma), like.x_sig)
-            h[:, k:, :k] = h[:, :k, k:].transpose(0, 2, 1)
-            h[:, k:, k:] = _gram(like.x_sig, like.weigh(w * z), like.x_sig)
-        return score, h
+            # Score weights, then each information weight (negated) times its left columns.
+            rows = np.empty((2 + 2 * p - k,) + z.shape)
+            d_mu, d_sig, c_mu, c_mix, c_sig = (rows[i] for i in (0, 1, 2, 2 + k, 2 + p))
+            np.divide(l1, sigma, out=d_mu)
+            np.multiply(l1, z, out=d_sig)
+            d_sig[:, :nf] += 1.0
+            np.divide(l2, sigma**2, out=c_mu)
+            np.add(l2 * z, l1, out=c_sig)
+            np.divide(c_sig, sigma, out=c_mix)
+            c_sig *= z
+            np.multiply(c_mu, xt[1:k, None], out=rows[3 : 2 + k])
+            np.multiply(c_mix, xt[k + 1 :, None], out=rows[3 + k : 2 + p])
+            np.multiply(c_sig, xt[k + 1 :, None], out=rows[3 + p :])
+            m = like.weigh(rows).transpose(1, 0, 2) @ xt.T  # one product per replicate
+        h = -m[:, 2 : 2 + p]  # row i of the information left of column k
+        h[:, k:, k:] = -m[:, 2 + p :, k:]
+        h[:, :k, k:] = h[:, k:, :k].transpose(0, 2, 1)
+        return np.concatenate([m[:, 0, :k], m[:, 1, k:]], axis=1), h
+
+
+def _linear(theta: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """theta[i] @ xt per replicate as elementwise column updates (no BLAS); xt[0] is ones."""
+    return sum((theta[:, j : j + 1] * xt[j] for j in range(1, len(xt))), theta[:, :1])
 
 
 def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,11 +218,6 @@ def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     no row's value depends on the rows beside it (a two-dimensional
     product's rounding can depend on the row's place in the block)."""
     return (a[:, None, :] @ b)[:, 0, :]
-
-
-def _gram(a: np.ndarray, c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a'diag(c)b for each replicate's row weights c (replicates, rows)."""
-    return (a.T * c[:, None, :]) @ b
 
 
 def _params(values: Sequence[float], spec: ModelSpec, what: str) -> np.ndarray:
@@ -246,12 +253,13 @@ def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
 def _default_init(like: _Likelihood) -> np.ndarray:
     """default_init for each replicate, its rows counted by their weights."""
     nf, k = like.n_failed, like.n_mu
-    xf, yf = like.x_mu[:nf], like.logt[:nf]
+    xf, yf = like.xt[:k, :nf].T, like.logt[:nf]
     weights = like.row_weights()
-    theta = np.zeros((len(weights), k + like.x_sig.shape[1]))
+    theta = np.zeros((len(weights), len(like.xt)))
     for row, w in zip(theta, weights):
         r = np.sqrt(w[:nf])
-        beta, *_ = np.linalg.lstsq(xf * r[:, None], yf * r, rcond=None)
+        x = xf if like.weights is None else xf * r[:, None]  # sqrt(1) x is x
+        beta, *_ = np.linalg.lstsq(x, yf * r, rcond=None)
         resid = r * (yf - xf @ beta)
         n_failed = float(w[:nf].sum())
         s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
@@ -260,14 +268,13 @@ def _default_init(like: _Likelihood) -> np.ndarray:
     return theta
 
 
-def _rank_deficient(like: _Likelihood, x: np.ndarray) -> np.ndarray:
-    """Whether design x (rows in the stored order) is not finite or loses
-    rank under each replicate's row weights."""
-    weights = like.row_weights()
-    if not np.isfinite(x).all():
-        return np.ones(len(weights), dtype=bool)
-    x = np.sqrt(weights)[:, :, None] * x
-    return np.linalg.matrix_rank(x) < x.shape[-1]
+def _rank_deficient(like: _Likelihood, xt: np.ndarray) -> np.ndarray:
+    """Whether the design held as xt (rows in the stored order) is not
+    finite or loses rank under each replicate's row weights."""
+    if not np.isfinite(xt).all():
+        return np.ones(len(like.row_weights()), dtype=bool)
+    x = xt.T[None] if like.weights is None else np.sqrt(like.weights)[:, :, None] * xt.T
+    return np.linalg.matrix_rank(x) < len(xt)
 
 
 class _Standardizer:
@@ -281,25 +288,21 @@ class _Standardizer:
     """
 
     def __init__(self, like: _Likelihood):
-        def stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # Each column is scaled by a power of two near its largest
-            # magnitude first, so its mean and spread do not overflow; the
-            # scaling and its undoing are exact.
-            _, e = np.frexp(np.abs(x).max(axis=0, initial=0.0))
-            x = np.ldexp(x, -e)
-            m = np.ldexp(x.mean(axis=0), e)
-            s = np.ldexp(x.std(axis=0), e)
-            m[0], s[0] = 0.0, 1.0  # intercept column untouched
-            s[s == 0.0] = 1.0  # constant column; the rank check rejects it
-            return m, s
-
-        # A column whose values are not finite, or whose centred values
-        # overflow, standardizes to inf or nan, which the rank check rejects.
+        xt, intercepts = like.xt, [0, like.n_mu]
+        # Each column (a contiguous row of xt) is scaled by a power of two
+        # 2^e near its largest magnitude first, so its mean and spread do not
+        # overflow; the scaling and its undoing are exact.  A column whose
+        # values are not finite, or whose centred values overflow,
+        # standardizes to inf or nan, which the rank check rejects.
         with np.errstate(over="ignore", invalid="ignore"):
-            m_mu, s_mu = stats(like.x_mu)
-            m_sig, s_sig = stats(like.x_sig)
-            self.like = like.rescaled((like.x_mu - m_mu) / s_mu, (like.x_sig - m_sig) / s_sig)
-            m, s = np.concatenate([m_mu, m_sig]), np.concatenate([s_mu, s_sig])
+            _, e = np.frexp(np.abs(xt).max(axis=1, initial=0.0))
+            scaled = np.ldexp(xt, -e[:, None])
+            m = np.ldexp(scaled.mean(axis=1), e)
+            s = np.ldexp(scaled.std(axis=1), e)
+            m[intercepts], s[intercepts], e[intercepts] = 0.0, 1.0, 0  # intercepts untouched
+            s[s == 0.0] = 1.0  # constant column; the rank check rejects it
+            self.like = like._with(xt=(xt - m[:, None]) / s[:, None])
+            self.exponents = e
             self.to_original = np.diag(1.0 / s)
             self.from_original = np.diag(s)
             for lo, hi in ((0, like.n_mu), (like.n_mu, s.size)):
@@ -315,6 +318,15 @@ class _Standardizer:
 
     def original_covariance(self, cov_std: np.ndarray) -> np.ndarray:
         return self.to_original @ cov_std @ self.to_original.T
+
+    def original_se(self, cov_std: np.ndarray) -> np.ndarray:
+        """The original parameters' standard errors.  The power-of-two
+        column scales are undone after the square root, not on the
+        variance, so an SE whose variance is below the smallest double
+        does not read 0."""
+        t = np.ldexp(self.to_original, self.exponents[:, None])
+        var = np.einsum("ij,jk,ik->i", t, cov_std, t)
+        return np.ldexp(np.sqrt(np.clip(var, 0.0, None)), -self.exponents)
 
 
 def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -364,14 +376,14 @@ class _Solution:
     def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> None:
         """Move replicates idx[keep] to their trial points, the rows of
         `trial` where `keep` is true."""
-        if keep.any():
-            idx = idx[keep]
-            self.theta[idx] = trial.theta[keep]
-            score, hessian = trial.derivatives
-            self.nll[idx] = trial.nll[keep]
-            self.score[idx] = score[keep]
-            self.hessian[idx] = hessian[keep]
-            self.steps[idx] += 1
+        if not keep.any():
+            return
+        new = (trial.theta, trial.nll, *trial.derivatives)
+        if not keep.all():
+            idx, new = idx[keep], [a[keep] for a in new]
+        for mine, a in zip((self.theta, self.nll, self.score, self.hessian), new):
+            mine[idx] = a
+        self.steps[idx] += 1
 
     def scaled_grad(self) -> np.ndarray:
         return np.max(
@@ -412,6 +424,8 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
             lower = trial.nll < sol.nll[idx]
             sol.accept(idx, trial, lower)
             moving[idx[lower]] = True
+            if lower.all():
+                break
             idx, step = idx[~lower], step[~lower]
             alpha *= 0.5
         moving &= np.isfinite(sol.score).all(axis=1)
@@ -433,7 +447,8 @@ def _fit_replicates(
     replicates fitted and their _Solution (None when none was)."""
     weights = like.row_weights()
     reasons = np.full(len(weights), _KEPT)
-    reasons[_rank_deficient(like, like.x_mu) | _rank_deficient(like, like.x_sig)] = _ILL_POSED
+    k = like.n_mu
+    reasons[_rank_deficient(like, like.xt[:k]) | _rank_deficient(like, like.xt[k:])] = _ILL_POSED
     reasons[weights[:, : like.n_failed].sum(axis=1) == 0.0] = _INESTIMABLE
     fit = np.flatnonzero(reasons == _KEPT)
     if not fit.size:
@@ -460,10 +475,13 @@ class FitResult:
     n_failed: int = 0
     mu_column_ranges: tuple[tuple[float, float], ...] = ()
     sigma_column_ranges: tuple[tuple[float, float], ...] = ()
+    # Standard errors; the square root of the covariance's diagonal when
+    # not given.
+    se: np.ndarray | None = None
 
-    @property
-    def se(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+    def __post_init__(self):
+        if self.se is None:
+            self.se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def _index(self, name: str) -> int:
         try:
@@ -480,10 +498,9 @@ class FitResult:
         return float(self.se[self._index(name)])
 
 
-def _column_ranges(x: np.ndarray) -> tuple[tuple[float, float], ...]:
-    return tuple(
-        (float(x[:, j].min()), float(x[:, j].max())) for j in range(1, x.shape[1])
-    )
+def _column_ranges(xt: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """The range of each non-intercept column of the design held as `xt`."""
+    return tuple((float(x.min()), float(x.max())) for x in xt[1:])
 
 
 def fit_ml(
@@ -512,11 +529,11 @@ def fit_ml(
             "all records are censored; the model parameters are inestimable"
         )
     if reason == _ILL_POSED:
-        design = "mu" if _rank_deficient(std.like, std.like.x_mu)[0] else "sigma"
+        design = "mu" if _rank_deficient(std.like, std.like.xt[: spec.n_mu])[0] else "sigma"
         raise IllPosedFitError(f"{design} design matrix is rank deficient on these data")
 
     warnings: list[str] = []
-    hess = sol.hessian[0]
+    hess, se = sol.hessian[0], None
     if not np.isfinite(hess).all():
         covariance = np.full_like(hess, np.nan)
         warnings.append("observed information is not finite; covariance is undefined")
@@ -528,6 +545,7 @@ def fit_ml(
             warnings.append("observed information is singular; covariance is a pseudo-inverse")
         covariance = std.original_covariance(cov_std)
         covariance = 0.5 * (covariance + covariance.T)
+        se = std.original_se(cov_std)
         # Congruence preserves eigenvalue signs, so test definiteness where the
         # parameters are O(1) instead of on the unit-dependent original scale.
         min_eig = float(np.linalg.eigvalsh(0.5 * (cov_std + cov_std.T)).min())
@@ -547,8 +565,9 @@ def fit_ml(
         warnings=warnings,
         n_records=len(data),
         n_failed=like.n_failed,
-        mu_column_ranges=_column_ranges(like.x_mu),
-        sigma_column_ranges=_column_ranges(like.x_sig),
+        mu_column_ranges=_column_ranges(like.xt[: spec.n_mu]),
+        sigma_column_ranges=_column_ranges(like.xt[spec.n_mu :]),
+        se=se,
     )
     if not result.converged:
         raise NonConvergenceError(

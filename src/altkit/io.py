@@ -5,13 +5,14 @@ per condition variable, headers carrying unit suffixes (temp_C,
 voltstress_V_per_mm, rh_frac).  Degradation CSV: `unit`, `time`,
 `response` plus condition columns constant within each unit.  Spectral
 CSV: `wavelength_nm` plus `irradiance` and/or `absorbance`.  Moisture
-CSV: `rh`, `moisture_content`.  All four follow one row-wise csv reader:
-blank lines are skipped, every row has one cell per header column, a
-column name may appear once, and errors name the file line.  The life
-CSV is read whole first; when its text is plain and every row is clean,
-numpy's C reader splits it and float() converts it a column at a time,
-which gives what the row-wise reader gives.  Any other text falls back to
-the row-wise reader, the only source of errors.
+CSV: `rh`, `moisture_content`.  All four are read whole, then follow one
+row-wise csv reader: blank lines are skipped, every row has one cell per
+header column, a column name may appear once, and errors name the file
+line.  A byte that is not UTF-8 is an error naming its line only when the
+lines before it are clean.  When the life CSV's text is plain and every
+row is clean, numpy's C reader splits it and float() converts it a column
+at a time, which gives what the row-wise reader gives.  Any other text
+falls back to the row-wise reader, the only source of errors.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -40,49 +41,66 @@ TABLE_SIG_DIGITS = 6
 
 @contextmanager
 def _naming_read_errors(reader):
-    """Turn a failed read of csv `reader` into a DataError naming its line.
-    Text is decoded a block at a time, so the line of a byte that is not
-    UTF-8 is the lines read before its block plus the newlines in the
-    block before it."""
+    """Turn a csv.Error from `reader` into a DataError naming its line."""
     try:
         yield
     except csv.Error as err:
         raise DataError(f"line {reader.line_num}: {err}") from None
-    except UnicodeDecodeError as err:
-        line = reader.line_num + 1 + err.object.count(b"\n", 0, err.start)
-        raise DataError(f"line {line}: not UTF-8 text ({err.reason})") from None
 
 
-@contextmanager
-def _csv_table(path_or_file, required: Sequence[str], missing: str):
-    """Open a CSV table and check its header; give (header, rows), rows
-    streaming (line number, cells) per non-blank row.  The header must hold
-    every `required` column (else DataError(missing)) and no name twice;
-    each row needs one cell per column.  A file passed in is left open."""
+def _read_text(path_or_file) -> tuple[str | bytes, str, DataError | None]:
+    """The whole text of a path or of a file passed in (bytes from a
+    binary file, which csv rejects), the newline at which csv is to split
+    it, and None.  A path is read with universal newlines, as csv asks; a
+    file passed in splits at "\\n", as iterating a StringIO does.  On a
+    byte that is not UTF-8, the text is the lines before the byte's line,
+    and the DataError naming that line comes third, to be raised once those
+    lines are read."""
     is_file = hasattr(path_or_file, "read")
-    with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
-        reader = csv.reader(fh)
+    newline = "\n" if is_file else ""
+    try:
+        with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
+            return fh.read(), newline, None
+    except UnicodeDecodeError as err:
+        before = err.object[:err.start]
+        line = before.count(b"\n") + 1
+        return (before[:before.rfind(b"\n") + 1].decode(err.encoding), newline,
+                DataError(f"line {line}: not UTF-8 text ({err.reason})"))
+
+
+def _csv_table(source: tuple[str | bytes, str, DataError | None], required: Sequence[str],
+               missing: str):
+    """Check the header of the CSV text `source` from _read_text; give
+    (header, rows), rows streaming (line number, cells) per non-blank row.
+    The header must hold every `required` column (else DataError(missing))
+    and no name twice; each row needs one cell per column.  A byte that is
+    not UTF-8 is an error naming its line after the rows before it."""
+    text, newline, bad = source
+    fh = BytesIO(text) if isinstance(text, bytes) else StringIO(text, newline=newline)
+    reader = csv.reader(fh)
+    with _naming_read_errors(reader):
+        header = next(reader, None)
+    if not header:
+        raise DataError("empty CSV: no header row") if text or bad is None else bad
+    if any(c not in header for c in required):
+        raise DataError(missing)
+    dupes = sorted({c for c in header if header.count(c) > 1})
+    if dupes:
+        raise DataError(f"duplicate column name(s) {dupes} in the header")
+
+    def rows():
         with _naming_read_errors(reader):
-            header = next(reader, None)
-        if not header:
-            raise DataError("empty CSV: no header row")
-        if any(c not in header for c in required):
-            raise DataError(missing)
-        dupes = sorted({c for c in header if header.count(c) > 1})
-        if dupes:
-            raise DataError(f"duplicate column name(s) {dupes} in the header")
+            for cells in reader:
+                if len(cells) != len(header):
+                    if not cells:
+                        continue
+                    raise DataError(f"line {reader.line_num}: expected {len(header)} "
+                                    f"cells, got {len(cells)}")
+                yield reader.line_num, cells
+        if bad is not None:
+            raise bad
 
-        def rows():
-            with _naming_read_errors(reader):
-                for cells in reader:
-                    if len(cells) != len(header):
-                        if not cells:
-                            continue
-                        raise DataError(f"line {reader.line_num}: expected {len(header)} "
-                                        f"cells, got {len(cells)}")
-                    yield reader.line_num, cells
-
-        yield header, rows()
+    return header, rows()
 
 
 def _leading_floats(cells: Sequence[str]) -> list[float]:
@@ -113,24 +131,10 @@ def read_life_csv(path_or_file) -> LifeData:
     LifeData, so the accepted inputs and the errors are those of the
     row-wise read.  A byte that is not UTF-8 is an error naming its line
     only when the lines before it are clean."""
-    is_file = hasattr(path_or_file, "read")
-    # A path is read with universal newlines, as csv asks; a file passed in
-    # splits at "\n", as iterating a StringIO does.
-    newline = "\n" if is_file else ""
-    try:
-        with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as err:
-        before = err.object[:err.start]
-        clean = before[:before.rfind(b"\n") + 1]
-        if clean:
-            _read_life_rows(StringIO(clean.decode(err.encoding), newline=newline))
-        line = before.count(b"\n") + 1
-        raise DataError(f"line {line}: not UTF-8 text ({err.reason})") from None
-    if isinstance(text, bytes):  # a binary file, which csv rejects
-        return _read_life_rows(BytesIO(text))
-    data = _read_life_columns(text)
-    return _read_life_rows(StringIO(text, newline=newline)) if data is None else data
+    source = _read_text(path_or_file)
+    text, _, bad = source
+    data = _read_life_columns(text) if bad is None and isinstance(text, str) else None
+    return _read_life_rows(source) if data is None else data
 
 
 def _read_life_columns(text: str) -> LifeData | None:
@@ -177,17 +181,17 @@ def _read_life_columns(text: str) -> LifeData | None:
     return LifeData(time, failed, columns, np.arange(2, n + 2))
 
 
-def _read_life_rows(fh) -> LifeData:
-    """Life CSV text in `fh` read row by row, then checked a column at a
-    time.  The first row that breaks a rule is checked again on its own, so
-    the error is the one it gives read row by row."""
-    with _csv_table(fh, ("time", "status"),
-                    "life-data CSV needs 'time' and 'status' columns") as (header, rows):
-        table, stop = [], None
-        try:
-            table.extend(rows)  # keeps the rows before one of the wrong width
-        except DataError as err:
-            stop = err
+def _read_life_rows(source) -> LifeData:
+    """Life CSV text `source` (from _read_text) read row by row, then
+    checked a column at a time.  The first row that breaks a rule is checked
+    again on its own, so the error is the one it gives read row by row."""
+    header, rows = _csv_table(source, ("time", "status"),
+                              "life-data CSV needs 'time' and 'status' columns")
+    table, stop = [], None
+    try:
+        table.extend(rows)  # keeps the rows before one of the wrong width or a bad byte
+    except DataError as err:
+        stop = err
     status_col = header.index("status")
     cond_names = [c for c in header if c not in ("time", "status")]
     cols = [header.index(c) for c in (*cond_names, "time")]
@@ -234,35 +238,35 @@ def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
 
 def read_degradation_csv(path_or_file) -> list[DegradationSample]:
     """Read per-unit degradation paths grouped by the `unit` column."""
-    with _csv_table(path_or_file, ("unit", "time", "response"),
-                    "degradation CSV needs 'unit', 'time' and 'response'") as (header, rows):
-        unit_col = header.index("unit")
-        cond_names = [c for c in header if c not in ("unit", "time", "response")]
-        cols = [header.index(c) for c in (*cond_names, "time", "response")]
-        paths: dict[str, tuple[list[float], list[float], dict[str, float]]] = {}
-        for line, cells in rows:
-            unit = cells[unit_col].strip()
-            if not unit:
-                raise DataError(f"line {line}: empty unit id")
-            *values, time, response = _floats(line, header, cells, cols)
-            cond = dict(zip(cond_names, values))
-            times, resps, first = paths.setdefault(unit, ([], [], cond))
-            if cond != first:
-                raise DataError(f"line {line}: unit {unit!r} changes condition mid-path")
-            times.append(time)
-            resps.append(response)
+    header, rows = _csv_table(_read_text(path_or_file), ("unit", "time", "response"),
+                              "degradation CSV needs 'unit', 'time' and 'response'")
+    unit_col = header.index("unit")
+    cond_names = [c for c in header if c not in ("unit", "time", "response")]
+    cols = [header.index(c) for c in (*cond_names, "time", "response")]
+    paths: dict[str, tuple[list[float], list[float], dict[str, float]]] = {}
+    for line, cells in rows:
+        unit = cells[unit_col].strip()
+        if not unit:
+            raise DataError(f"line {line}: empty unit id")
+        *values, time, response = _floats(line, header, cells, cols)
+        cond = dict(zip(cond_names, values))
+        times, resps, first = paths.setdefault(unit, ([], [], cond))
+        if cond != first:
+            raise DataError(f"line {line}: unit {unit!r} changes condition mid-path")
+        times.append(time)
+        resps.append(response)
     return [DegradationSample(u, t, r, c) for u, (t, r, c) in paths.items()]
 
 
 def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read a spectrum: wavelengths plus any of irradiance/absorbance columns."""
-    with _csv_table(path_or_file, ("wavelength_nm",),
-                    "spectral CSV needs a 'wavelength_nm' column") as (header, rows):
-        if len(header) < 2:
-            raise DataError("spectral CSV needs at least one value column")
-        cols = [header.index("wavelength_nm")]
-        cols += [j for j, c in enumerate(header) if c != "wavelength_nm"]
-        table = [_floats(line, header, cells, cols) for line, cells in rows]
+    header, rows = _csv_table(_read_text(path_or_file), ("wavelength_nm",),
+                              "spectral CSV needs a 'wavelength_nm' column")
+    if len(header) < 2:
+        raise DataError("spectral CSV needs at least one value column")
+    cols = [header.index("wavelength_nm")]
+    cols += [j for j, c in enumerate(header) if c != "wavelength_nm"]
+    table = [_floats(line, header, cells, cols) for line, cells in rows]
     if len(table) < 2:
         raise DataError("spectral CSV needs at least 2 rows")
     wavelengths, *values = np.array(table).T.copy()
@@ -271,10 +275,10 @@ def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 def read_mc_csv(path_or_file) -> MoistureTable:
     """Read a moisture-content table over relative humidity."""
-    with _csv_table(path_or_file, ("rh", "moisture_content"),
-                    "moisture CSV needs 'rh' and 'moisture_content' columns") as (header, rows):
-        cols = [header.index("rh"), header.index("moisture_content")]
-        table = [_floats(line, header, cells, cols) for line, cells in rows]
+    header, rows = _csv_table(_read_text(path_or_file), ("rh", "moisture_content"),
+                              "moisture CSV needs 'rh' and 'moisture_content' columns")
+    cols = [header.index("rh"), header.index("moisture_content")]
+    table = [_floats(line, header, cells, cols) for line, cells in rows]
     return MoistureTable([rh for rh, _ in table], [mc for _, mc in table])
 
 

@@ -12,11 +12,29 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import DomainError
 
 FAMILIES = ("lognormal", "weibull")
+
+
+def _from_scipy(name: str) -> Callable:
+    """A stand-in for scipy.special's `name`.  Its first call imports
+    scipy.special, the slowest import of the package, and binds this
+    module's log_ndtr, ndtr and ndtri to scipy's, so only lognormal work
+    loads scipy and later calls go to scipy directly."""
+
+    def first_call(*args):
+        import scipy.special
+
+        for each in ("log_ndtr", "ndtr", "ndtri"):
+            globals()[each] = getattr(scipy.special, each)
+        return globals()[name](*args)
+
+    return first_call
+
+
+log_ndtr, ndtr, ndtri = map(_from_scipy, ("log_ndtr", "ndtr", "ndtri"))
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -69,11 +87,13 @@ def std_dlogpdf(z, family: str):
     raise DomainError(f"unknown family {family!r}")
 
 
-def std_dlogsf(z, family: str):
-    """Derivative of std_logsf with respect to z (negative hazard)."""
+def std_dlogsf(z, family: str, logsf=None):
+    """Derivative of std_logsf with respect to z (negative hazard):
+    -exp(std_logpdf - std_logsf) for the normal (pass std_logsf(z) as
+    `logsf` when already known); -exp(z) for the SEV."""
     z = np.asarray(z, dtype=float)
     if family == "lognormal":
-        return -np.exp(std_logpdf(z, family) - std_logsf(z, family))
+        return -np.exp(std_logpdf(z, family) - (std_logsf(z, family) if logsf is None else logsf))
     if family == "weibull":
         return -np.exp(z)
     raise DomainError(f"unknown family {family!r}")

@@ -80,6 +80,15 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode().strip() == "False"
 
+    def test_af_does_not_load_scipy(self):
+        # scipy.special is loaded on the first lognormal kernel call only.
+        proc = run_altkit(["-c", "import sys; from altkit.cli import main; "
+                           "main(['af', '--rel', 'arrhenius', '--use', 'temp_C=50', "
+                           "'--test', 'temp_C=120', '--ea-ev', '0.5']); "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode().splitlines() == ["temp_C,af", "120,24.4605", "[]"]
+
 
 class TestAf:
     def test_table_output(self, capsys):

@@ -154,6 +154,29 @@ class TestGradient:
             assert_hessian_matches_fd(like, theta)
 
 
+    @pytest.mark.parametrize("model,theta", [
+        ("lognormal: mu ~ log(voltstress)", [22.0, -9.0, -0.5]),
+        ("weibull: mu ~ log(voltstress)", [20.0, -8.0, -0.2]),
+        ("lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)", [22.0, -9.0, 4.0, -0.8]),
+        ("weibull: mu ~ log(voltstress); sigma ~ log(voltstress)", [50.0, -9.0, -1.0, 0.05]),
+    ])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_fused_pass_matches_finite_differences(self, gab, model, theta, weighted):
+        # The score and every block of the information come from one
+        # product per replicate; each is checked against finite differences
+        # of the objective, for unit weights and for a replicate whose
+        # counts include zeros and repeats.
+        like = _Likelihood(gab, parse_model(model))
+        if weighted:
+            counts = np.bincount(np.random.default_rng(7).integers(0, len(gab), len(gab)),
+                                 minlength=len(gab))
+            assert (counts == 0).any() and (counts > 1).any()
+            like = like.weighted(counts[None])
+        theta = np.asarray(theta)
+        assert_allclose(like.gradient(theta), fd_gradient(like, theta), rtol=1e-5, atol=1e-8)
+        assert_hessian_matches_fd(like, theta)
+
+
 def count_kernel_rows(monkeypatch) -> dict[str, list[int]]:
     """Replace the lifetime kernels that altkit.fitml calls with wrappers
     that record the number of rows each call sees, by kernel name."""
@@ -268,6 +291,18 @@ class TestFitValidation:
                 for t in np.exp(rng.normal(2.0, 0.4, 30))]
         with pytest.raises(IllPosedFitError):
             fit_ml(recs, parse_model("lognormal: mu ~ log(v)"))
+
+    def test_se_of_a_huge_column_does_not_underflow(self):
+        # The slope's variance (about 4e-403) is below the smallest double,
+        # but its SE is not: it scales exactly with the column.
+        spec = parse_model("lognormal: mu ~ v")
+        huge = fit_ml([LifeRecord(t, "failed", {"v": v})
+                       for t, v in ((5.0, 1e200), (6.0, 2e200), (7.0, 3.0))], spec)
+        scaled = fit_ml([LifeRecord(t, "failed", {"v": math.ldexp(v, -664)})
+                         for t, v in ((5.0, 1e200), (6.0, 2e200), (7.0, 3.0))], spec)
+        assert huge.converged and huge.standard_error("mu:v") > 0.0
+        assert_allclose(huge.standard_error("mu:v"),
+                        math.ldexp(scaled.standard_error("mu:v"), -664), rtol=1e-12)
 
     def test_default_init_is_finite(self, gab):
         init = default_init(gab, parse_model("lognormal: mu ~ log(voltstress)"))

@@ -28,7 +28,7 @@ from altkit import (
 )
 from altkit.data import STATUSES
 from altkit.errors import DataError
-from altkit.io import _csv_table, _floats, _read_life_columns
+from altkit.io import _csv_table, _floats, _read_life_columns, _read_text
 
 
 class TestLifeCsv:
@@ -118,23 +118,23 @@ class TestLifeCsv:
 # bytes.
 def oracle_read_life_csv(path_or_file) -> tuple[list[LifeRecord], list[int]]:
     """The records and each one's line, csv.reader's line_num after its row."""
-    with _csv_table(path_or_file, ("time", "status"),
-                    "life-data CSV needs 'time' and 'status' columns") as (header, rows):
-        status_col = header.index("status")
-        cond_names = [c for c in header if c not in ("time", "status")]
-        cols = [header.index(c) for c in (*cond_names, "time")]
-        records, lines = [], []
-        for line, cells in rows:
-            status = cells[status_col].strip()
-            if status not in STATUSES:
-                raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
-            *values, time = _floats(line, header, cells, cols)
-            try:
-                records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
-            except DataError as err:
-                raise DataError(f"line {line}: {err}") from None
-            lines.append(line)
-        return records, lines
+    header, rows = _csv_table(_read_text(path_or_file), ("time", "status"),
+                              "life-data CSV needs 'time' and 'status' columns")
+    status_col = header.index("status")
+    cond_names = [c for c in header if c not in ("time", "status")]
+    cols = [header.index(c) for c in (*cond_names, "time")]
+    records, lines = [], []
+    for line, cells in rows:
+        status = cells[status_col].strip()
+        if status not in STATUSES:
+            raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
+        *values, time = _floats(line, header, cells, cols)
+        try:
+            records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
+        except DataError as err:
+            raise DataError(f"line {line}: {err}") from None
+        lines.append(line)
+    return records, lines
 
 
 def oracle_write_life_csv(records, out) -> None:
@@ -411,6 +411,27 @@ class TestMoistureCsv:
             "rh,moisture_content\n0.0,0.0\n0.5,2.0\n1.0,6.0\n"))
         assert isinstance(table, MoistureTable)
         assert_allclose(table(0.25), 1.0, rtol=1e-15)
+
+
+class TestOtherReadersNotUtf8:
+    # The rows before a byte that is not UTF-8 are read first, as in the
+    # life CSV, and the first bad one among them gives the error.
+    @pytest.mark.parametrize("read,text,want", [
+        (read_degradation_csv, b"unit,time,response\n,0,1\na,1,\xff\n",
+         "line 2: empty unit id"),
+        (read_spectral_csv, b"wavelength_nm,irradiance\n290,x\n305,\xff\n",
+         "line 2, column irradiance: expected a number, got 'x'"),
+        (read_mc_csv, b"rh,moisture_content\n0.5,x\n0.6,\xff\n",
+         "line 2, column moisture_content: expected a number, got 'x'"),
+        (read_mc_csv, b"rh,moisture_content\n0.5,2\n\n0.6,\xff\n",
+         "line 4: not UTF-8 text (invalid start byte)"),
+        (read_degradation_csv, b"unit,time,\xff\n", "line 1: not UTF-8 text (invalid start byte)"),
+    ], ids=["degradation", "spectral", "moisture", "clean-rows", "header"])
+    def test_rows_before_the_byte_are_read_first(self, tmp_path, read, text, want):
+        path = tmp_path / "table.csv"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            read(str(path))
 
 
 class TestFormatting:
