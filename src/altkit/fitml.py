@@ -461,13 +461,20 @@ def _fit_replicates(
 
 @dataclass
 class FitResult:
-    """A converged (or best-so-far) censored-ML fit."""
+    """A converged (or best-so-far) censored-ML fit.
+
+    `se` is taken from the standardized covariance, with the columns'
+    power-of-two scales undone after the square root, so a standard error
+    is positive even where its entry of `covariance` underflows to 0.
+    quantile_at_use reads `covariance`, so its standard error can miss
+    such an entry's share."""
 
     spec: ModelSpec
     param_names: tuple[str, ...]
     estimates: np.ndarray
     loglik: float
     covariance: np.ndarray
+    se: np.ndarray
     converged: bool
     iterations: int  # Newton steps taken
     warnings: list[str] = field(default_factory=list)
@@ -475,13 +482,6 @@ class FitResult:
     n_failed: int = 0
     mu_column_ranges: tuple[tuple[float, float], ...] = ()
     sigma_column_ranges: tuple[tuple[float, float], ...] = ()
-    # Standard errors; the square root of the covariance's diagonal when
-    # not given.
-    se: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.se is None:
-            self.se = np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
     def _index(self, name: str) -> int:
         try:
@@ -533,9 +533,10 @@ def fit_ml(
         raise IllPosedFitError(f"{design} design matrix is rank deficient on these data")
 
     warnings: list[str] = []
-    hess, se = sol.hessian[0], None
+    hess = sol.hessian[0]
     if not np.isfinite(hess).all():
         covariance = np.full_like(hess, np.nan)
+        se = np.full(len(hess), np.nan)
         warnings.append("observed information is not finite; covariance is undefined")
     else:
         try:
@@ -560,6 +561,7 @@ def fit_ml(
         estimates=std.original_params(sol.theta)[0],
         loglik=-float(sol.nll[0]),
         covariance=covariance,
+        se=se,
         converged=bool(reason == _KEPT),
         iterations=int(sol.steps[0]),
         warnings=warnings,
@@ -567,7 +569,6 @@ def fit_ml(
         n_failed=like.n_failed,
         mu_column_ranges=_column_ranges(like.xt[: spec.n_mu]),
         sigma_column_ranges=_column_ranges(like.xt[spec.n_mu :]),
-        se=se,
     )
     if not result.converged:
         raise NonConvergenceError(

@@ -51,21 +51,29 @@ def _naming_read_errors(reader):
 def _read_text(path_or_file) -> tuple[str | bytes, str, DataError | None]:
     """The whole text of a path or of a file passed in (bytes from a
     binary file, which csv rejects), the newline at which csv is to split
-    it, and None.  A path is read with universal newlines, as csv asks; a
-    file passed in splits at "\\n", as iterating a StringIO does.  On a
-    byte that is not UTF-8, the text is the lines before the byte's line,
-    and the DataError naming that line comes third, to be raised once those
-    lines are read."""
+    it, and None.  A path is read with universal newlines, as csv asks.  A
+    file passed in is split as iterating it would split it: at "\\r",
+    "\\n" and "\\r\\n" when it reports the newlines it has seen (a file
+    opened with newline="" or None), else at "\\n" (a StringIO, or a file
+    opened with newline="\\n").  On a byte that is not UTF-8, the text is
+    the lines before the byte's line, and the DataError naming that line
+    comes third, to be raised once those lines are read."""
     is_file = hasattr(path_or_file, "read")
-    newline = "\n" if is_file else ""
+    newline = ""
     try:
         with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
-            return fh.read(), newline, None
+            text = fh.read()
+            if is_file and getattr(fh, "newlines", None) is None:
+                newline = "\n"
+            return text, newline, None
     except UnicodeDecodeError as err:
-        before = err.object[:err.start]
-        line = before.count(b"\n") + 1
-        return (before[:before.rfind(b"\n") + 1].decode(err.encoding), newline,
-                DataError(f"line {line}: not UTF-8 text ({err.reason})"))
+        if is_file:
+            newline = "\n"  # nothing decoded, so no newline reported
+        lines = StringIO(err.object[:err.start].decode(err.encoding), newline=newline).readlines()
+        last = lines[-1] if lines else "\n"
+        done = last.endswith("\n") or (newline == "" and last.endswith("\r"))
+        return ("".join(lines if done else lines[:-1]), newline,
+                DataError(f"line {len(lines) + done}: not UTF-8 text ({err.reason})"))
 
 
 def _csv_table(source: tuple[str | bytes, str, DataError | None], required: Sequence[str],

@@ -87,13 +87,11 @@ def std_dlogpdf(z, family: str):
     raise DomainError(f"unknown family {family!r}")
 
 
-def std_dlogsf(z, family: str, logsf=None):
-    """Derivative of std_logsf with respect to z (negative hazard):
-    -exp(std_logpdf - std_logsf) for the normal (pass std_logsf(z) as
-    `logsf` when already known); -exp(z) for the SEV."""
+def std_dlogsf(z, family: str):
+    """Derivative of std_logsf with respect to z (negative hazard)."""
     z = np.asarray(z, dtype=float)
     if family == "lognormal":
-        return -np.exp(std_logpdf(z, family) - (std_logsf(z, family) if logsf is None else logsf))
+        return -np.exp(std_logpdf(z, family) - std_logsf(z, family))
     if family == "weibull":
         return -np.exp(z)
     raise DomainError(f"unknown family {family!r}")

@@ -123,19 +123,31 @@ class TestNegLogLikelihood:
 
 class TestGradient:
     def test_matches_finite_differences(self, gab):
+        # The score and every block of the information, for unit weights and
+        # for a replicate whose counts include zeros and repeats.
+        counts = np.bincount(np.random.default_rng(7).integers(0, len(gab), len(gab)),
+                             minlength=len(gab))
+        assert (counts == 0).any() and (counts > 1).any()
         specs = [
             ("lognormal: mu ~ log(voltstress)", [22.0, -9.0, -0.5]),
             ("weibull: mu ~ log(voltstress)", [20.0, -8.0, -0.2]),
             ("lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)",
              [22.0, -9.0, 4.0, -0.8]),
+            ("weibull: mu ~ log(voltstress); sigma ~ log(voltstress)",
+             [50.0, -9.0, -1.0, 0.05]),
         ]
         for text, theta in specs:
             spec = parse_model(text)
             like = _Likelihood(gab, spec)
+            theta = np.asarray(theta, dtype=float)
             analytic = likelihood_gradient(gab, spec, theta)
-            numeric = fd_gradient(like, np.asarray(theta, dtype=float))
+            numeric = fd_gradient(like, theta)
             assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
-            assert_hessian_matches_fd(like, np.asarray(theta, dtype=float))
+            assert_hessian_matches_fd(like, theta)
+            weighted = like.weighted(counts[None])
+            assert_allclose(weighted.gradient(theta), fd_gradient(weighted, theta),
+                            rtol=1e-5, atol=1e-8)
+            assert_hessian_matches_fd(weighted, theta)
 
     def test_random_points(self):
         rng = np.random.default_rng(0)
@@ -152,29 +164,6 @@ class TestGradient:
             assert_allclose(like.gradient(theta), fd_gradient(like, theta),
                             rtol=1e-5, atol=1e-8)
             assert_hessian_matches_fd(like, theta)
-
-
-    @pytest.mark.parametrize("model,theta", [
-        ("lognormal: mu ~ log(voltstress)", [22.0, -9.0, -0.5]),
-        ("weibull: mu ~ log(voltstress)", [20.0, -8.0, -0.2]),
-        ("lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)", [22.0, -9.0, 4.0, -0.8]),
-        ("weibull: mu ~ log(voltstress); sigma ~ log(voltstress)", [50.0, -9.0, -1.0, 0.05]),
-    ])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-    def test_fused_pass_matches_finite_differences(self, gab, model, theta, weighted):
-        # The score and every block of the information come from one
-        # product per replicate; each is checked against finite differences
-        # of the objective, for unit weights and for a replicate whose
-        # counts include zeros and repeats.
-        like = _Likelihood(gab, parse_model(model))
-        if weighted:
-            counts = np.bincount(np.random.default_rng(7).integers(0, len(gab), len(gab)),
-                                 minlength=len(gab))
-            assert (counts == 0).any() and (counts > 1).any()
-            like = like.weighted(counts[None])
-        theta = np.asarray(theta)
-        assert_allclose(like.gradient(theta), fd_gradient(like, theta), rtol=1e-5, atol=1e-8)
-        assert_hessian_matches_fd(like, theta)
 
 
 def count_kernel_rows(monkeypatch) -> dict[str, list[int]]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
     LifeData,
@@ -426,12 +426,37 @@ class TestOtherReadersNotUtf8:
         (read_mc_csv, b"rh,moisture_content\n0.5,2\n\n0.6,\xff\n",
          "line 4: not UTF-8 text (invalid start byte)"),
         (read_degradation_csv, b"unit,time,\xff\n", "line 1: not UTF-8 text (invalid start byte)"),
-    ], ids=["degradation", "spectral", "moisture", "clean-rows", "header"])
+        (read_mc_csv, b"rh,moisture_content\r0.5,2\r0.6,\xff\r",
+         "line 3: not UTF-8 text (invalid start byte)"),
+    ], ids=["degradation", "spectral", "moisture", "clean-rows", "header", "cr-lines"])
     def test_rows_before_the_byte_are_read_first(self, tmp_path, read, text, want):
         path = tmp_path / "table.csv"
         path.write_bytes(text)
         with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
             read(str(path))
+
+
+class TestFilePassedIn:
+    # A file passed in is split where iterating it would split it: one
+    # opened with newline="" at a lone "\r" too, a StringIO at "\n" only.
+    @pytest.mark.parametrize("read,text,check", [
+        (read_life_csv, "time,status\r1,failed\n2,censored\r",
+         lambda data: assert_array_equal(data.time, [1.0, 2.0])),
+        (read_degradation_csv, "unit,time,response\ra,0,1\na,1,2\rb,0,3\n",
+         lambda paths: assert_array_equal([len(p.times) for p in paths], [2, 1])),
+        (read_spectral_csv, "wavelength_nm,irradiance\r290,1\n305,2\r",
+         lambda spectrum: assert_array_equal(spectrum[0], [290.0, 305.0])),
+        (read_mc_csv, "rh,moisture_content\r0,0\n1,6\r",
+         lambda table: assert_allclose(table(0.5), 3.0, rtol=1e-15)),
+    ], ids=["life", "degradation", "spectral", "moisture"])
+    def test_lone_carriage_return(self, tmp_path, read, text, check):
+        path = tmp_path / "table.csv"
+        path.write_text(text, newline="")
+        with open(path, newline="") as fh:
+            check(read(fh))
+        check(read(str(path)))
+        with pytest.raises(DataError, match="^line 1: new-line character seen in unquoted field"):
+            read(io.StringIO(text))
 
 
 class TestFormatting:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from altkit import (
     LifeDistribution,
@@ -41,13 +41,6 @@ class TestStandardFunctions:
         assert_allclose(std_cdf(z, "lognormal"), norm.cdf(z), rtol=1e-12)
         assert_allclose(std_logpdf(z, "lognormal"), norm.logpdf(z), rtol=1e-12)
         assert_allclose(std_logsf(z, "lognormal"), norm.logsf(z), rtol=1e-10)
-        # The negative hazard, from the log survival when it is passed in.
-        logsf = std_logsf(z, "lognormal")
-        assert_allclose(std_dlogsf(z, "lognormal", logsf=logsf), -norm.pdf(z) / norm.sf(z),
-                        rtol=1e-12)
-        assert_array_equal(std_dlogsf(z, "lognormal", logsf=logsf), std_dlogsf(z, "lognormal"))
-        halved = std_dlogsf(z, "lognormal", logsf=logsf - math.log(2.0))  # it reads `logsf`
-        assert_allclose(halved, 2.0 * std_dlogsf(z, "lognormal"), rtol=1e-14)
 
     def test_weibull_smallest_extreme_value(self):
         # F(z) = 1 - exp(-exp(z)); at z = 0 this is 1 - 1/e.
