@@ -316,17 +316,12 @@ class _Standardizer:
     def standardized_params(self, theta: np.ndarray) -> np.ndarray:
         return _per_row(theta, self.from_original.T)
 
-    def original_covariance(self, cov_std: np.ndarray) -> np.ndarray:
-        return self.to_original @ cov_std @ self.to_original.T
-
-    def original_se(self, cov_std: np.ndarray) -> np.ndarray:
-        """The original parameters' standard errors.  The power-of-two
-        column scales are undone after the square root, not on the
-        variance, so an SE whose variance is below the smallest double
-        does not read 0."""
+    def scaled_covariance(self, cov_std: np.ndarray) -> np.ndarray:
+        """The original parameters' covariance with row and column i times
+        2^exponents[i], the power of two its column was scaled by: none of
+        its entries underflows where the covariance's own would."""
         t = np.ldexp(self.to_original, self.exponents[:, None])
-        var = np.einsum("ij,jk,ik->i", t, cov_std, t)
-        return np.ldexp(np.sqrt(np.clip(var, 0.0, None)), -self.exponents)
+        return t @ cov_std @ t.T
 
 
 def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -463,11 +458,13 @@ def _fit_replicates(
 class FitResult:
     """A converged (or best-so-far) censored-ML fit.
 
-    `se` is taken from the standardized covariance, with the columns'
-    power-of-two scales undone after the square root, so a standard error
-    is positive even where its entry of `covariance` underflows to 0.
-    quantile_at_use reads `covariance`, so its standard error can miss
-    such an entry's share."""
+    `covariance` is the estimates' covariance; on a huge or tiny covariate
+    column its entries can underflow.  `scaled_covariance` is the same
+    matrix with row and column i times 2^scale_exponents[i], which does
+    not underflow.  `se` and quantile_at_use's standard error are taken
+    from it, with the powers of two undone after the square root, so a
+    standard error is positive even where its variance is below the
+    smallest double."""
 
     spec: ModelSpec
     param_names: tuple[str, ...]
@@ -475,6 +472,8 @@ class FitResult:
     loglik: float
     covariance: np.ndarray
     se: np.ndarray
+    scaled_covariance: np.ndarray
+    scale_exponents: np.ndarray
     converged: bool
     iterations: int  # Newton steps taken
     warnings: list[str] = field(default_factory=list)
@@ -535,8 +534,7 @@ def fit_ml(
     warnings: list[str] = []
     hess = sol.hessian[0]
     if not np.isfinite(hess).all():
-        covariance = np.full_like(hess, np.nan)
-        se = np.full(len(hess), np.nan)
+        cov_std = np.full_like(hess, np.nan)
         warnings.append("observed information is not finite; covariance is undefined")
     else:
         try:
@@ -544,9 +542,6 @@ def fit_ml(
         except np.linalg.LinAlgError:
             cov_std = np.linalg.pinv(hess)
             warnings.append("observed information is singular; covariance is a pseudo-inverse")
-        covariance = std.original_covariance(cov_std)
-        covariance = 0.5 * (covariance + covariance.T)
-        se = std.original_se(cov_std)
         # Congruence preserves eigenvalue signs, so test definiteness where the
         # parameters are O(1) instead of on the unit-dependent original scale.
         min_eig = float(np.linalg.eigvalsh(0.5 * (cov_std + cov_std.T)).min())
@@ -554,14 +549,19 @@ def fit_ml(
             warnings.append(
                 f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
+    scaled = std.scaled_covariance(cov_std)
+    scaled = 0.5 * (scaled + scaled.T)
+    e = std.exponents
 
     result = FitResult(
         spec=spec,
         param_names=spec.param_names,
         estimates=std.original_params(sol.theta)[0],
         loglik=-float(sol.nll[0]),
-        covariance=covariance,
-        se=se,
+        covariance=np.ldexp(scaled, -(e[:, None] + e)),
+        se=np.ldexp(np.sqrt(np.clip(np.diag(scaled), 0.0, None)), -e),
+        scaled_covariance=scaled,
+        scale_exponents=e,
         converged=bool(reason == _KEPT),
         iterations=int(sol.steps[0]),
         warnings=warnings,
@@ -637,8 +637,8 @@ def quantile_at_use(
     sigma = _exp(float(xs @ s))
     zp = float(std_quantile(p, spec.family))
     log_tp = mu + zp * sigma
-    grad = np.concatenate([xm, zp * sigma * xs])
-    var_log = float(grad @ fit.covariance @ grad)
+    grad = np.ldexp(np.concatenate([xm, zp * sigma * xs]), -fit.scale_exponents)
+    var_log = float(grad @ fit.scaled_covariance @ grad)
     se_log = math.sqrt(max(var_log, 0.0))
     tp = _exp(log_tp)
     return QuantileEstimate(

@@ -10,9 +10,12 @@ row-wise csv reader: blank lines are skipped, every row has one cell per
 header column, a column name may appear once, and errors name the file
 line.  A byte that is not UTF-8 is an error naming its line only when the
 lines before it are clean.  When the life CSV's text is plain and every
-row is clean, numpy's C reader splits it and float() converts it a column
-at a time, which gives what the row-wise reader gives.  Any other text
-falls back to the row-wise reader, the only source of errors.
+row is clean, one numpy C read splits it and converts every column but
+`status` to floats, which gives what the row-wise reader gives.  Any other
+text, a number spelled in a form only float() reads (1_000, full-width
+digits) included, falls back to the row-wise reader, the only source of
+errors.  The life CSV writer prints each float as repr does, formatting
+each distinct value of a column once.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -151,42 +154,39 @@ def _read_life_columns(text: str) -> LifeData | None:
     return and a final newline, so the csv module would split each line at
     every comma, and no blank or whitespace-only line, so a row's line is its
     index + 2.  Every cell must be within csv's field size limit, every
-    status exactly failed or censored, every other cell a number to float()
-    (as in the row-wise read) and every time finite and > 0."""
+    status exactly failed or censored, every other cell a number numpy
+    reads (a spelling only float() reads, such as 1_000, takes the row-wise
+    read, and numpy gives float()'s value for the rest) and every time
+    finite and > 0."""
     if '"' in text or "\r" in text or "\n\n" in text or not text.endswith("\n"):
         return None
-    head, body = text.split("\n", 1)
-    header = head.split(",")
+    lines = text.split("\n")
+    header = lines[0].split(",")
     limit = csv.field_size_limit()
-    if not body or "time" not in header or "status" not in header \
-            or len(set(header)) < len(header) or max(map(len, header)) > limit:
+    if len(lines) < 3 or "time" not in header or "status" not in header \
+            or len(set(header)) < len(header) \
+            or any(len(cell) > limit for line in lines if len(line) > limit
+                   for cell in line.split(",")):
         return None
+    n = len(lines) - 2
+    dtype = [("", object if name == "status" else float) for name in header]
     try:
-        cells = np.loadtxt(StringIO(body), delimiter=",", comments=None, dtype=object,
-                           ndmin=2)
+        table = np.loadtxt(lines[1:-1], delimiter=",", comments=None, dtype=dtype, ndmin=1)
     except ValueError:
         return None
-    n = body.count("\n")
-    if cells.shape != (n, len(header)):
+    if table.shape != (n,):
         return None
-    status = cells[:, header.index("status")]
+    columns = {name: table[field] for name, field in zip(header, table.dtype.names)}
+    status = columns.pop("status")
     failed = status == FAILED
     if not (failed | (status == CENSORED)).all():
         return None
-    columns = {}
-    for name, column in zip(header, cells.T):
-        if name == "status":
-            continue
-        if max(map(len, column.tolist())) > limit:
-            return None
-        try:
-            columns[name] = column.astype(float)  # float() on each str
-        except ValueError:
-            return None
     time = columns.pop("time")
     if not ((time > 0.0) & (time < math.inf)).all():
         return None
-    return LifeData(time, failed, columns, np.arange(2, n + 2))
+    # Copies, not field views that would keep the status strings alive.
+    return LifeData(time.copy(), failed, {name: v.copy() for name, v in columns.items()},
+                    np.arange(2, n + 2))
 
 
 def _read_life_rows(source) -> LifeData:
@@ -229,19 +229,26 @@ def _read_life_rows(source) -> LifeData:
 
 
 def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
-    """Write records with shortest lossless floats so round trips refit
-    identically.  A list is converted to a LifeData once; the rows are
-    formatted a column at a time and written at once."""
+    """Write records with shortest lossless floats (repr) so round trips
+    refit identically.  A list is converted to a LifeData once.  Each
+    column is formatted once per distinct value, by bit pattern so 0.0 and
+    -0.0 stay apart, the strings are taken row by row, and the text is
+    written at once."""
     data = LifeData.of(records)
     names = sorted(data.columns)
     header = StringIO()
     csv.writer(header, lineterminator="\n").writerow(["time", "status", *names])
-    columns = [
-        map(repr, data.time.tolist()),
-        [FAILED if f else CENSORED for f in data.failed.tolist()],
-        *(map(repr, data.columns[name].tolist()) for name in names),
-    ]
-    out.write(header.getvalue() + "".join(",".join(row) + "\n" for row in zip(*columns)))
+    columns = [data.time, data.failed, *(data.columns[name] for name in names)]
+    cells: list[str] = [""] * (len(data) * len(columns))
+    for j, column in enumerate(columns):
+        end = "\n" if j == len(columns) - 1 else ","
+        if j == 1:
+            labels, which = [CENSORED, FAILED], column.astype(np.intp)
+        else:
+            bits, which = np.unique(column.view(np.int64), return_inverse=True)
+            labels = map(repr, bits.view(float).tolist())
+        cells[j::len(columns)] = np.array([s + end for s in labels], dtype=object)[which].tolist()
+    out.write(header.getvalue() + "".join(cells))
 
 
 def read_degradation_csv(path_or_file) -> list[DegradationSample]:

@@ -281,17 +281,28 @@ class TestFitValidation:
         with pytest.raises(IllPosedFitError):
             fit_ml(recs, parse_model("lognormal: mu ~ log(v)"))
 
+    HUGE = ((5.0, 1e200), (6.0, 2e200), (7.0, 3.0))
+
+    def fit_v(self, scale: int):
+        return fit_ml([LifeRecord(t, "failed", {"v": math.ldexp(v, scale)})
+                       for t, v in self.HUGE], parse_model("lognormal: mu ~ v"))
+
     def test_se_of_a_huge_column_does_not_underflow(self):
         # The slope's variance (about 4e-403) is below the smallest double,
         # but its SE is not: it scales exactly with the column.
-        spec = parse_model("lognormal: mu ~ v")
-        huge = fit_ml([LifeRecord(t, "failed", {"v": v})
-                       for t, v in ((5.0, 1e200), (6.0, 2e200), (7.0, 3.0))], spec)
-        scaled = fit_ml([LifeRecord(t, "failed", {"v": math.ldexp(v, -664)})
-                         for t, v in ((5.0, 1e200), (6.0, 2e200), (7.0, 3.0))], spec)
+        huge, scaled = self.fit_v(0), self.fit_v(-664)
         assert huge.converged and huge.standard_error("mu:v") > 0.0
         assert_allclose(huge.standard_error("mu:v"),
                         math.ldexp(scaled.standard_error("mu:v"), -664), rtol=1e-12)
+
+    def test_quantile_se_of_a_huge_column_does_not_underflow(self):
+        # The slope's share of the quantile's variance is kept, as on the
+        # column scaled to O(1).
+        q = quantile_at_use(self.fit_v(0), {"v": 1.5e200}, 0.1)
+        scaled = quantile_at_use(self.fit_v(-664), {"v": math.ldexp(1.5e200, -664)}, 0.1)
+        assert_allclose(q.se_log, 0.10462430127615306, rtol=1e-9)
+        assert_allclose(q.se_log, scaled.se_log, rtol=1e-9)
+        assert_allclose(q.log_quantile, scaled.log_quantile, rtol=1e-9)
 
     def test_default_init_is_finite(self, gab):
         init = default_init(gab, parse_model("lognormal: mu ~ log(voltstress)"))

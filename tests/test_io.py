@@ -263,6 +263,17 @@ def life_records(draw):
     return records
 
 
+def pooled_records(n: int) -> list[LifeRecord]:
+    """`n` records whose values come from small pools, so each repeats."""
+    rng = np.random.default_rng(7)
+    times = rng.choice([1.0, 0.1, 2.5e-300, 1e300, 7.0], n).tolist()
+    statuses = rng.choice(STATUSES, n).tolist()
+    vs = rng.choice([0.0, -0.0, math.nan, math.inf, -1.5], n).tolist()
+    temps = rng.choice([40.0, 55.5, 1.0 / 3.0], n).tolist()
+    return [LifeRecord(t, s, {"v": v, "temp_C": c})
+            for t, s, v, c in zip(times, statuses, vs, temps)]
+
+
 class TestColumnarMatchesRowWise:
     # life_csvs mostly takes the row-wise path, plain_life_csvs mostly
     # numpy's reader.
@@ -275,9 +286,16 @@ class TestColumnarMatchesRowWise:
 
     @pytest.mark.parametrize("text,fast", [
         (PLAIN, True),
-        ("time,status,v\n1_000,failed,\uff11\uff12\n 3 ,censored,-0.0\n", True),
+        # numpy reads spaced numbers as float() does, but not 1_000 or
+        # full-width digits, which take the row-wise read.
+        ("time,status,v\n 3 ,failed,\x0b4\u2028\n1e-300,censored,-0.0\n", True),
+        ("time,status,v\n1_000,failed,\uff11\uff12\n 3 ,censored,-0.0\n", False),
+        (PLAIN.replace("1.5,failed", "1.5,failed\x00"), False),
+        (PLAIN.replace("censored", "censoredx"), False),
         ("time,status,v\n1,failed," + "1" * 131_072 + "\n", True),
+        ("time,status,v,w\n1,failed," + "1" * 131_072 + "," + "2" * 131_072 + "\n", True),
         ("time,status,v\n1,failed," + "1" * 131_073 + "\n", False),
+        ("time,status,v,w\n1,failed," + "1" * 131_073 + ",2\n2,censored,1,2\n", False),
         ("time,status," + "v" * 131_073 + "\n1,failed,1\n", False),
         (PLAIN.replace("\n", "\r\n"), False),
         (PLAIN.replace("\n1.5", "\n \n1.5"), False),
@@ -286,7 +304,8 @@ class TestColumnarMatchesRowWise:
         (PLAIN.replace("failed", " failed").replace("censored", "censored "), False),
         (PLAIN.replace("nan", '"nan"'), False),
         (PLAIN.replace("1.5", "0"), False),
-    ], ids=["plain", "float-forms", "cell-at-limit", "cell-over-limit", "name-over-limit", "crlf",
+    ], ids=["plain", "spaced-floats", "float-forms", "nul-status", "long-status", "cell-at-limit",
+            "long-line", "cell-over-limit", "long-line-cell-over", "name-over-limit", "crlf",
             "space-line", "blank-line", "no-final-newline", "spaced-status", "quote", "bad-time"])
     def test_each_input_takes_its_path(self, text, fast):
         assert (_read_life_columns(text) is not None) is fast
@@ -302,6 +321,24 @@ class TestColumnarMatchesRowWise:
             with pytest.raises(DataError, match=f"^{re.escape(str(err))}$"):
                 write_life_csv(records, io.StringIO())
             return
+        for given_as in (records, LifeData.of(records)):
+            out = io.StringIO()
+            write_life_csv(given_as, out)
+            assert out.getvalue() == expected.getvalue()
+
+    @pytest.mark.parametrize("records", [
+        [LifeRecord(t, "failed", {"v": v}) for t, v in ((1.0, 0.0), (2.0, -0.0), (3.0, math.nan),
+                                                        (4.0, 0.0), (5.0, -math.nan))],
+        [LifeRecord(t, "censored", {"v": 170.0, "w": 0.1}) for t in (1.5, 1.5, 2.5)],
+        [],
+        [LifeRecord(1.0 / 3.0, "censored", {"temp_C": 40.0})],
+        [LifeRecord(6.48, "failed"), LifeRecord(2.0, "censored")],
+        pooled_records(10_000),
+    ], ids=["signed-zeros-nan", "repeated-values", "no-records", "one-record",
+            "no-condition", "pool-10k"])
+    def test_writer_examples(self, records):
+        expected = io.StringIO()
+        oracle_write_life_csv(records, expected)
         for given_as in (records, LifeData.of(records)):
             out = io.StringIO()
             write_life_csv(given_as, out)
