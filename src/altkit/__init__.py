@@ -55,11 +55,9 @@ from .fitml import (
     QuantileEstimate,
     ReciprocityResult,
     bootstrap_quantile,
-    default_init,
     default_profile_grid,
     fit_ml,
     likelihood_gradient,
-    neg_log_likelihood,
     profile_lambda,
     quantile_at_use,
     reciprocity_test,

@@ -98,6 +98,8 @@ def _parse_assignments(chunks) -> dict[str, float]:
             try:
                 out[key] = float(val)
             except ValueError:
+                out[key] = math.nan
+            if math.isnan(out[key]):
                 raise ConfigError(f"expected a number for {key}, got {val!r}")
     return out
 

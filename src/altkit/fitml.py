@@ -87,7 +87,7 @@ _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 
 
 class _Likelihood:
-    """Prepared design matrices and the negative log-likelihood callable.
+    """The design matrices and log times of the negative log-likelihood; `at` evaluates it.
 
     `xt` is [x_mu | x_sig] transposed, a contiguous row per column, each intercept (ones) first.
     Rows are stored failures first, so the failed and the censored rows
@@ -96,8 +96,7 @@ class _Likelihood:
     (replicates, rows) array of row weights in the stored row order.
     """
 
-    def __init__(self, data: Sequence[LifeRecord], spec: ModelSpec):
-        data = LifeData.of(data)
+    def __init__(self, data: LifeData, spec: ModelSpec):
         self.order = np.concatenate([np.flatnonzero(data.failed), np.flatnonzero(~data.failed)])
         x = [design_matrix(spec.mu_terms, data).T, design_matrix(spec.sigma_terms, data).T]
         self.xt = np.concatenate(x).take(self.order, axis=1)
@@ -136,19 +135,6 @@ class _Likelihood:
     def at(self, theta: np.ndarray) -> "_Point":
         """The point theta, one row of parameters per replicate."""
         return _Point(self, np.asarray(theta, dtype=float))
-
-    def __call__(self, theta: np.ndarray) -> float:
-        return float(self.at(np.atleast_2d(theta)).nll[0])
-
-    def gradient(self, theta: np.ndarray) -> np.ndarray:
-        """Analytic score of the negative log-likelihood (same sign as the
-        finite-difference gradient of ``__call__``)."""
-        return self.at(np.atleast_2d(theta)).derivatives[0][0]
-
-    def hessian(self, theta: np.ndarray) -> np.ndarray:
-        """Analytic Hessian of the negative log-likelihood (the observed
-        information)."""
-        return self.at(np.atleast_2d(theta)).derivatives[1][0]
 
 
 class _Point:
@@ -228,38 +214,26 @@ def _params(values: Sequence[float], spec: ModelSpec, what: str) -> np.ndarray:
     return values
 
 
-def neg_log_likelihood(
-    data: Sequence[LifeRecord], spec: ModelSpec, theta: Sequence[float]
-) -> float:
-    """Negative log-likelihood at theta = (mu coefficients, log-sigma
-    coefficients); returns a large barrier value instead of overflowing."""
-    return _Likelihood(data, spec)(_params(theta, spec, "theta"))
-
-
 def likelihood_gradient(
     data: Sequence[LifeRecord], spec: ModelSpec, theta: Sequence[float]
 ) -> np.ndarray:
-    """Analytic gradient of neg_log_likelihood with respect to theta."""
-    return _Likelihood(data, spec).gradient(_params(theta, spec, "theta"))
-
-
-def default_init(data: Sequence[LifeRecord], spec: ModelSpec) -> np.ndarray:
-    """Deterministic starting point: OLS of log time on the mu design over
-    failed records; log sigma from the residual spread inflated by the
-    reciprocal of the failed fraction (heavy censoring hides spread)."""
-    return _default_init(_Likelihood(data, spec))[0]
+    """The analytic score of the negative log-likelihood at theta (mu, then log-sigma)."""
+    theta = _params(theta, spec, "theta")
+    return _Likelihood(LifeData.of(data), spec).at(theta[None]).derivatives[0][0]
 
 
 def _default_init(like: _Likelihood) -> np.ndarray:
-    """default_init for each replicate, its rows counted by their weights."""
+    """The deterministic start, one row per replicate, its rows counted by
+    their weights: OLS of log time on the mu design over the failed
+    records; log sigma from the residual spread inflated by the reciprocal
+    of the failed fraction (heavy censoring hides spread)."""
     nf, k = like.n_failed, like.n_mu
     xf, yf = like.xt[:k, :nf].T, like.logt[:nf]
     weights = like.row_weights()
     theta = np.zeros((len(weights), len(like.xt)))
     for row, w in zip(theta, weights):
         r = np.sqrt(w[:nf])
-        x = xf if like.weights is None else xf * r[:, None]  # sqrt(1) x is x
-        beta, *_ = np.linalg.lstsq(x, yf * r, rcond=None)
+        beta, *_ = np.linalg.lstsq(xf * r[:, None], yf * r, rcond=None)
         resid = r * (yf - xf @ beta)
         n_failed = float(w[:nf].sum())
         s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
@@ -273,6 +247,7 @@ def _rank_deficient(like: _Likelihood, xt: np.ndarray) -> np.ndarray:
     finite or loses rank under each replicate's row weights."""
     if not np.isfinite(xt).all():
         return np.ones(len(like.row_weights()), dtype=bool)
+    # Unit weights change no bit, but their product would copy every row.
     x = xt.T[None] if like.weights is None else np.sqrt(like.weights)[:, :, None] * xt.T
     return np.linalg.matrix_rank(x) < len(xt)
 
@@ -436,7 +411,7 @@ def _fit_replicates(
     like: _Likelihood, theta: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, _Solution | None]:
     """Fit every replicate of the standardized `like` from `theta` (one
-    row for all; default_init when None) and give each one's reason: the
+    row for all; _default_init when None) and give each one's reason: the
     first of _INESTIMABLE, _ILL_POSED and _NON_CONVERGED whose rule it
     breaks, else _KEPT.  Returns the reasons, the indices of the
     replicates fitted and their _Solution (None when none was)."""
@@ -810,7 +785,7 @@ def bootstrap_quantile(
     is read off the same fits.  A resample is the count of each record in
     n draws with replacement, and the resamples are fitted as weighted
     replicates of one likelihood, all starting from the full-sample
-    estimates (from default_init when the full-sample fit fails).  Fewer
+    estimates (from the default start when the full-sample fit fails).  Fewer
     than 2 resamples or a negative seed raise DomainError.
     """
     if n_boot < 2:

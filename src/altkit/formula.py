@@ -137,7 +137,9 @@ def _parse_factor(text: str) -> Factor:
         try:
             lam = float(pieces[1])
         except ValueError:
-            raise FormulaError(f"boxcox lambda must be a number, got {pieces[1]!r}")
+            lam = np.nan
+        if not np.isfinite(lam):
+            raise FormulaError(f"boxcox lambda must be a finite number, got {pieces[1].strip()!r}")
         return Factor("boxcox", inner=_parse_factor(pieces[0]), lam=lam)
     if func == "arrh":
         name = arg.strip()

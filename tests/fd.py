@@ -1,7 +1,30 @@
-"""Central finite differences, the tests' check on the analytic score and
-observed information."""
+"""The tests' ways into the likelihood, and central finite differences,
+their check on the analytic score and observed information."""
 
 import numpy as np
+
+from altkit import LifeData
+from altkit.fitml import _Likelihood
+
+
+def likelihood(data, spec) -> _Likelihood:
+    """The likelihood of `data`, records or a LifeData, under `spec`."""
+    return _Likelihood(LifeData.of(data), spec)
+
+
+def nll(like: _Likelihood, theta) -> float:
+    """The negative log-likelihood of `like`'s one replicate at theta."""
+    return float(like.at(np.atleast_2d(theta)).nll[0])
+
+
+def score(like: _Likelihood, theta) -> np.ndarray:
+    """The analytic score of `like`'s one replicate at theta."""
+    return like.at(np.atleast_2d(theta)).derivatives[0][0]
+
+
+def information(like: _Likelihood, theta) -> np.ndarray:
+    """The observed information of `like`'s one replicate at theta."""
+    return like.at(np.atleast_2d(theta)).derivatives[1][0]
 
 
 def fd_gradient(f, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:

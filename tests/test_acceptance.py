@@ -13,6 +13,7 @@
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,8 +55,7 @@ from altkit import (
     total_dosage,
     use_rate_af,
 )
-from altkit.fitml import _Likelihood
-from fd import fd_gradient
+from fd import fd_gradient, likelihood, nll
 
 C = Temperature.celsius
 
@@ -308,13 +308,13 @@ class TestCriterion07PropertySuite:
     def test_i_finite_difference_gradient_agreement(self, gab):
         def body():
             spec = parse_model("lognormal: mu ~ log(voltstress)")
-            like = _Likelihood(gab, spec)
+            like = likelihood(gab, spec)
             rng = np.random.default_rng(3)
             for _ in range(10):
                 theta = np.array([rng.normal(50.0, 5.0), rng.normal(-9.0, 1.0),
                                   rng.normal(-0.5, 0.2)])
                 assert_allclose(likelihood_gradient(gab, spec, theta),
-                                fd_gradient(like, theta), rtol=1e-5,
+                                fd_gradient(partial(nll, like), theta), rtol=1e-5,
                                 atol=1e-8)
         self._run("7i", "finite-difference gradient agreement", body)
 

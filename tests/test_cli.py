@@ -147,6 +147,23 @@ class TestAf:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1] == "412,6.86667"
 
+    @pytest.mark.parametrize("argv, item", [
+        (["af", "--rel", "invpower", "--use", "v=nan", "--test", "v=1", "--beta1", "2"],
+         "v, got 'nan'"),
+        (["af", "--rel", "arrhenius", "--use", "temp_C=40", "--test", "temp_C=nan",
+          "--ea-ev", "0.7"], "temp_C, got 'nan'"),
+        (["quantile", "--model", "lognormal: mu ~ log(voltstress)",
+          "--use", "voltstress=NaN"], "voltstress, got 'NaN'"),
+    ], ids=["af-use", "af-test", "quantile-use"])
+    def test_nan_assignment_exits_2(self, capsys, gab_csv, argv, item):
+        # nan passes every x <= 0 guard; it is not a number to stress at.
+        if argv[0] == "quantile":
+            argv = [*argv, "--data", gab_csv]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: expected a number for {item}\n"
+
 
 _C, _K, _EV = Temperature.celsius, Temperature.kelvin, ActivationEnergy.ev
 # Each relationship: `af` arguments and the library value they stand for.

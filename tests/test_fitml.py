@@ -11,6 +11,7 @@
 import math
 import warnings
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,11 +21,9 @@ from altkit import (
     BootstrapQuantiles,
     LifeRecord,
     design_row,
-    default_init,
     default_profile_grid,
     fit_ml,
     likelihood_gradient,
-    neg_log_likelihood,
     bootstrap_quantile,
     parse_model,
     profile_lambda,
@@ -38,14 +37,36 @@ from altkit.errors import (
     NonConvergenceError,
 )
 import altkit.fitml
-from altkit.fitml import NEWTON_STEPS, SKIP_REASONS, _Likelihood
+from altkit.fitml import (
+    NEWTON_STEPS,
+    SKIP_REASONS,
+    _default_init,
+    _fit_replicates,
+    _Standardizer,
+)
 from altkit.lifetime import std_quantile
-from fd import fd_gradient, fd_hessian
+from fd import fd_gradient, fd_hessian, information, likelihood, nll, score
+
+GAB_MODELS = [
+    "lognormal: mu ~ log(voltstress)",
+    "weibull: mu ~ log(voltstress)",
+    "lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)",
+    "weibull: mu ~ log(voltstress); sigma ~ log(voltstress)",
+]
+
+
+def record_nll(records, spec, theta) -> float:
+    return nll(likelihood(records, spec), theta)
+
+
+def assert_gradient_matches_fd(like, theta):
+    assert_allclose(score(like, theta), fd_gradient(partial(nll, like), theta),
+                    rtol=1e-5, atol=1e-8)
 
 
 def assert_hessian_matches_fd(like, theta):
-    hess = like.hessian(theta)
-    assert_allclose(hess, fd_hessian(like, theta), rtol=1e-4,
+    hess = information(like, theta)
+    assert_allclose(hess, fd_hessian(partial(nll, like), theta), rtol=1e-4,
                     atol=1e-6 * float(np.max(np.abs(hess))))
 
 
@@ -54,24 +75,20 @@ class TestNegLogLikelihood:
         # -log phi(0) = log sqrt(2 pi) = 0.918938533204672...; t = 1 makes
         # the log t and log sigma terms vanish.
         spec = parse_model("lognormal: mu ~ 1")
-        nll = neg_log_likelihood([LifeRecord(1.0, "failed", {})], spec,
-                                 [0.0, 0.0])
-        assert_allclose(nll, 0.9189385332046727, rtol=1e-15)
+        value = record_nll([LifeRecord(1.0, "failed", {})], spec, [0.0, 0.0])
+        assert_allclose(value, 0.9189385332046727, rtol=1e-15)
 
     def test_single_censored_lognormal(self):
         # -log S(0) = -log(1/2) = log 2.
         spec = parse_model("lognormal: mu ~ 1")
-        nll = neg_log_likelihood([LifeRecord(1.0, "censored", {})], spec,
-                                 [0.0, 0.0])
-        assert_allclose(nll, math.log(2.0), rtol=1e-15)
+        value = record_nll([LifeRecord(1.0, "censored", {})], spec, [0.0, 0.0])
+        assert_allclose(value, math.log(2.0), rtol=1e-15)
 
     def test_single_records_weibull(self):
         # SEV at z = 0: -logpdf = 1 and -log S = e^0 = 1, both exactly.
         spec = parse_model("weibull: mu ~ 1")
-        failed = neg_log_likelihood([LifeRecord(1.0, "failed", {})], spec,
-                                    [0.0, 0.0])
-        censored = neg_log_likelihood([LifeRecord(1.0, "censored", {})], spec,
-                                      [0.0, 0.0])
+        failed = record_nll([LifeRecord(1.0, "failed", {})], spec, [0.0, 0.0])
+        censored = record_nll([LifeRecord(1.0, "censored", {})], spec, [0.0, 0.0])
         assert_allclose(failed, 1.0, rtol=1e-15)
         assert_allclose(censored, 1.0, rtol=1e-15)
 
@@ -81,9 +98,8 @@ class TestNegLogLikelihood:
         r2 = [LifeRecord(5.0, "censored", {})]
         theta = [0.3, -0.2]
         assert_allclose(
-            neg_log_likelihood(r1 + r2, spec, theta),
-            neg_log_likelihood(r1, spec, theta)
-            + neg_log_likelihood(r2, spec, theta),
+            record_nll(r1 + r2, spec, theta),
+            record_nll(r1, spec, theta) + record_nll(r2, spec, theta),
             rtol=1e-14)
 
     def test_later_censoring_cannot_decrease_the_log_survival_term(self):
@@ -91,20 +107,19 @@ class TestNegLogLikelihood:
         # with the censoring time at fixed parameters.
         spec = parse_model("lognormal: mu ~ 1")
         theta = [1.0, 0.0]
-        values = [neg_log_likelihood([LifeRecord(t, "censored", {})], spec,
-                                     theta) for t in (1.0, 2.0, 4.0, 8.0)]
+        values = [record_nll([LifeRecord(t, "censored", {})], spec, theta)
+                  for t in (1.0, 2.0, 4.0, 8.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_barrier_instead_of_overflow(self):
         spec = parse_model("lognormal: mu ~ 1")
-        bad = neg_log_likelihood([LifeRecord(1.0, "failed", {})], spec,
-                                 [0.0, 1000.0])
+        bad = record_nll([LifeRecord(1.0, "failed", {})], spec, [0.0, 1000.0])
         assert math.isfinite(bad)
 
     def test_theta_length_validated(self):
         spec = parse_model("lognormal: mu ~ 1")
         with pytest.raises(DomainError):
-            neg_log_likelihood([LifeRecord(1.0, "failed", {})], spec, [0.0])
+            likelihood_gradient([LifeRecord(1.0, "failed", {})], spec, [0.0])
 
     def test_time_unit_invariance_of_shape(self, gab):
         # Rescaling all times by c shifts the nll by n_failed * log c and
@@ -116,8 +131,8 @@ class TestNegLogLikelihood:
         theta_shift = theta + np.array([math.log(1000.0), 0.0, 0.0])
         n_failed = sum(r.failed for r in gab)
         assert_allclose(
-            neg_log_likelihood(scaled, spec, theta_shift),
-            neg_log_likelihood(gab, spec, theta) + n_failed * math.log(1000.0),
+            record_nll(scaled, spec, theta_shift),
+            record_nll(gab, spec, theta) + n_failed * math.log(1000.0),
             rtol=1e-12)
 
 
@@ -128,25 +143,17 @@ class TestGradient:
         counts = np.bincount(np.random.default_rng(7).integers(0, len(gab), len(gab)),
                              minlength=len(gab))
         assert (counts == 0).any() and (counts > 1).any()
-        specs = [
-            ("lognormal: mu ~ log(voltstress)", [22.0, -9.0, -0.5]),
-            ("weibull: mu ~ log(voltstress)", [20.0, -8.0, -0.2]),
-            ("lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)",
-             [22.0, -9.0, 4.0, -0.8]),
-            ("weibull: mu ~ log(voltstress); sigma ~ log(voltstress)",
-             [50.0, -9.0, -1.0, 0.05]),
-        ]
-        for text, theta in specs:
+        thetas = [[22.0, -9.0, -0.5], [20.0, -8.0, -0.2], [22.0, -9.0, 4.0, -0.8],
+                  [50.0, -9.0, -1.0, 0.05]]
+        for text, theta in zip(GAB_MODELS, thetas):
             spec = parse_model(text)
-            like = _Likelihood(gab, spec)
+            like = likelihood(gab, spec)
             theta = np.asarray(theta, dtype=float)
-            analytic = likelihood_gradient(gab, spec, theta)
-            numeric = fd_gradient(like, theta)
-            assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+            assert_array_equal(likelihood_gradient(gab, spec, theta), score(like, theta))
+            assert_gradient_matches_fd(like, theta)
             assert_hessian_matches_fd(like, theta)
             weighted = like.weighted(counts[None])
-            assert_allclose(weighted.gradient(theta), fd_gradient(weighted, theta),
-                            rtol=1e-5, atol=1e-8)
+            assert_gradient_matches_fd(weighted, theta)
             assert_hessian_matches_fd(weighted, theta)
 
     def test_random_points(self):
@@ -157,12 +164,11 @@ class TestGradient:
                     np.exp(rng.normal(1.0, 0.8, 40)),
                     rng.uniform(100.0, 300.0, 40)))]
         spec = parse_model("lognormal: mu ~ log(v)")
-        like = _Likelihood(recs, spec)
+        like = likelihood(recs, spec)
         for _ in range(10):
             theta = np.array([rng.normal(5.0, 1.0), rng.normal(0.0, 0.5),
                               rng.normal(0.0, 0.3)])
-            assert_allclose(like.gradient(theta), fd_gradient(like, theta),
-                            rtol=1e-5, atol=1e-8)
+            assert_gradient_matches_fd(like, theta)
             assert_hessian_matches_fd(like, theta)
 
 
@@ -199,7 +205,7 @@ class TestKernelPass:
     def test_objective_and_derivative_passes(self, gab, monkeypatch, family):
         # A point computes its objective once, when it is made, and its
         # derivatives only when they are read, then once however often.
-        like = _Likelihood(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
+        like = likelihood(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
         rows = count_kernel_rows(monkeypatch)
         point = like.at(np.array([[40.0, -7.0, -0.5], [50.0, -9.0, 0.0]]))
         assert np.isfinite(point.nll).all()
@@ -305,8 +311,8 @@ class TestFitValidation:
         assert_allclose(q.log_quantile, scaled.log_quantile, rtol=1e-9)
 
     def test_default_init_is_finite(self, gab):
-        init = default_init(gab, parse_model("lognormal: mu ~ log(voltstress)"))
-        assert init.shape == (3,)
+        init = _default_init(likelihood(gab, parse_model("lognormal: mu ~ log(voltstress)")))
+        assert init.shape == (1, 3)
         assert np.all(np.isfinite(init))
 
 
@@ -592,24 +598,30 @@ def bootstrap_one_at_a_time(data, spec, use, p, n_boot, seed, init=None):
 
 
 class TestWeightedLikelihood:
-    @pytest.mark.parametrize("model", [
-        "lognormal: mu ~ log(voltstress)",
-        "weibull: mu ~ log(voltstress)",
-        "lognormal: mu ~ log(voltstress); sigma ~ log(voltstress)",
-        "weibull: mu ~ log(voltstress); sigma ~ log(voltstress)",
-    ])
+    @pytest.mark.parametrize("model", GAB_MODELS)
     def test_weights_equal_duplicated_records(self, gab, model):
         spec = parse_model(model)
         idx = np.random.default_rng(4).integers(0, len(gab), size=len(gab))
         counts = np.bincount(idx, minlength=len(gab))
         assert (counts == 0).any() and (counts > 1).any()
-        weighted = _Likelihood(gab, spec).weighted(counts[None])
-        duplicated = _Likelihood([gab[i] for i in idx], spec)
+        weighted = likelihood(gab, spec).weighted(counts[None])
+        duplicated = likelihood([gab[i] for i in idx], spec)
         theta = fit_ml(gab, spec).estimates + 0.05
-        assert_allclose(weighted(theta), duplicated(theta), rtol=1e-12)
-        for a, b in ((weighted.gradient(theta), duplicated.gradient(theta)),
-                     (weighted.hessian(theta), duplicated.hessian(theta))):
+        assert_allclose(nll(weighted, theta), nll(duplicated, theta), rtol=1e-12)
+        for f in (score, information):
+            a, b = f(weighted, theta), f(duplicated, theta)
             assert_allclose(a, b, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(b))))
+
+    @pytest.mark.parametrize("model", GAB_MODELS)
+    def test_unit_weights_change_nothing(self, gab, model):
+        # The start, the rank test and the Newton loop weigh every row;
+        # a weight of exactly 1 must leave every bit of the fit as it is.
+        like = _Standardizer(likelihood(gab, parse_model(model))).like
+        plain = _fit_replicates(like, None)
+        unit = _fit_replicates(like.weighted(np.ones((1, len(gab)))), None)
+        assert_array_equal(plain[0], unit[0])
+        for attr in ("theta", "score", "hessian", "steps"):
+            assert_array_equal(getattr(plain[2], attr), getattr(unit[2], attr))
 
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_zero_weight_row_adds_exactly_nothing(self, family):
@@ -619,13 +631,13 @@ class TestWeightedLikelihood:
         kept = [LifeRecord(1.0, "failed", {"v": v}) for v in (1.0, 2.0, 3.0)]
         data = kept + [LifeRecord(1e300, "censored", {"v": 2.0})]
         theta = np.array([0.0, 0.0, -400.0])
-        assert _Likelihood(data, spec)(theta) == altkit.fitml.BARRIER
-        weighted = _Likelihood(data, spec).weighted(np.array([[1, 1, 1, 0]]))
-        without = _Likelihood(kept, spec)
-        assert math.isfinite(weighted(theta))
-        assert weighted(theta) == without(theta)
-        assert_array_equal(weighted.gradient(theta), without.gradient(theta))
-        assert_array_equal(weighted.hessian(theta), without.hessian(theta))
+        assert nll(likelihood(data, spec), theta) == altkit.fitml.BARRIER
+        weighted = likelihood(data, spec).weighted(np.array([[1, 1, 1, 0]]))
+        without = likelihood(kept, spec)
+        assert math.isfinite(nll(weighted, theta))
+        assert nll(weighted, theta) == nll(without, theta)
+        assert_array_equal(score(weighted, theta), score(without, theta))
+        assert_array_equal(information(weighted, theta), information(without, theta))
 
 
 class TestBatchedBootstrap:

@@ -77,6 +77,13 @@ class TestParsing:
             # at most one power-transform exponent per model
             parse_model("lognormal: mu ~ boxcox(v,0.5) + boxcox(w,1.0)")
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e400", "x"])
+    def test_boxcox_exponent_must_be_finite(self, lam):
+        # Not a data problem: the formula itself names no exponent to fit at.
+        message = rf"^boxcox lambda must be a finite number, got '{lam}'$"
+        with pytest.raises(FormulaError, match=message):
+            parse_model(f"lognormal: mu ~ boxcox(v, {lam})")
+
 
 class TestBoxCoxHandling:
     def test_lambda_accessors(self):
