@@ -137,7 +137,8 @@ def _require(args, name: str) -> float:
 
 
 def _af_one(args, use: dict[str, float], test: dict[str, float]) -> float:
-    """The --rel factor at one test condition; inf where it overflows."""
+    """The --rel factor at one test condition; inf where it overflows or
+    where 0.0 is raised to a negative power (an infinite use stress)."""
     kind, af, names = _AF[args.rel]
     options = (_require(args, name) for name in names)
     try:
@@ -156,7 +157,7 @@ def _af_one(args, use: dict[str, float], test: dict[str, float]) -> float:
             _temperature(test), resolve_variable(test, kind),
             _temperature(use), resolve_variable(use, kind), params,
         )
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         return math.inf
 
 

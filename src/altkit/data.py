@@ -9,7 +9,8 @@ Temperature variables must carry an explicit _C or _K suffix.
 Resolution is a lookup that depends only on a condition's keys
 (`variable_source`, `temperature_source`) followed by a read, so rows that
 share their keys resolve a variable once for all of them.  LifeData holds
-many records as columns, every row with the same condition keys.
+many records as columns, every row with the same condition keys; its
+checks give rules that `raise_first_bad` raises for the first bad row.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, MissingVariableError, UnitMismatchError
-from .units import Temperature, to_kelvin
+from .errors import DataError, InvalidTemperatureError, MissingVariableError, UnitMismatchError
+from .units import CELSIUS_OFFSET, Temperature, to_kelvin
 
 FAILED = "failed"
 CENSORED = "censored"
@@ -54,6 +55,21 @@ class LifeRecord:
     @property
     def failed(self) -> bool:
         return self.status == FAILED
+
+
+def raise_first_bad(rules: Sequence[tuple], lines=None) -> None:
+    """Raise the error of the smallest row a rule flags (the earlier rule's
+    when two do), the rules in the order one row is checked, each (mask,
+    error) or (mask, error, column) with error(i) row i's exception.  With
+    `lines`, the message starts "line L: " or "line L, column C: "."""
+    flagged = [(mask.argmax(), k) for k, (mask, *_) in enumerate(rules) if np.count_nonzero(mask)]
+    if flagged:
+        i, k = min(flagged)
+        _, error, *column = rules[k]
+        err = error(i)
+        if lines is not None:
+            err = type(err)(", column ".join([f"line {lines[i]}", *column]) + f": {err}")
+        raise err
 
 
 def _prefix_matches(keys: Collection[str], name: str) -> list[str]:
@@ -143,8 +159,8 @@ class LifeData(Sequence[LifeRecord]):
     that is equal to it record by record.  The arrays are taken as given:
     the CSV reader and `of` check them.  Condition variables resolve a
     column at a time, as resolve_variable and resolve_kelvin resolve them
-    in one condition, and a value that is not finite is an error that
-    names its row's line when it is known.
+    in one condition, each read adding to `rules` the rules its values
+    keep: finite, and a temperature > 0 K.
     """
 
     def __init__(self, time, failed, columns: Mapping[str, Any], lines=None):
@@ -202,25 +218,25 @@ class LifeData(Sequence[LifeRecord]):
     def __repr__(self) -> str:
         return f"LifeData({len(self)} records, condition columns {list(self.columns)})"
 
-    def column(self, key: str) -> np.ndarray:
-        return self._finite(self.columns[key], f"column {key!r}", key)
+    def column(self, key: str, rules: list) -> np.ndarray:
+        values = self.columns[key]
+        rules.append((~np.isfinite(values), lambda i: DataError(
+            f"condition column {key!r} has a non-finite value ({values[i]})" if self.lines is None
+            else f"expected a finite number, got {values[i]}"), key))
+        return values
 
-    def variable(self, name: str) -> np.ndarray:
-        values = read_variable(variable_source(self.columns, name), self.column)
-        return self._finite(values, f"variable {name!r}")
+    def variable(self, name: str, rules: list) -> np.ndarray:
+        source = variable_source(self.columns, name)
+        values = read_variable(source, lambda key: self.column(key, rules))
+        if not isinstance(source, str):  # derived; a column has its own rule
+            rules.append((~np.isfinite(values), lambda i: DataError(
+                f"condition variable {name!r} has a non-finite value ({values[i]})")))
+        return values
 
-    def kelvin(self, name: str) -> np.ndarray:
+    def kelvin(self, name: str, rules: list) -> np.ndarray:
         key, unit = temperature_source(self.columns, name)
-        return to_kelvin(Temperature(self.column(key), unit))
-
-    def _finite(self, values: np.ndarray, what: str, key: str | None = None) -> np.ndarray:
-        finite = np.isfinite(values)
-        if finite.all():
-            return values
-        i = int(np.argmin(finite))
-        message = f"condition {what} has a non-finite value ({values[i]})"
-        if self.lines is not None:
-            message = (f"line {self.lines[i]}: {message}" if key is None else
-                       f"line {self.lines[i]}, column {key}: expected a finite number, "
-                       f"got {values[i]}")
-        raise DataError(message)
+        values = self.column(key, rules)
+        kelvin = values if unit == "kelvin" else values + CELSIUS_OFFSET
+        rules.append((kelvin <= 0.0, lambda i: InvalidTemperatureError(
+            f"temperature {kelvin[i]} K is not > 0")))
+        return kelvin

@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LifeData, LifeRecord
+from .data import LifeData, LifeRecord, raise_first_bad
 from .errors import (
     DomainError,
     IllPosedFitError,
@@ -485,9 +485,9 @@ def fit_ml(
     """Fit by maximum likelihood; deterministic given data, spec and init.
 
     Raises InestimableError when no record is a failure, IllPosedFitError on
-    a rank-deficient design, and NonConvergenceError (carrying the
-    best-so-far FitResult in `.result`) when the Newton loop stops short
-    of the scaled-gradient tolerance.
+    a design that is rank deficient or not finite (a term overflows), and
+    NonConvergenceError (carrying the best-so-far FitResult in `.result`)
+    when the Newton loop stops short of the scaled-gradient tolerance.
     """
     data = LifeData.of(data)
     if not data:
@@ -503,7 +503,12 @@ def fit_ml(
             "all records are censored; the model parameters are inestimable"
         )
     if reason == _ILL_POSED:
-        design = "mu" if _rank_deficient(std.like, std.like.xt[: spec.n_mu])[0] else "sigma"
+        k = spec.n_mu
+        design, xt = (("mu", std.like.xt[:k]) if _rank_deficient(std.like, std.like.xt[:k])[0]
+                      else ("sigma", std.like.xt[k:]))
+        if not np.isfinite(xt).all():
+            raise IllPosedFitError(
+                f"{design} design matrix is not finite on these data (a term overflows)")
         raise IllPosedFitError(f"{design} design matrix is rank deficient on these data")
 
     warnings: list[str] = []
@@ -721,7 +726,9 @@ def reciprocity_test(
     statistic (p_hat - 1)/se tests p = 1.
     """
     data = LifeData.of(data)
-    levels = set(data.variable("cf").tolist())
+    rules: list = []
+    levels = set(data.variable("cf", rules).tolist())
+    raise_first_bad(rules, data.lines)
     if len(levels) < 2:
         raise InestimableError("need at least 2 distinct cf levels to estimate p")
     spec = ModelSpec(

@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import LifeData
-from .errors import AltkitError, DomainError, FormulaError, InvalidTemperatureError
+from .data import LifeData, raise_first_bad
+from .errors import DomainError, FormulaError, MissingVariableError, UnitMismatchError
 from .lifetime import FAMILIES
 from .relationships import box_cox_transform
 from .units import ARRHENIUS_COEFF_EV
@@ -77,25 +77,27 @@ class Factor:
             return f"boxcox({self.inner.name()},{self.lam:g})"
         return f"{self.kind}({self.inner.name()})"
 
-    def value(self, data: LifeData) -> np.ndarray:
-        """The factor over the rows of `data`."""
+    def value(self, data: LifeData, rules: list) -> np.ndarray:
+        """The factor over the rows of `data`; its domains add to `rules`."""
         if self.kind == "var":
-            return data.variable(self.var)
+            return data.variable(self.var, rules)
         if self.kind == "arrh":
-            return ARRHENIUS_COEFF_EV / data.kelvin(self.var)
-        v = self.inner.value(data)
+            return ARRHENIUS_COEFF_EV / data.kelvin(self.var, rules)
+        v = self.inner.value(data, rules)
         if self.kind == "log":
-            if (v <= 0.0).any():
-                raise DomainError(f"log of non-positive value in {self.name()}")
+            rules.append((v <= 0.0, lambda i: DomainError(
+                f"log of non-positive value in {self.name()}")))
             return np.log(v)
         if self.kind == "logit":
-            if not ((0.0 < v) & (v < 1.0)).all():
-                raise DomainError(f"logit argument outside (0, 1) in {self.name()}")
+            rules.append((~((0.0 < v) & (v < 1.0)), lambda i: DomainError(
+                f"logit argument outside (0, 1) in {self.name()}")))
             return np.log(v / (1.0 - v))
         if self.kind == "sq":
             return v * v
         if self.kind == "boxcox":
-            return box_cox_transform(v, self.lam)
+            bad = v <= 0.0
+            rules.append((bad, lambda i: DomainError("box_cox_transform requires x > 0")))
+            return box_cox_transform(np.where(bad, 1.0, v), self.lam)  # raises on x <= 0
         raise FormulaError(f"unknown factor kind {self.kind!r}")
 
 
@@ -108,11 +110,11 @@ class Term:
     def name(self) -> str:
         return ":".join(f.name() for f in self.factors)
 
-    def value(self, data: LifeData) -> np.ndarray:
+    def value(self, data: LifeData, rules: list) -> np.ndarray:
         """The product of the factors over the rows of `data`."""
-        out = self.factors[0].value(data)
+        out = self.factors[0].value(data, rules)
         for f in self.factors[1:]:
-            out = out * f.value(data)
+            out = out * f.value(data, rules)
         return out
 
 
@@ -266,17 +268,6 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(family, mu_terms, sigma_terms)
 
 
-def _design(terms: Sequence[Term], data: LifeData) -> np.ndarray:
-    x = np.ones((len(data), 1 + len(terms)))
-    if terms and data:
-        # Overflow gives inf and inf * 0 gives nan, as float arithmetic on
-        # one row does.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for j, term in enumerate(terms):
-                x[:, 1 + j] = term.value(data)
-    return x
-
-
 def design_matrix(terms: Sequence[Term],
                   data: LifeData | Sequence[Mapping[str, float]]) -> np.ndarray:
     """Rows of [1, term values...] for each row of a LifeData, or for each
@@ -284,31 +275,25 @@ def design_matrix(terms: Sequence[Term],
     differ).
 
     When some row cannot be evaluated, the error raised is the one the
-    first such row raises on its own; a value outside a transform's domain
-    names that row's CSV line when it is known.
+    first such row raises on its own (raise_first_bad, after every term);
+    it names that row's CSV line when it is known.
     """
     if not isinstance(data, LifeData):
         return np.array([design_row(terms, c) for c in data]).reshape(-1, 1 + len(terms))
-    try:
-        return _design(terms, data)
-    except AltkitError:
-        pass
-    # Bisect for the first failing row: data[:hi] fails, [:lo] does not.
-    lo, hi = 0, len(data)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _design(terms, data[:mid])
-            lo = mid
-        except AltkitError:
-            hi = mid
-    try:
-        _design(terms, data[hi - 1 : hi])  # raises that row's error
-    except (DomainError, InvalidTemperatureError) as err:
-        if data.lines is None:
-            raise
-        raise type(err)(f"line {data.lines[hi - 1]}: {err}") from None
-    raise AssertionError("a row's error does not depend on the other rows")
+    x = np.ones((len(data), 1 + len(terms)))
+    if terms and data:
+        rules: list = []
+        # Overflow gives inf and inf * 0 gives nan, as float arithmetic on
+        # one row does.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                for j, term in enumerate(terms):
+                    x[:, 1 + j] = term.value(data, rules)
+            except (MissingVariableError, UnitMismatchError):  # by every row, from the keys
+                raise_first_bad([rule for rule in rules if rule[0][0]], data.lines)
+                raise
+        raise_first_bad(rules, data.lines)
+    return x
 
 
 def design_row(terms: Sequence[Term], condition: Mapping[str, float]) -> np.ndarray:
@@ -316,4 +301,4 @@ def design_row(terms: Sequence[Term], condition: Mapping[str, float]) -> np.ndar
     if not terms:
         return np.ones(1)
     # The condition as a one-row LifeData; its time and status do not enter.
-    return _design(terms, LifeData([1.0], [True], {k: [v] for k, v in condition.items()}))[0]
+    return design_matrix(terms, LifeData([1.0], [True], {k: [v] for k, v in condition.items()}))[0]

@@ -13,9 +13,9 @@ lines before it are clean.  When the life CSV's text is plain and every
 row is clean, one numpy C read splits it and converts every column but
 `status` to floats, which gives what the row-wise reader gives.  Any other
 text, a number spelled in a form only float() reads (1_000, full-width
-digits) included, falls back to the row-wise reader, the only source of
-errors.  The life CSV writer prints each float as repr does, formatting
-each distinct value of a column once.
+digits) included, falls back to the row-wise reader, which alone raises
+errors, checking a column at a time.  The life CSV writer prints each
+float as repr does, formatting each distinct value of a column once.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -33,7 +33,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import CENSORED, FAILED, STATUSES, LifeData, LifeRecord
+from .data import CENSORED, FAILED, STATUSES, LifeData, LifeRecord, raise_first_bad
 from .degradation import DegradationSample
 from .errors import DataError
 from .photodeg import MoistureTable
@@ -191,8 +191,9 @@ def _read_life_columns(text: str) -> LifeData | None:
 
 def _read_life_rows(source) -> LifeData:
     """Life CSV text `source` (from _read_text) read row by row, then
-    checked a column at a time.  The first row that breaks a rule is checked
-    again on its own, so the error is the one it gives read row by row."""
+    checked a column at a time by raise_first_bad, in the order one row is
+    checked: its status, its condition cells in header order, then its
+    time as a number, > 0 and finite."""
     header, rows = _csv_table(source, ("time", "status"),
                               "life-data CSV needs 'time' and 'status' columns")
     table, stop = [], None
@@ -200,32 +201,29 @@ def _read_life_rows(source) -> LifeData:
         table.extend(rows)  # keeps the rows before one of the wrong width or a bad byte
     except DataError as err:
         stop = err
-    status_col = header.index("status")
-    cond_names = [c for c in header if c not in ("time", "status")]
-    cols = [header.index(c) for c in (*cond_names, "time")]
     columns = list(zip(*(cells for _, cells in table))) or [()] * len(header)
-    status = [s.strip() for s in columns[status_col]]
-    *conditions, time = (_leading_floats(columns[j]) for j in cols)
+    # Python strings: numpy's would drop a trailing NUL.
+    status = [s.strip() for s in columns[header.index("status")]]
+    rules = [(np.array([s not in STATUSES for s in status], dtype=bool),
+              lambda i: DataError(f"status must be one of {STATUSES}, got {status[i]!r}"))]
+    cond_names = [c for c in header if c not in ("time", "status")]
+    values = []
+    for name in (*cond_names, "time"):
+        cells = columns[header.index(name)]
+        values.append(_leading_floats(cells))
+        # From the first cell that is not a number on: only the first counts.
+        rules.append((np.arange(len(table)) >= len(values[-1]),
+                      lambda i, cells=cells: DataError(f"expected a number, got {cells[i]!r}"),
+                      name))
+    *conditions, time = values
     time = np.array(time)
-    first_bad = min(
-        next((i for i, s in enumerate(status) if s not in STATUSES), len(table)),
-        *map(len, conditions), time.size,
-        *np.flatnonzero(~((time > 0.0) & (time < math.inf)))[:1],
-    )
-    if first_bad < len(table):
-        line, cells = table[first_bad]
-        if status[first_bad] not in STATUSES:
-            raise DataError(f"line {line}: status must be one of {STATUSES}, "
-                            f"got {status[first_bad]!r}")
-        *_, t = _floats(line, header, cells, cols)
-        try:
-            LifeRecord(t, FAILED)
-        except DataError as err:
-            raise DataError(f"line {line}: {err}") from None
+    rules += [(~(time > 0.0), lambda i: DataError(f"lifetime must be > 0, got {time[i]}")),
+              (~np.isfinite(time), lambda i: DataError(f"lifetime must be finite, got {time[i]}"))]
+    lines = [line for line, _ in table]
+    raise_first_bad(rules, lines)
     if stop is not None:
         raise stop
-    return LifeData(time, [s == FAILED for s in status], dict(zip(cond_names, conditions)),
-                    [line for line, _ in table])
+    return LifeData(time, [s == FAILED for s in status], dict(zip(cond_names, conditions)), lines)
 
 
 def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
@@ -274,18 +272,35 @@ def read_degradation_csv(path_or_file) -> list[DegradationSample]:
 
 
 def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Read a spectrum: wavelengths plus any of irradiance/absorbance columns."""
+    """Read a spectrum: wavelengths plus any of irradiance/absorbance columns.
+
+    The rows are checked as photodeg checks a spectrum, the first bad row
+    naming its line: wavelengths strictly increasing, then irradiance and
+    absorbance >= 0 in header order."""
     header, rows = _csv_table(_read_text(path_or_file), ("wavelength_nm",),
                               "spectral CSV needs a 'wavelength_nm' column")
     if len(header) < 2:
         raise DataError("spectral CSV needs at least one value column")
     cols = [header.index("wavelength_nm")]
     cols += [j for j, c in enumerate(header) if c != "wavelength_nm"]
-    table = [_floats(line, header, cells, cols) for line, cells in rows]
+    table, stop = [], None
+    try:  # keeps the rows before a bad one, which are checked first
+        table.extend((line, _floats(line, header, cells, cols)) for line, cells in rows)
+    except DataError as err:
+        stop = err
+    lines = [line for line, _ in table]
+    wavelengths, *values = np.array([v for _, v in table]).reshape(-1, len(cols)).T.copy()
+    columns = {header[j]: v for j, v in zip(cols[1:], values)}
+    rules = [(np.append(False, wavelengths[1:] <= wavelengths[:-1]),
+              lambda i: DataError("wavelengths must be strictly increasing"))]
+    rules += [(columns[name] < 0.0, lambda i, name=name: DataError(f"{name} samples must be >= 0"))
+              for name in columns if name in ("irradiance", "absorbance")]
+    raise_first_bad(rules, lines)
+    if stop is not None:
+        raise stop
     if len(table) < 2:
         raise DataError("spectral CSV needs at least 2 rows")
-    wavelengths, *values = np.array(table).T.copy()
-    return wavelengths, {header[j]: v for j, v in zip(cols[1:], values)}
+    return wavelengths, columns
 
 
 def read_mc_csv(path_or_file) -> MoistureTable:

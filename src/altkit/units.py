@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvalidTemperatureError, UnitMismatchError
 
 # Published values, kept verbatim so reference numbers reproduce digit for
@@ -63,17 +61,16 @@ class Temperature:
 def to_kelvin(t: Temperature) -> float:
     """Convert to kelvin: K = degC + 273.15 exactly; kelvin passes through.
 
-    The value may also be a numpy array of temperatures in the one unit,
-    which converts to an array.  Raises InvalidTemperatureError when a
-    kelvin value is <= 0, which the rate formulas cannot accept.
+    Raises InvalidTemperatureError when the kelvin value is <= 0, which the
+    rate formulas cannot accept.
     """
     if not isinstance(t, Temperature):
         raise UnitMismatchError(
             "temperature must be a Temperature with an explicit unit, not a bare number"
         )
     kelvin = t.value if t.unit == "kelvin" else t.value + CELSIUS_OFFSET
-    if np.any(kelvin <= 0.0):
-        raise InvalidTemperatureError(f"temperature {np.min(kelvin)} K is not > 0")
+    if kelvin <= 0.0:
+        raise InvalidTemperatureError(f"temperature {kelvin} K is not > 0")
     return kelvin
 
 

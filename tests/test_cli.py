@@ -254,6 +254,19 @@ class TestAfRelationships:
             else:
                 assert [row.split(",")[-1] for row in out.splitlines()[1:]] == ["1", "inf"]
 
+    @pytest.mark.parametrize("rel, use, options", [
+        ("invpower", "v", ["--beta1", "2"]),
+        ("userate", "rate", ["--p", "-1"]),
+        ("coffin-manson", "dtemp", ["--beta1", "-2"]),
+    ])
+    def test_infinite_use_stress_is_inf(self, capsys, rel, use, options):
+        # The factor raises 0.0 (test/use) to a negative power: inf, not a crash.
+        code = main(["af", "--rel", rel, "--use", f"{use}=inf", "--test", f"{use}=1", *options])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out.splitlines()[1] == "1,inf"
+        assert err == f"warning: non-finite af for --test {use}=1\n"
+
     @pytest.mark.parametrize("argv", [
         ["--rel", "boxcox", "--use", "v=1", "--test", "v=1e200", "--lambda", "2",
          "--gamma1", "1"],
@@ -271,6 +284,18 @@ class TestAfRelationships:
 
 
 class TestFit:
+    @pytest.mark.parametrize("lam, problem", [
+        ("1e300", "not finite on these data (a term overflows)"),
+        ("400", "not finite on these data (a term overflows)"),
+        ("-400", "rank deficient on these data"),  # underflows to a constant column
+    ])
+    def test_ill_posed_boxcox_design(self, gab_csv, capsys, lam, problem):
+        code = main(["fit", "--data", gab_csv, "--model",
+                     f"lognormal: mu ~ boxcox(voltstress, {lam})"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: mu design matrix is {problem}\n"
+
     def test_fit_report(self, gab_csv, tmp_path, capsys):
         out = tmp_path / "fit.json"
         code = main(["fit", "--data", gab_csv, "--model",
@@ -739,6 +764,19 @@ class TestDose:
         assert code == 2 and out == ""
         assert err.startswith("error: --duration must be finite and > 0, got ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rows, message", [
+        (["290,1,1", "305,1,1", "305,1,1"], "line 4: wavelengths must be strictly increasing"),
+        (["290,1,1", "305,-1,1", "320,1,-1"], "line 3: irradiance samples must be >= 0"),
+        (["290,1,1", "305,1,-1", "300,-1,1"], "line 3: absorbance samples must be >= 0"),
+    ], ids=["wavelengths", "irradiance", "absorbance"])
+    def test_bad_spectrum_names_its_line(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["wavelength_nm,irradiance,absorbance", *rows]) + "\n")
+        code = main(["dose", "--spectrum", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_missing_irradiance_column(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from altkit import LifeData, LifeRecord, ModelSpec, design_matrix, design_row, parse_model
-from altkit.data import resolve_kelvin, resolve_variable
+from altkit.data import (
+    read_variable, resolve_kelvin, resolve_variable, temperature_source, variable_source,
+)
 from altkit.errors import (
     AltkitError,
     DataError,
     DomainError,
     FormulaError,
+    InvalidTemperatureError,
     MissingVariableError,
     UnitMismatchError,
 )
 from altkit.relationships import box_cox_transform
+from altkit.units import Temperature, to_kelvin
 
 
 class TestParsing:
@@ -205,6 +209,17 @@ class TestDesignMatrix:
         with pytest.raises(DataError, match="'temp_C'"):
             design_row(spec.mu_terms, {"temp_C": float("inf"), "v": 2.0})
 
+    def test_error_from_the_keys_is_row_0s_unless_a_rule_before_it_flags_row_0(self):
+        # temp has no unit suffix, which every row reports once log(v) is done.
+        spec = parse_model("lognormal: mu ~ log(v) + arrh(temp)")
+        data = LifeData([1.0, 2.0], [True, True], {"v": [1.0, -1.0], "temp": [20.0, 20.0]},
+                        lines=[2, 3])
+        with pytest.raises(UnitMismatchError, match="^temperature variable 'temp' needs"):
+            design_matrix(spec.mu_terms, data)
+        data.columns["v"][0] = 0.0
+        with pytest.raises(DomainError, match=r"^line 2: log of non-positive value in log\(v\)$"):
+            design_matrix(spec.mu_terms, data)
+
     def test_non_finite_life_data_cell_names_its_line(self):
         spec = parse_model("lognormal: mu ~ arrh(temp) + log(v)")
         data = LifeData([1.0, 2.0, 3.0], [True, True, False],
@@ -222,65 +237,102 @@ class TestDesignMatrix:
 
 
 # Row-wise reference: each condition and term evaluated on its own with
-# scalar arithmetic, in row order.  design_matrix must agree with it on
-# values and, when a row is invalid, on the error raised.
-def oracle_factor(factor, condition):
+# scalar arithmetic, in row order, each column checked for finiteness as it
+# is read and then a derived value, with LifeData's messages.  design_matrix
+# must agree with it on values and, when a row is invalid, on the error
+# raised; `line` is the row's CSV line, or None when it is not known.
+def at(line, message):
+    return message if line is None else f"line {line}: {message}"
+
+
+def oracle_read(condition, key, line):
+    value = float(condition[key])
+    if math.isfinite(value):
+        return value
+    if line is None:
+        raise DataError(f"condition column {key!r} has a non-finite value ({value})")
+    raise DataError(f"line {line}, column {key}: expected a finite number, got {value}")
+
+
+def oracle_factor(factor, condition, line):
     if factor.kind == "var":
-        return resolve_variable(condition, factor.var)
+        source = variable_source(condition, factor.var)
+        with np.errstate(divide="ignore", invalid="ignore"):  # v / 0 as numpy gives it
+            value = float(read_variable(
+                source, lambda key: np.float64(oracle_read(condition, key, line))))
+        if not math.isfinite(value):
+            raise DataError(at(line, f"condition variable {factor.var!r} "
+                                     f"has a non-finite value ({value})"))
+        return value
     if factor.kind == "arrh":
-        return 11605.0 / resolve_kelvin(condition, factor.var)
-    v = oracle_factor(factor.inner, condition)
+        key, unit = temperature_source(condition, factor.var)
+        try:
+            return 11605.0 / to_kelvin(Temperature(oracle_read(condition, key, line), unit))
+        except InvalidTemperatureError as err:
+            raise InvalidTemperatureError(at(line, str(err))) from None
+    v = oracle_factor(factor.inner, condition, line)
     if factor.kind == "log":
         if v <= 0.0:
-            raise DomainError(f"log of non-positive value in {factor.name()}")
+            raise DomainError(at(line, f"log of non-positive value in {factor.name()}"))
         return math.log(v)
     if factor.kind == "logit":
         if not 0.0 < v < 1.0:
-            raise DomainError(f"logit argument outside (0, 1) in {factor.name()}")
+            raise DomainError(at(line, f"logit argument outside (0, 1) in {factor.name()}"))
         return math.log(v / (1.0 - v))
     if factor.kind == "sq":
         return v * v
     assert factor.kind == "boxcox"
-    return box_cox_transform(v, factor.lam)
+    try:
+        return box_cox_transform(v, factor.lam)
+    except DomainError as err:
+        raise DomainError(at(line, str(err))) from None
 
 
-def oracle_matrix(terms, conditions):
+def oracle_matrix(terms, conditions, lines=None):
     x = np.ones((len(conditions), 1 + len(terms)))
     for i, condition in enumerate(conditions):
         for j, term in enumerate(terms):
             value = 1.0
             for factor in term.factors:
-                value *= oracle_factor(factor, condition)
+                value *= oracle_factor(factor, condition, None if lines is None else lines[i])
             x[i, 1 + j] = value
     return x
+
+
+def number(draw, low, high):
+    """A float in [low, high], or now and then nan or an infinity."""
+    if draw(st.integers(0, 24)) == 0:
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return draw(st.floats(low, high))
 
 
 @st.composite
 def conditions(draw):
     """A condition whose keys vary from row to row: temperature in _C or
     _K (rarely both), voltstress given, unit-suffixed, derived from voltage
-    and thickness or (rarely) ambiguous, rh bare or suffixed.  The ranges
-    reach past each function's domain."""
+    and thickness (now and then 0) or (rarely) ambiguous, rh bare or
+    suffixed.  The ranges reach past each function's domain, and now and
+    then a value is nan or infinite."""
     cond = {}
     for key in draw(st.sampled_from([["temp_C"]] * 5 + [["temp_K"]] * 5
                                     + [["temp_K", "temp_C"]])):
         low = -280.0 if key == "temp_C" else -5.0
-        cond[key] = draw(st.floats(low, 400.0))
+        cond[key] = number(draw, low, 400.0)
     form = draw(st.sampled_from(["given"] * 3 + ["suffixed"] * 3 + ["derived"] * 3
                                 + ["ambiguous"]))
-    stress = draw(st.floats(-5.0, 400.0))
+    stress = number(draw, -5.0, 400.0)
     if form == "given":
         cond["voltstress"] = stress
     elif form == "suffixed":
         cond["voltstress_V_per_mm"] = stress
     elif form == "derived":
-        cond["thickness"] = draw(st.floats(0.1, 5.0))
-        cond["voltage"] = stress * cond["thickness"]
+        cond["thickness"] = draw(st.sampled_from([0.0]) | st.floats(0.1, 5.0))
+        cond["voltage"] = stress * cond["thickness"] if cond["thickness"] else stress
     else:
         cond["voltstress_V_per_mm"] = stress
         cond["voltstress_kV"] = stress / 1000.0
-    cond[draw(st.sampled_from(["rh", "rh_frac"]))] = draw(st.floats(-0.05, 1.05))
-    cond["v"] = draw(st.floats(-1.0, 50.0))
+    cond[draw(st.sampled_from(["rh", "rh_frac"]))] = number(draw, -0.05, 1.05)
+    cond["v"] = number(draw, -1.0, 50.0)
     return cond
 
 
@@ -306,18 +358,20 @@ class TestColumnsMatchRowWise:
     )
     def test_design_matrix(self, terms, rows):
         spec = parse_model("lognormal: mu ~ " + " + ".join(terms))
-        inputs = [rows]
+        inputs = [(rows, None)]
         if len({frozenset(row) for row in rows}) == 1:
-            # Rows with one set of keys as a LifeData: one group, no grouping.
-            inputs.append(LifeData.of([LifeRecord(1.0, "failed", row) for row in rows]))
-        try:
-            expected = oracle_matrix(spec.mu_terms, rows)
-        except AltkitError as err:
-            for data in inputs:
+            # Rows with one set of keys as a LifeData: one group, no
+            # grouping; then as read from a CSV, each row naming its line.
+            data = LifeData.of([LifeRecord(1.0, "failed", row) for row in rows])
+            lines = [3 + 2 * i for i in range(len(rows))]
+            inputs += [(data, None), (LifeData(data.time, data.failed, data.columns, lines), lines)]
+        for data, lines in inputs:
+            try:
+                expected = oracle_matrix(spec.mu_terms, rows, lines)
+            except AltkitError as err:
                 with pytest.raises(AltkitError) as raised:
                     design_matrix(spec.mu_terms, data)
                 assert type(raised.value) is type(err)
                 assert str(raised.value) == str(err)
-            return
-        for data in inputs:
+                continue
             assert_allclose(design_matrix(spec.mu_terms, data), expected, rtol=1e-15, atol=0)
