@@ -313,7 +313,10 @@ def cmd_quantile(args) -> int:
     report["command"] = "quantile"
     report["quantiles"] = _quantile_blocks(fit, use, ps)
     if args.bootstrap is not None:
-        boot = bootstrap_quantile(records, fit.spec, use, ps, args.bootstrap, args.seed)
+        try:
+            boot = bootstrap_quantile(records, fit.spec, use, ps, args.bootstrap, args.seed)
+        except MemoryError:
+            raise ConfigError(f"--bootstrap {args.bootstrap} is too many resamples") from None
         blocks = []
         for j, p in enumerate(ps):
             draws = boot.quantiles[:, j]

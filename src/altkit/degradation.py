@@ -189,6 +189,8 @@ class DegradationSample:
         responses = tuple(float(r) for r in self.responses)
         if len(times) != len(responses):
             raise DomainError("times and responses must have equal length")
+        if not all(map(math.isfinite, times + responses)):
+            raise DomainError(f"unit {self.unit_id!r}: times and responses must be finite")
         if any(t < 0.0 for t in times):
             raise DomainError("measurement times must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):

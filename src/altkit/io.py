@@ -5,17 +5,21 @@ per condition variable, headers carrying unit suffixes (temp_C,
 voltstress_V_per_mm, rh_frac).  Degradation CSV: `unit`, `time`,
 `response` plus condition columns constant within each unit.  Spectral
 CSV: `wavelength_nm` plus `irradiance` and/or `absorbance`.  Moisture
-CSV: `rh`, `moisture_content`.  All four are read whole, then follow one
-row-wise csv reader: blank lines are skipped, every row has one cell per
-header column, a column name may appear once, and errors name the file
-line.  A byte that is not UTF-8 is an error naming its line only when the
-lines before it are clean.  When the life CSV's text is plain and every
-row is clean, one numpy C read splits it and converts every column but
-`status` to floats, which gives what the row-wise reader gives.  Any other
-text, a number spelled in a form only float() reads (1_000, full-width
-digits) included, falls back to the row-wise reader, which alone raises
-errors, checking a column at a time.  The life CSV writer prints each
-float as repr does, formatting each distinct value of a column once.
+CSV: `rh`, `moisture_content`.  One table reader reads each whole: blank
+lines are skipped, every row has one cell per header column, a column
+name may appear once, and a row of the wrong width, a csv error or a
+byte that is not UTF-8 stops the read.  Each reader checks the rows
+before the stop a column at a time, as rules that `raise_first_bad`
+raises for the first bad row, naming its line, and raises the stop only
+when they are clean.  A cell read as a number must be one, and finite in
+the columns its schema uses, condition columns aside: a model rejects a
+non-finite condition that it uses.  When the life CSV's text is plain
+and every row is clean, one numpy C read splits it and converts every
+column but `status` to floats, which gives what the table reader gives;
+any other text, a number spelled in a form only float() reads (1_000,
+full-width digits) included, falls back to the table reader, which alone
+raises errors.  The life CSV writer prints each float as repr does,
+formatting each distinct value of a column once.
 
 JSON reports print floats with 17 significant digits (lossless round
 trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
@@ -27,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import nullcontext, suppress
 from io import BytesIO, StringIO
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -40,15 +44,6 @@ from .photodeg import MoistureTable
 
 JSON_SIG_DIGITS = 17
 TABLE_SIG_DIGITS = 6
-
-
-@contextmanager
-def _naming_read_errors(reader):
-    """Turn a csv.Error from `reader` into a DataError naming its line."""
-    try:
-        yield
-    except csv.Error as err:
-        raise DataError(f"line {reader.line_num}: {err}") from None
 
 
 def _read_text(path_or_file) -> tuple[str | bytes, str, DataError | None]:
@@ -79,56 +74,66 @@ def _read_text(path_or_file) -> tuple[str | bytes, str, DataError | None]:
                 DataError(f"line {len(lines) + done}: not UTF-8 text ({err.reason})"))
 
 
-def _csv_table(source: tuple[str | bytes, str, DataError | None], required: Sequence[str],
-               missing: str):
-    """Check the header of the CSV text `source` from _read_text; give
-    (header, rows), rows streaming (line number, cells) per non-blank row.
-    The header must hold every `required` column (else DataError(missing))
-    and no name twice; each row needs one cell per column.  A byte that is
-    not UTF-8 is an error naming its line after the rows before it."""
-    text, newline, bad = source
-    fh = BytesIO(text) if isinstance(text, bytes) else StringIO(text, newline=newline)
-    reader = csv.reader(fh)
-    with _naming_read_errors(reader):
+def _read_table(source: tuple[str | bytes, str, DataError | None], required: Sequence[str],
+                missing: str):
+    """The CSV text `source` from _read_text read whole, as (header, lines,
+    columns, stop): each kept row's line, each column's cells by name, and
+    the DataError that ended the read early (a row of the wrong width, a
+    csv error, a byte that is not UTF-8) or None, to be raised once the
+    rows before it are checked.  Blank rows are skipped.  The header must
+    hold every `required` column (else DataError(missing)) and no name
+    twice; a csv error in it raises at once."""
+    text, newline, stop = source
+    reader = csv.reader(BytesIO(text) if isinstance(text, bytes)
+                        else StringIO(text, newline=newline))
+    try:
         header = next(reader, None)
+    except csv.Error as err:
+        raise DataError(f"line {reader.line_num}: {err}") from None
     if not header:
-        raise DataError("empty CSV: no header row") if text or bad is None else bad
+        raise DataError("empty CSV: no header row") if text or stop is None else stop
     if any(c not in header for c in required):
         raise DataError(missing)
     dupes = sorted({c for c in header if header.count(c) > 1})
     if dupes:
         raise DataError(f"duplicate column name(s) {dupes} in the header")
+    lines, rows = [], []
+    try:
+        for cells in reader:
+            if len(cells) == len(header):
+                lines.append(reader.line_num)
+                rows.append(cells)
+            elif cells:
+                stop = DataError(f"line {reader.line_num}: expected {len(header)} cells, "
+                                 f"got {len(cells)}")
+                break
+    except csv.Error as err:
+        stop = DataError(f"line {reader.line_num}: {err}")
+    return header, lines, dict(zip(header, list(zip(*rows)) or [()] * len(header))), stop
 
-    def rows():
-        with _naming_read_errors(reader):
-            for cells in reader:
-                if len(cells) != len(header):
-                    if not cells:
-                        continue
-                    raise DataError(f"line {reader.line_num}: expected {len(header)} "
-                                    f"cells, got {len(cells)}")
-                yield reader.line_num, cells
-        if bad is not None:
-            raise bad
 
-    return header, rows()
-
-
-def _leading_floats(cells: Sequence[str]) -> list[float]:
-    """The cells as floats, up to the first that is not a number."""
-    values: list[float] = []
-    with suppress(ValueError):
-        values.extend(map(float, cells))  # keeps the floats before a failure
+def _numbers(columns: Mapping[str, Sequence[str]], names: Sequence[str],
+             rules: list) -> dict[str, np.ndarray]:
+    """The `names` columns as floats, each padded with nan from its first
+    cell that is not a number; that cell's rule is added to `rules`, in the
+    order of `names`, and flags every row from it on."""
+    values = {}
+    for name in names:
+        cells = columns[name]
+        floats: list[float] = []
+        with suppress(ValueError):
+            floats.extend(map(float, cells))  # keeps the floats before a failure
+        rules.append((np.arange(len(cells)) >= len(floats),
+                      lambda i, cells=cells: DataError(f"expected a number, got {cells[i]!r}"),
+                      name))
+        values[name] = np.array(floats + [math.nan] * (len(cells) - len(floats)))
     return values
 
 
-def _floats(line: int, header: list[str], cells: list[str], cols: list[int]) -> list[float]:
-    """The cells at `cols` as floats; the first that fails names itself."""
-    values = _leading_floats([cells[j] for j in cols])
-    if len(values) < len(cols):
-        j = cols[len(values)]
-        raise DataError(f"line {line}, column {header[j]}: expected a number, got {cells[j]!r}")
-    return values
+def _finite(values: Mapping[str, np.ndarray], names: Iterable[str]) -> list[tuple]:
+    """Rules that the `names` columns of `values` hold finite numbers."""
+    return [(~np.isfinite(values[name]), lambda i, v=values[name]: DataError(
+        f"expected a finite number, got {v[i]}"), name) for name in names]
 
 
 def read_life_csv(path_or_file) -> LifeData:
@@ -136,12 +141,12 @@ def read_life_csv(path_or_file) -> LifeData:
     a condition variable.
 
     The text is read whole.  Plain text whose rows are all clean is read by
-    `_read_life_columns`; any other text is read row by row, where the first
-    row that breaks a rule gives the error: its status first, then its
-    condition cells in header order, then its time.  The two give the same
-    LifeData, so the accepted inputs and the errors are those of the
-    row-wise read.  A byte that is not UTF-8 is an error naming its line
-    only when the lines before it are clean."""
+    `_read_life_columns`; any other text by `_read_life_rows`, where the
+    first row that breaks a rule gives the error: its status first, then
+    its condition cells in header order, then its time.  The two give the
+    same LifeData, so the accepted inputs and the errors are those of
+    `_read_life_rows`.  A byte that is not UTF-8 is an error naming its
+    line only when the lines before it are clean."""
     source = _read_text(path_or_file)
     text, _, bad = source
     data = _read_life_columns(text) if bad is None and isinstance(text, str) else None
@@ -190,40 +195,25 @@ def _read_life_columns(text: str) -> LifeData | None:
 
 
 def _read_life_rows(source) -> LifeData:
-    """Life CSV text `source` (from _read_text) read row by row, then
-    checked a column at a time by raise_first_bad, in the order one row is
-    checked: its status, its condition cells in header order, then its
-    time as a number, > 0 and finite."""
-    header, rows = _csv_table(source, ("time", "status"),
-                              "life-data CSV needs 'time' and 'status' columns")
-    table, stop = [], None
-    try:
-        table.extend(rows)  # keeps the rows before one of the wrong width or a bad byte
-    except DataError as err:
-        stop = err
-    columns = list(zip(*(cells for _, cells in table))) or [()] * len(header)
+    """Life CSV text `source` (from _read_text) read whole, then checked a
+    column at a time by raise_first_bad, in the order one row is checked:
+    its status, its condition cells in header order, then its time as a
+    number, > 0 and finite."""
+    header, lines, columns, stop = _read_table(source, ("time", "status"),
+                                               "life-data CSV needs 'time' and 'status' columns")
     # Python strings: numpy's would drop a trailing NUL.
-    status = [s.strip() for s in columns[header.index("status")]]
+    status = [s.strip() for s in columns["status"]]
     rules = [(np.array([s not in STATUSES for s in status], dtype=bool),
               lambda i: DataError(f"status must be one of {STATUSES}, got {status[i]!r}"))]
-    cond_names = [c for c in header if c not in ("time", "status")]
-    values = []
-    for name in (*cond_names, "time"):
-        cells = columns[header.index(name)]
-        values.append(_leading_floats(cells))
-        # From the first cell that is not a number on: only the first counts.
-        rules.append((np.arange(len(table)) >= len(values[-1]),
-                      lambda i, cells=cells: DataError(f"expected a number, got {cells[i]!r}"),
-                      name))
-    *conditions, time = values
-    time = np.array(time)
+    conditions = _numbers(columns, [c for c in header if c not in ("time", "status")] + ["time"],
+                          rules)
+    time = conditions.pop("time")
     rules += [(~(time > 0.0), lambda i: DataError(f"lifetime must be > 0, got {time[i]}")),
               (~np.isfinite(time), lambda i: DataError(f"lifetime must be finite, got {time[i]}"))]
-    lines = [line for line, _ in table]
     raise_first_bad(rules, lines)
     if stop is not None:
         raise stop
-    return LifeData(time, [s == FAILED for s in status], dict(zip(cond_names, conditions)), lines)
+    return LifeData(time, [s == FAILED for s in status], conditions, lines)
 
 
 def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
@@ -250,66 +240,79 @@ def write_life_csv(records: Sequence[LifeRecord], out: IO) -> None:
 
 
 def read_degradation_csv(path_or_file) -> list[DegradationSample]:
-    """Read per-unit degradation paths grouped by the `unit` column."""
-    header, rows = _csv_table(_read_text(path_or_file), ("unit", "time", "response"),
-                              "degradation CSV needs 'unit', 'time' and 'response'")
-    unit_col = header.index("unit")
+    """Read per-unit degradation paths grouped by the `unit` column.
+
+    The rows are checked a column at a time, the first bad row naming its
+    line: its unit id not empty, its condition cells, time and response
+    as numbers, its time and response finite, then its condition equal to
+    its unit's first row's."""
+    header, lines, columns, stop = _read_table(
+        _read_text(path_or_file), ("unit", "time", "response"),
+        "degradation CSV needs 'unit', 'time' and 'response'")
+    units = [u.strip() for u in columns["unit"]]
+    rules = [(np.array([not u for u in units], dtype=bool),
+              lambda i: DataError("empty unit id"))]
     cond_names = [c for c in header if c not in ("unit", "time", "response")]
-    cols = [header.index(c) for c in (*cond_names, "time", "response")]
-    paths: dict[str, tuple[list[float], list[float], dict[str, float]]] = {}
-    for line, cells in rows:
-        unit = cells[unit_col].strip()
-        if not unit:
-            raise DataError(f"line {line}: empty unit id")
-        *values, time, response = _floats(line, header, cells, cols)
-        cond = dict(zip(cond_names, values))
-        times, resps, first = paths.setdefault(unit, ([], [], cond))
-        if cond != first:
-            raise DataError(f"line {line}: unit {unit!r} changes condition mid-path")
-        times.append(time)
-        resps.append(response)
-    return [DegradationSample(u, t, r, c) for u, (t, r, c) in paths.items()]
+    conditions = _numbers(columns, [*cond_names, "time", "response"], rules)
+    rules += _finite(conditions, ["time", "response"])
+    time, response = conditions.pop("time"), conditions.pop("response")
+    paths: dict[str, list[int]] = {}
+    for i, unit in enumerate(units):
+        paths.setdefault(unit, []).append(i)
+    # As a dict comparison: nan differs, except on the unit's first row itself.
+    changed = [i != j and any(v[i] != v[j] for v in conditions.values())
+               for i, j in enumerate(paths[unit][0] for unit in units)]
+    rules.append((np.array(changed, dtype=bool),
+                  lambda i: DataError(f"unit {units[i]!r} changes condition mid-path")))
+    raise_first_bad(rules, lines)
+    if stop is not None:
+        raise stop
+    return [DegradationSample(unit, time[rows].tolist(), response[rows].tolist(),
+                              {name: v[rows[0]].item() for name, v in conditions.items()})
+            for unit, rows in paths.items()]
 
 
 def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Read a spectrum: wavelengths plus any of irradiance/absorbance columns.
 
     The rows are checked as photodeg checks a spectrum, the first bad row
-    naming its line: wavelengths strictly increasing, then irradiance and
-    absorbance >= 0 in header order."""
-    header, rows = _csv_table(_read_text(path_or_file), ("wavelength_nm",),
-                              "spectral CSV needs a 'wavelength_nm' column")
+    naming its line: every cell a number, the wavelength, irradiance and
+    absorbance finite, then wavelengths strictly increasing, then
+    irradiance and absorbance >= 0 in header order."""
+    header, lines, columns, stop = _read_table(_read_text(path_or_file), ("wavelength_nm",),
+                                               "spectral CSV needs a 'wavelength_nm' column")
     if len(header) < 2:
         raise DataError("spectral CSV needs at least one value column")
-    cols = [header.index("wavelength_nm")]
-    cols += [j for j, c in enumerate(header) if c != "wavelength_nm"]
-    table, stop = [], None
-    try:  # keeps the rows before a bad one, which are checked first
-        table.extend((line, _floats(line, header, cells, cols)) for line, cells in rows)
-    except DataError as err:
-        stop = err
-    lines = [line for line, _ in table]
-    wavelengths, *values = np.array([v for _, v in table]).reshape(-1, len(cols)).T.copy()
-    columns = {header[j]: v for j, v in zip(cols[1:], values)}
-    rules = [(np.append(False, wavelengths[1:] <= wavelengths[:-1]),
-              lambda i: DataError("wavelengths must be strictly increasing"))]
+    rules = []
+    columns = _numbers(columns, ["wavelength_nm", *(c for c in header if c != "wavelength_nm")],
+                       rules)
+    rules += _finite(columns, [c for c in columns if c in ("wavelength_nm", "irradiance",
+                                                           "absorbance")])
+    wavelengths = columns.pop("wavelength_nm")
+    rules.append((np.append(False, wavelengths[1:] <= wavelengths[:-1]),
+                  lambda i: DataError("wavelengths must be strictly increasing")))
     rules += [(columns[name] < 0.0, lambda i, name=name: DataError(f"{name} samples must be >= 0"))
               for name in columns if name in ("irradiance", "absorbance")]
     raise_first_bad(rules, lines)
     if stop is not None:
         raise stop
-    if len(table) < 2:
+    if len(lines) < 2:
         raise DataError("spectral CSV needs at least 2 rows")
     return wavelengths, columns
 
 
 def read_mc_csv(path_or_file) -> MoistureTable:
-    """Read a moisture-content table over relative humidity."""
-    header, rows = _csv_table(_read_text(path_or_file), ("rh", "moisture_content"),
-                              "moisture CSV needs 'rh' and 'moisture_content' columns")
-    cols = [header.index("rh"), header.index("moisture_content")]
-    table = [_floats(line, header, cells, cols) for line, cells in rows]
-    return MoistureTable([rh for rh, _ in table], [mc for _, mc in table])
+    """Read a moisture-content table over relative humidity; a cell that
+    is not a finite number names its line."""
+    _, lines, columns, stop = _read_table(_read_text(path_or_file), ("rh", "moisture_content"),
+                                          "moisture CSV needs 'rh' and 'moisture_content' columns")
+    rules = []
+    columns = _numbers(columns, ["rh", "moisture_content"], rules)
+    rules += _finite(columns, ["rh", "moisture_content"])
+    raise_first_bad(rules, lines)
+    if stop is not None:
+        raise stop
+    return MoistureTable(columns["rh"].tolist(), columns["moisture_content"].tolist())
 
 
 def format_float(x: float, sig: int = JSON_SIG_DIGITS) -> str:

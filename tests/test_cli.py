@@ -616,6 +616,16 @@ class TestQuantile:
         assert piped["bootstrap"] == from_file["bootstrap"]
 
 
+    def test_too_many_resamples_exits_2(self, gab_csv, capsys):
+        # 10**15 resamples fail the first allocation, so nothing is allocated.
+        code = main(["quantile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ log(voltstress)", "--use", "voltstress=170",
+                     "--bootstrap", str(10**15), "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: --bootstrap {10**15} is too many resamples\n"
+
+
 class TestProfile:
     def test_csv_sweep(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",
@@ -699,6 +709,20 @@ class TestPseudo:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("rows, message", [
+        (["a,0,1", "a,nan,2", "a,2,3"], "line 3, column time: expected a finite number, got nan"),
+        (["a,0,1", "a,1,nan", "a,2,3"],
+         "line 3, column response: expected a finite number, got nan"),
+        (["a,0,1", "a,1,2", "b,inf,3"], "line 4, column time: expected a finite number, got inf"),
+    ], ids=["nan-time", "nan-response", "inf-time"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "paths.csv"
+        path.write_text("\n".join(["unit,time,response", *rows]) + "\n")
+        code = main(["pseudo", "--data", str(path), "--threshold", "2.5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_horizon_and_extrapolate_conflict(self, degradation_csv, capsys):
         code = main(["pseudo", "--data", degradation_csv,
                      "--threshold", "0.5", "--horizon", "12",
@@ -769,7 +793,14 @@ class TestDose:
         (["290,1,1", "305,1,1", "305,1,1"], "line 4: wavelengths must be strictly increasing"),
         (["290,1,1", "305,-1,1", "320,1,-1"], "line 3: irradiance samples must be >= 0"),
         (["290,1,1", "305,1,-1", "300,-1,1"], "line 3: absorbance samples must be >= 0"),
-    ], ids=["wavelengths", "irradiance", "absorbance"])
+        (["290,1,1", "nan,1,1", "320,1,1"],
+         "line 3, column wavelength_nm: expected a finite number, got nan"),
+        (["290,1,1", "305,nan,1", "320,1,1"],
+         "line 3, column irradiance: expected a finite number, got nan"),
+        (["290,1,1", "305,1,1", "320,1,inf"],
+         "line 4, column absorbance: expected a finite number, got inf"),
+    ], ids=["wavelengths", "irradiance", "absorbance", "nan-wavelength", "nan-irradiance",
+            "inf-absorbance"])
     def test_bad_spectrum_names_its_line(self, tmp_path, capsys, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(["wavelength_nm,irradiance,absorbance", *rows]) + "\n")

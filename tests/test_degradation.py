@@ -261,6 +261,17 @@ class TestPseudoFailureTimes:
             DegradationSample("u", (1.0, 1.0), (0.5, 0.4))
         with pytest.raises(DomainError):
             DegradationSample("u", (2.0, 1.0), (0.5, 0.4))
+
+    # A non-finite point would make the line fit raise numpy's LinAlgError.
+    @pytest.mark.parametrize("times, responses", [
+        ((0.0, math.nan, 2.0), (1.0, 2.0, 3.0)),
+        ((0.0, 1.0, 2.0), (1.0, math.nan, 3.0)),
+        ((0.0, 1.0, math.inf), (1.0, 2.0, 3.0)),
+        ((0.0, 1.0, 2.0), (-math.inf, 2.0, 3.0)),
+    ], ids=["nan-time", "nan-response", "inf-time", "inf-response"])
+    def test_non_finite_point_rejected(self, times, responses):
+        with pytest.raises(DomainError, match="^unit 'u': times and responses must be finite$"):
+            DegradationSample("u", times, responses)
         with pytest.raises(ConfigError):
             pseudo_failure_times([DegradationSample("u", (0.0, 1.0), (1.0, 0.9))],
                                  0.4, time_transform="cbrt")

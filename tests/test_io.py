@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
+    DegradationSample,
     LifeData,
     LifeRecord,
     MoistureTable,
@@ -27,8 +28,8 @@ from altkit import (
     write_life_csv,
 )
 from altkit.data import STATUSES
-from altkit.errors import DataError
-from altkit.io import _csv_table, _floats, _read_life_columns, _read_text
+from altkit.errors import AltkitError, DataError
+from altkit.io import _read_life_columns, _read_table, _read_text
 
 
 class TestLifeCsv:
@@ -118,22 +119,28 @@ class TestLifeCsv:
 # bytes.
 def oracle_read_life_csv(path_or_file) -> tuple[list[LifeRecord], list[int]]:
     """The records and each one's line, csv.reader's line_num after its row."""
-    header, rows = _csv_table(_read_text(path_or_file), ("time", "status"),
-                              "life-data CSV needs 'time' and 'status' columns")
-    status_col = header.index("status")
+    header, lines, columns, stop = _read_table(_read_text(path_or_file), ("time", "status"),
+                                               "life-data CSV needs 'time' and 'status' columns")
     cond_names = [c for c in header if c not in ("time", "status")]
-    cols = [header.index(c) for c in (*cond_names, "time")]
-    records, lines = [], []
-    for line, cells in rows:
-        status = cells[status_col].strip()
+    records = []
+    for k, line in enumerate(lines):
+        status = columns["status"][k].strip()
         if status not in STATUSES:
             raise DataError(f"line {line}: status must be one of {STATUSES}, got {status!r}")
-        *values, time = _floats(line, header, cells, cols)
+        values = {}
+        for name in (*cond_names, "time"):
+            try:
+                values[name] = float(columns[name][k])
+            except ValueError:
+                raise DataError(f"line {line}, column {name}: expected a number, "
+                                f"got {columns[name][k]!r}") from None
+        time = values.pop("time")
         try:
-            records.append(LifeRecord(time, status, dict(zip(cond_names, values))))
+            records.append(LifeRecord(time, status, values))
         except DataError as err:
             raise DataError(f"line {line}: {err}") from None
-        lines.append(line)
+    if stop is not None:
+        raise stop
     return records, lines
 
 
@@ -425,6 +432,110 @@ class TestDegradationCsv:
         with pytest.raises(DataError):
             read_degradation_csv(io.StringIO("unit,time\na,0.0\n"))
 
+    # A row's condition is compared with its unit's first row, as dicts
+    # compare: nan differs from nan, but the first row is not compared with
+    # itself.
+    def test_nan_condition_on_a_units_only_row(self):
+        samples = read_degradation_csv(io.StringIO(
+            "unit,time,response,temp_C\na,0,1,nan\nb,0,1,60\nb,1,2,60\n"))
+        assert repr([s.condition for s in samples]) == "[{'temp_C': nan}, {'temp_C': 60.0}]"
+
+    @pytest.mark.parametrize("rows", [["a,0,1,nan", "a,1,2,nan"], ["a,0,1,60", "a,1,2,nan"]],
+                             ids=["nan-then-nan", "number-then-nan"])
+    def test_nan_condition_on_a_later_row(self, rows):
+        text = "\n".join(["unit,time,response,temp_C", *rows]) + "\n"
+        with pytest.raises(DataError, match="^line 3: unit 'a' changes condition mid-path$"):
+            read_degradation_csv(io.StringIO(text))
+
+
+def oracle_read_degradation_csv(path_or_file) -> list[DegradationSample]:
+    """The degradation reader one row at a time: each row's unit id, its
+    cells as numbers, its time and response finite, then its condition
+    equal to its unit's first row's, compared as dicts."""
+    header, lines, columns, stop = _read_table(
+        _read_text(path_or_file), ("unit", "time", "response"),
+        "degradation CSV needs 'unit', 'time' and 'response'")
+    cond_names = [c for c in header if c not in ("unit", "time", "response")]
+    paths = {}
+    for k, line in enumerate(lines):
+        unit = columns["unit"][k].strip()
+        if not unit:
+            raise DataError(f"line {line}: empty unit id")
+        values = {}
+        for name in (*cond_names, "time", "response"):
+            try:
+                values[name] = float(columns[name][k])
+            except ValueError:
+                raise DataError(f"line {line}, column {name}: expected a number, "
+                                f"got {columns[name][k]!r}") from None
+        for name in ("time", "response"):
+            if not math.isfinite(values[name]):
+                raise DataError(f"line {line}, column {name}: expected a finite number, "
+                                f"got {values[name]}")
+        time, response = values.pop("time"), values.pop("response")
+        times, responses, first = paths.setdefault(unit, ([], [], values))
+        if values != first:
+            raise DataError(f"line {line}: unit {unit!r} changes condition mid-path")
+        times.append(time)
+        responses.append(response)
+    if stop is not None:
+        raise stop
+    return [DegradationSample(u, t, r, c) for u, (t, r, c) in paths.items()]
+
+
+_DEGRADATION_CELLS = ["1", "2.5", " 3 ", "0", "-1", "-0.0", "1_000", "nan", "inf", "-inf",
+                      "", " ", "x", "4e400"]
+
+
+@st.composite
+def degradation_csvs(draw):
+    """A degradation CSV, mostly well formed: two units with increasing
+    times and one condition each; else now and then an empty unit id, a
+    cell that is not a number, a nan/inf cell, a blank line, a row of the
+    wrong width, or a duplicate or missing header name."""
+    names = draw(st.lists(st.sampled_from(["temp_C", "v"]), max_size=2, unique=True))
+    header = draw(st.permutations(["unit", "time", "response", *names]))
+    if draw(st.integers(0, 19)) == 0:
+        header = header + [draw(st.sampled_from(header))]
+    if draw(st.integers(0, 19)) == 0:
+        header = header[1:]
+    mostly_good = draw(st.booleans())
+    lines = [",".join(header)]
+    for k in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " "])))
+            continue
+        unit = draw(st.sampled_from(["a", "b"] if mostly_good else ["a", "b", " a", "", " "]))
+        row = []
+        for name in header:
+            if name == "unit":
+                row.append(unit)
+            elif mostly_good and name == "time":
+                row.append(str(k))
+            elif mostly_good and name != "response":
+                row.append({"a": "60", "b": "80"}[unit])
+            else:
+                row.append(draw(st.sampled_from(_DEGRADATION_CELLS)))
+        if draw(st.integers(0, 14)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestDegradationReaderMatchesRowWise:
+    @settings(max_examples=800, deadline=None)
+    @given(text=degradation_csvs())
+    def test_reader(self, text):
+        try:
+            expected = oracle_read_degradation_csv(io.StringIO(text))
+        except AltkitError as err:
+            with pytest.raises(AltkitError) as raised:
+                read_degradation_csv(io.StringIO(text))
+            assert (type(raised.value), str(raised.value)) == (type(err), str(err))
+            return
+        got = read_degradation_csv(io.StringIO(text))
+        assert repr(got) == repr(expected)
+
 
 class TestSpectralCsv:
     def test_columns(self):
@@ -448,6 +559,14 @@ class TestMoistureCsv:
             "rh,moisture_content\n0.0,0.0\n0.5,2.0\n1.0,6.0\n"))
         assert isinstance(table, MoistureTable)
         assert_allclose(table(0.25), 1.0, rtol=1e-15)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.1,1\nnan,2\n", "line 3, column rh: expected a finite number, got nan"),
+        ("0.1,1\n0.5,inf\n", "line 3, column moisture_content: expected a finite number, got inf"),
+    ], ids=["nan-rh", "inf-moisture"])
+    def test_non_finite_cell_names_its_line(self, rows, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read_mc_csv(io.StringIO("rh,moisture_content\n" + rows))
 
 
 class TestOtherReadersNotUtf8:
