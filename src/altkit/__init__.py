@@ -64,7 +64,6 @@ from .fitml import (
 )
 from .formula import ModelSpec, design_matrix, design_row, parse_model
 from .io import (
-    JSON_SIG_DIGITS,
     TABLE_SIG_DIGITS,
     dump_json,
     format_float,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from io import StringIO
 
 import numpy as np
 
@@ -80,7 +81,7 @@ _AF = {
     "userate": ("single", use_rate_af, ("p",)),
     "invpower": ("single", inverse_power_af, ("beta1",)),
     "coffin-manson": ("single", coffin_manson_af, ("beta1",)),
-    "boxcox": ("single", box_cox_af, ("lam", "gamma1")),
+    "boxcox": ("single", box_cox_af, ("lambda", "gamma1")),
     "peck": ("rh", peck_af, ("gamma2",)),
     "klinger": ("rh", klinger_af, ("gamma2",)),
     "blacks": ("current", blacks_af, ("gamma2",)),
@@ -108,15 +109,22 @@ def _temperature(cond: dict[str, float], name: str = "temp") -> Temperature:
     return Temperature.kelvin(resolve_kelvin(cond, name))
 
 
+def _number(name: str, value: float) -> float:
+    """The value of option --`name`; ConfigError if it is nan."""
+    if math.isnan(value):
+        raise ConfigError(f"expected a number for --{name}, got {value}")
+    return value
+
+
 def _ea_from_args(args) -> ActivationEnergy:
     given = [
-        pair
-        for pair in (
-            (ActivationEnergy.ev, args.ea_ev),
-            (ActivationEnergy.kj_per_mol, args.ea_kj),
-            (ActivationEnergy.kcal_per_mol, args.ea_kcal),
+        (build, _number(name, value))
+        for build, name, value in (
+            (ActivationEnergy.ev, "ea-ev", args.ea_ev),
+            (ActivationEnergy.kj_per_mol, "ea-kj", args.ea_kj),
+            (ActivationEnergy.kcal_per_mol, "ea-kcal", args.ea_kcal),
         )
-        if pair[1] is not None
+        if value is not None
     ]
     if len(given) > 1:
         raise ConfigError("give at most one of --ea-ev, --ea-kj, --ea-kcal")
@@ -133,7 +141,7 @@ def _require(args, name: str) -> float:
     value = getattr(args, name.replace("-", "_"))
     if value is None:
         raise ConfigError(f"--{name} is required for --rel {args.rel}")
-    return value
+    return _number(name, value)
 
 
 def _af_one(args, use: dict[str, float], test: dict[str, float]) -> float:
@@ -162,19 +170,18 @@ def _af_one(args, use: dict[str, float], test: dict[str, float]) -> float:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """`text` to stdout, or to `path` as UTF-8 with its newlines as given."""
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _write_life_output(records, path: str | None) -> None:
-    if path is None:
-        write_life_csv(records, sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            write_life_csv(records, fh)
+def _life_csv(records) -> str:
+    out = StringIO()
+    write_life_csv(records, out)
+    return out.getvalue()
 
 
 def _table_value(x: float) -> str:
@@ -371,7 +378,7 @@ def cmd_pseudo(args) -> int:
     records = pseudo_failure_times(
         samples, args.threshold, time_transform=args.time_scale, horizon=horizon
     )
-    _write_life_output(records, args.output)
+    _write_output(_life_csv(records), args.output)
     return 0
 
 
@@ -390,17 +397,18 @@ def cmd_dose(args) -> int:
             if absorb is not None
             else (lambda lam: np.full_like(np.asarray(lam, dtype=float), np.inf))
         ),
-        beta0=args.beta0,
-        beta1=args.beta1,
+        beta0=_number("beta0", args.beta0),
+        beta1=_number("beta1", args.beta1),
     )
     if not 0.0 < args.duration < math.inf:
         raise ConfigError(f"--duration must be finite and > 0, got {args.duration:g}")
     # A value beyond double precision is inf (or nan), reported below.
     with np.errstate(over="ignore", invalid="ignore"):
-        time_grid = np.linspace(0.0, args.duration, max(2, args.time_steps))
         d_inst = instantaneous_dosage(0.0, grid, f)
-        d_tot = total_dosage(args.duration, grid, f, time_grid)
-        effective = effective_exposure(d_tot, ExposureConfig(args.cf, args.p))
+        # The irradiance does not change with time: one trapezoid is exact.
+        d_tot = total_dosage(args.duration, grid, f, [0.0, args.duration])
+        effective = effective_exposure(
+            d_tot, ExposureConfig(_number("cf", args.cf), _number("p", args.p)))
     values = {"d_inst": d_inst, "d_tot": d_tot, "effective_exposure": effective}
     bad = [name for name, v in values.items() if not math.isfinite(v)]
     if bad:
@@ -421,7 +429,7 @@ def cmd_dose(args) -> int:
 
 
 def cmd_gab(args) -> int:
-    _write_life_output(load_gab(), args.output)
+    _write_output(_life_csv(load_gab()), args.output)
     return 0
 
 
@@ -446,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=None, help="temperature power term")
     p.add_argument("--p", type=float, default=1.0, help="use-rate exponent")
     p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", type=float, default=None)
     p.add_argument("--gamma1", type=float, default=None)
     p.add_argument("--gamma2", type=float, default=None)
     p.add_argument("--json", action="store_true")
@@ -484,7 +492,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, default=0.0)
     p.add_argument("--beta1", type=float, default=0.0)
     p.add_argument("--duration", type=float, default=1.0)
-    p.add_argument("--time-steps", type=int, default=2)
     p.add_argument("--cf", type=float, default=1.0)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--json", action="store_true")

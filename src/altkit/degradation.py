@@ -188,11 +188,11 @@ class DegradationSample:
         times = tuple(float(t) for t in self.times)
         responses = tuple(float(r) for r in self.responses)
         if len(times) != len(responses):
-            raise DomainError("times and responses must have equal length")
+            raise DomainError(f"unit {self.unit_id!r}: times and responses must have equal length")
         if not all(map(math.isfinite, times + responses)):
             raise DomainError(f"unit {self.unit_id!r}: times and responses must be finite")
         if any(t < 0.0 for t in times):
-            raise DomainError("measurement times must be >= 0")
+            raise DomainError(f"unit {self.unit_id!r}: measurement times must be >= 0")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise DomainError(f"unit {self.unit_id!r}: times must be strictly increasing")
         object.__setattr__(self, "times", times)

@@ -21,9 +21,10 @@ full-width digits) included, falls back to the table reader, which alone
 raises errors.  The life CSV writer prints each float as repr does,
 formatting each distinct value of a column once.
 
-JSON reports print floats with 17 significant digits (lossless round
-trip); CSV tables default to 6.  Serialization is hand-rolled so the byte
-output is fully determined by the report contents.
+JSON reports are written by json.dumps in insertion order, each float
+printed as repr prints it (the shortest text that reads back to the same
+double) and a non-finite value as null; CSV tables print 6 significant
+digits.
 """
 
 from __future__ import annotations
@@ -42,24 +43,24 @@ from .degradation import DegradationSample
 from .errors import DataError
 from .photodeg import MoistureTable
 
-JSON_SIG_DIGITS = 17
 TABLE_SIG_DIGITS = 6
 
 
 def _read_text(path_or_file) -> tuple[str | bytes, str, DataError | None]:
     """The whole text of a path or of a file passed in (bytes from a
     binary file, which csv rejects), the newline at which csv is to split
-    it, and None.  A path is read with universal newlines, as csv asks.  A
-    file passed in is split as iterating it would split it: at "\\r",
-    "\\n" and "\\r\\n" when it reports the newlines it has seen (a file
-    opened with newline="" or None), else at "\\n" (a StringIO, or a file
-    opened with newline="\\n").  On a byte that is not UTF-8, the text is
+    it, and None.  A path is read as UTF-8 with universal newlines, as csv
+    asks.  A file passed in is split as iterating it would split it: at
+    "\\r", "\\n" and "\\r\\n" when it reports the newlines it has seen (a
+    file opened with newline="" or None), else at "\\n" (a StringIO, or a
+    file opened with newline="\\n").  On a byte that is not UTF-8, the text is
     the lines before the byte's line, and the DataError naming that line
     comes third, to be raised once those lines are read."""
     is_file = hasattr(path_or_file, "read")
     newline = ""
     try:
-        with nullcontext(path_or_file) if is_file else open(path_or_file, newline="") as fh:
+        with (nullcontext(path_or_file) if is_file
+              else open(path_or_file, encoding="utf-8", newline="")) as fh:
             text = fh.read()
             if is_file and getattr(fh, "newlines", None) is None:
                 newline = "\n"
@@ -315,53 +316,34 @@ def read_mc_csv(path_or_file) -> MoistureTable:
     return MoistureTable(columns["rh"].tolist(), columns["moisture_content"].tolist())
 
 
-def format_float(x: float, sig: int = JSON_SIG_DIGITS) -> str:
-    """Shortest fixed-significance decimal; non-finite values print as nan/inf."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, f".{sig}g")
+def format_float(x: float, sig: int = 17) -> str:
+    """`x` to `sig` significant digits; non-finite values print as nan/inf."""
+    return format(float(x), f".{sig}g")
 
 
-def _json_fragment(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
-    if obj is None:
-        return "null"
+def _plain(obj):
+    """`obj` as the plain values json.dumps takes: numpy scalars and arrays
+    as Python ones, a mapping as a dict with str keys, any other iterable
+    as a list, and a non-finite float as None (JSON has no NaN or
+    Infinity)."""
+    if obj is None or isinstance(obj, str):
+        return obj
     if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
-        # JSON has no NaN/Infinity literals; report them as null.
-        x = float(obj)
-        if not math.isfinite(x):
-            return "null"
-        return format_float(x)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        return _plain(obj.tolist())
     if isinstance(obj, Mapping):
-        if not obj:
-            return "{}"
-        items = [
-            f"{pad}{json.dumps(str(k))}: {_json_fragment(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
+        return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, Iterable):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad}{_json_fragment(v, indent, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
+        return [_plain(v) for v in obj]
     raise DataError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def dump_json(obj, indent: int = 2) -> str:
-    """Deterministic JSON: insertion-keyed objects, 17-significant-digit
-    floats, newline-terminated."""
-    return _json_fragment(obj, indent, 0) + "\n"
+    """Deterministic JSON: insertion-keyed objects, each float as repr
+    prints it, newline-terminated."""
+    return json.dumps(_plain(obj), indent=indent) + "\n"

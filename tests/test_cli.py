@@ -89,6 +89,22 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode().splitlines() == ["temp_C,af", "120,24.4605", "[]"]
 
+    def test_files_opened_as_utf8(self, tmp_path):
+        # Every path is opened with an explicit encoding, so no command
+        # depends on the locale's codec.
+        proc = run_altkit([
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+            "import sys; from altkit.cli import main; d = sys.argv[1]; print([\n"
+            "main(['gab', '--output', d + '/gab.csv']),\n"
+            "main(['fit', '--data', d + '/gab.csv', '--model', 'lognormal: mu ~ log(voltstress)',"
+            " '--output', d + '/fit.json']),\n"
+            "main(['af', '--rel', 'arrhenius', '--use', 'temp_C=50', '--test', 'temp_C=120',"
+            " '--ea-ev', '0.5', '--output', d + '/af.csv'])])",
+            str(tmp_path)])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == "[0, 0, 0]\n" and proc.stderr == b""
+        assert (tmp_path / "af.csv").read_bytes() == b"temp_C,af\n120,24.4605\n"
+
 
 class TestAf:
     def test_table_output(self, capsys):
@@ -108,6 +124,13 @@ class TestAf:
         assert len(rows) == 3
         assert_allclose(float(rows[1].split(",")[1]),
                         (170.0 / 120.0) ** 9.0, rtol=1e-4)
+
+    def test_test_conditions_must_share_variables(self, capsys):
+        code = main(["af", "--rel", "invpower", "--use", "v=1", "--test", "v=2",
+                     "--test", "w=3", "--beta1", "-9"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: every --test must assign the same variables\n"
 
     def test_json_report(self, capsys):
         code = main(["af", "--rel", "arrhenius", "--use", "temp_C=50",
@@ -210,7 +233,7 @@ class TestAfRelationships:
         ("invpower", ["--use", "v=120", "--test", "v=170"], "--beta1 is required"),
         ("coffin-manson", ["--use", "dtemp=20", "--test", "dtemp=100"], "--beta1 is required"),
         ("boxcox", ["--use", "v=120", "--test", "v=170", "--gamma1", "-1.5"],
-         "--lam is required"),
+         "--lambda is required"),
         ("peck", ["--use", "temp_C=30,rh=0.5", "--test", "temp_C=85,rh=0.85", "--ea-ev", "0.7"],
          "--gamma2 is required for --rel peck"),
         ("klinger", ["--use", "temp_C=30", "--test", "temp_C=85", "--ea-ev", "0.7",
@@ -224,6 +247,24 @@ class TestAfRelationships:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("rel, argv, flag", [
+        ("arrhenius", ["--use", "temp_C=50", "--test", "temp_C=120", "--ea-ev", "nan"], "ea-ev"),
+        ("arrhenius", ["--use", "temp_C=50", "--test", "temp_C=120", "--ea-kj", "nan"], "ea-kj"),
+        ("eyring", ["--use", "temp_C=50", "--test", "temp_C=120", "--ea-ev", "0.5",
+                    "--m", "nan"], "m"),
+        ("userate", ["--use", "rate=60", "--test", "rate=412", "--p", "nan"], "p"),
+        ("invpower", ["--use", "v=120", "--test", "v=170", "--beta1", "nan"], "beta1"),
+        ("boxcox", ["--use", "v=120", "--test", "v=170", "--lambda", "nan",
+                    "--gamma1", "-1.5"], "lambda"),
+        ("peck", ["--use", "temp_C=30,rh=0.5", "--test", "temp_C=85,rh=0.85", "--ea-ev", "0.7",
+                  "--gamma2", "nan"], "gamma2"),
+    ])
+    def test_nan_option_exits_2(self, capsys, rel, argv, flag):
+        code = main(["af", "--rel", rel, *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: expected a number for --{flag}, got nan\n"
 
     @pytest.mark.parametrize("rel, use, test, options", [
         ("arrhenius", "temp_K=1", "temp_K=1e9", ["--ea-ev", "100"]),
@@ -284,6 +325,26 @@ class TestAfRelationships:
 
 
 class TestFit:
+    @pytest.mark.parametrize("argv, message", [
+        (["--use", "voltstress=abc"], "expected a number for voltstress, got 'abc'"),
+        (["--use", "voltstress=120", "--quantiles", "0.1,x"],
+         "expected comma-separated probabilities, got '0.1,x'"),
+    ], ids=["use", "quantiles"])
+    def test_bad_quantile_request_exits_2(self, gab_csv, capsys, argv, message):
+        code = main(["fit", "--data", gab_csv, "--model", "lognormal: mu ~ log(voltstress)",
+                     *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_rank_deficient_sigma_design_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "life.csv"
+        path.write_text("time,status,v,w\n5,failed,1,2\n6,failed,2,2\n7,censored,3,2\n")
+        code = main(["fit", "--data", str(path), "--model", "lognormal: mu ~ v; sigma ~ w"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: sigma design matrix is rank deficient on these data\n"
+
     @pytest.mark.parametrize("lam, problem", [
         ("1e300", "not finite on these data (a term overflows)"),
         ("400", "not finite on these data (a term overflows)"),
@@ -542,6 +603,13 @@ class TestQuantile:
         assert q["lower"] < q["quantile"] < q["upper"]
         assert not q["extrapolated"]
 
+    def test_no_probabilities_exits_2(self, gab_csv, capsys):
+        code = main(["quantile", "--data", gab_csv, "--model", "lognormal: mu ~ log(voltstress)",
+                     "--use", "voltstress=170", "--p", " , "])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: no probabilities given\n"
+
     def test_bootstrap_requires_seed(self, gab_csv, capsys):
         code = main(["quantile", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(voltstress)",
@@ -645,6 +713,14 @@ class TestProfile:
                      "--use", "voltstress=120", "--grid", "2:-1:0.5"])
         assert code == 2
 
+    def test_grid_needs_three_parts(self, gab_csv, capsys):
+        code = main(["profile", "--data", gab_csv, "--model",
+                     "lognormal: mu ~ boxcox(voltstress, 1)",
+                     "--use", "voltstress=120", "--grid", "1:2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: expected start:stop:step, got '1:2'\n"
+
     # Only grids refused before anything is allocated.
     @pytest.mark.parametrize("grid", ["0:1:nan", "-inf:1:0.1", "0:1:1e-300", "-1e308:1e308:1"])
     def test_non_finite_or_huge_grid_exits_2(self, gab_csv, capsys, grid):
@@ -723,6 +799,14 @@ class TestPseudo:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_negative_time_names_its_unit(self, tmp_path, capsys):
+        path = tmp_path / "paths.csv"
+        path.write_text("unit,time,response\na,0,1\na,1,2\nb,-1,1\nb,2,2\n")
+        code = main(["pseudo", "--data", str(path), "--threshold", "1.5"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: unit 'b': measurement times must be >= 0\n"
+
     def test_horizon_and_extrapolate_conflict(self, degradation_csv, capsys):
         code = main(["pseudo", "--data", degradation_csv,
                      "--threshold", "0.5", "--horizon", "12",
@@ -772,6 +856,25 @@ class TestDose:
                 header, row = out.splitlines()
                 assert header.split(",") == self.FIELDS
                 assert [k for k, v in zip(self.FIELDS, row.split(",")) if v == "inf"] == fields
+
+    @pytest.mark.parametrize("flag", ["beta0", "beta1", "cf", "p"])
+    def test_nan_option_exits_2(self, spectrum_csv, capsys, flag):
+        # 1.0 ** nan is 1: a nan --p would otherwise be silently ignored.
+        code = main(["dose", "--spectrum", spectrum_csv, f"--{flag}", "nan"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: expected a number for --{flag}, got nan\n"
+
+    def test_absorbance_column(self, tmp_path, capsys):
+        # Absorbance ln 2 absorbs half the unit irradiance over 30 nm.
+        path = tmp_path / "spectrum.csv"
+        path.write_text(f"wavelength_nm,irradiance,absorbance\n290,1,{math.log(2)}\n"
+                        f"320,1,{math.log(2)}\n")
+        code = main(["dose", "--spectrum", str(path), "--duration", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert_allclose([float(x) for x in out.splitlines()[1].split(",")], [15.0, 30.0, 30.0],
+                        rtol=1e-12)
 
     def test_no_dose_is_no_exposure(self, spectrum_csv, capsys):
         # phi underflows, so d_tot = 0; cf**p overflows, but 0 dose gives 0.

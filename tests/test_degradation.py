@@ -262,6 +262,14 @@ class TestPseudoFailureTimes:
         with pytest.raises(DomainError):
             DegradationSample("u", (2.0, 1.0), (0.5, 0.4))
 
+    @pytest.mark.parametrize("times, responses, message", [
+        ((-1.0, 1.0), (0.5, 0.4), "measurement times must be >= 0"),
+        ((0.0, 1.0), (0.5,), "times and responses must have equal length"),
+    ])
+    def test_errors_name_the_unit(self, times, responses, message):
+        with pytest.raises(DomainError, match=f"^unit 'u': {message}$"):
+            DegradationSample("u", times, responses)
+
     # A non-finite point would make the line fit raise numpy's LinAlgError.
     @pytest.mark.parametrize("times, responses", [
         ((0.0, math.nan, 2.0), (1.0, 2.0, 3.0)),

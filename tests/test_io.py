@@ -407,6 +407,10 @@ class TestLifeData:
             LifeData.of([LifeRecord(1.0, "failed", {"v": 1.0}),
                          LifeRecord(1.0, "failed", {"v": 1.0, "w": 2.0})])
 
+    def test_record_status_must_be_known(self):
+        with pytest.raises(DataError, match=r"^status must be one of .*, got 'dead'$"):
+            LifeRecord(1.0, "dead")
+
 
 class TestDegradationCsv:
     def test_grouping_by_unit(self):
@@ -659,3 +663,10 @@ class TestDumpJson:
     def test_insertion_order_preserved(self):
         text = dump_json({"z": 1, "a": 2})
         assert text.index('"z"') < text.index('"a"')
+
+    def test_floats_stay_floats(self):
+        # Each float prints as repr does, so -0.0 keeps its sign and 2.0
+        # does not read back as the integer 2.
+        parsed = json.loads(dump_json({"a": -0.0, "b": 2.0}))
+        assert type(parsed["a"]) is float and math.copysign(1.0, parsed["a"]) == -1.0
+        assert type(parsed["b"]) is float and parsed["b"] == 2.0
