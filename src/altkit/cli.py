@@ -110,9 +110,9 @@ def _temperature(cond: dict[str, float], name: str = "temp") -> Temperature:
 
 
 def _number(name: str, value: float) -> float:
-    """The value of option --`name`; ConfigError if it is nan."""
-    if math.isnan(value):
-        raise ConfigError(f"expected a number for --{name}, got {value}")
+    """The value of option --`name`; ConfigError unless it is finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number for --{name}, got {value}")
     return value
 
 

@@ -40,10 +40,13 @@ its batch of one with unit weights.
 
 bootstrap_quantile standardizes once with the full sample's column
 statistics, starts every resample from the full sample's own replicate
-fit, and fits the resamples in blocks of bounded size.  profile_lambda starts each
-grid point from the last converged point's solution in standardized
-coordinates, which move little with the exponent even though the
-transformed column changes scale.
+fit, and fits the resamples in blocks of bounded size, drawing each
+block's resamples at once.  profile_lambda starts each grid point on the
+straight line through the last two converged points' solutions in
+standardized coordinates, which follow a smooth path in the exponent even
+though the transformed column changes scale: the line's start lies O(h^2)
+from the solution for a grid step h, where the last solution alone lies
+O(h) away.
 """
 
 from __future__ import annotations
@@ -84,6 +87,10 @@ DECREMENT_TOL = 1e-12
 # arrays hold at most this many elements.
 _BLOCK_ELEMENTS = 1 << 16
 _Z975 = 1.959963984540054  # standard normal 0.975 quantile
+# profile_lambda extrapolates its start along the secant through the last
+# two converged points only to an exponent at most this many times their
+# spacing beyond the last; a longer reach amplifies their rounding.
+_MAX_SECANT_STEP = 2.0
 
 
 class _Likelihood:
@@ -618,7 +625,8 @@ def quantile_at_use(
     zp = float(std_quantile(p, spec.family))
     log_tp = mu + zp * sigma
     grad = np.ldexp(np.concatenate([xm, zp * sigma * xs]), -fit.scale_exponents)
-    var_log = float(grad @ fit.scaled_covariance @ grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, reported as such
+        var_log = float(grad @ fit.scaled_covariance @ grad)
     se_log = math.sqrt(max(var_log, 0.0))
     tp = _exp(log_tp)
     return QuantileEstimate(
@@ -665,10 +673,15 @@ def profile_lambda(
     quantile.  A point that fails to converge is flagged, not fatal; a p
     outside (0, 1) raises DomainError before anything is fitted.
 
-    Each fit starts from the last converged point's solution in
-    standardized coordinates, where it stays close as the exponent moves
-    even though the transformed column changes scale; the first fit, and
-    every fit before a point has converged, starts cold.
+    Each fit starts in standardized coordinates, where the solution moves
+    smoothly with the exponent even though the transformed column changes
+    scale, at the extrapolation w1 + (w1 - w0)(lam - lam1)/(lam1 - lam0)
+    through the solutions w0, w1 of the last two converged points lam0,
+    lam1, converted to the original scale with this point's column
+    statistics.  It starts from w1 alone when only one point has converged,
+    when lam1 == lam0 (a grid may repeat an exponent), or when lam lies more
+    than _MAX_SECANT_STEP spacings away from lam1; the first fit, and every fit
+    before a point has converged, starts cold.
     """
     data = LifeData.of(data)
     spec.boxcox_lambda()  # validates that the model has a boxcox term
@@ -676,12 +689,17 @@ def profile_lambda(
     lams = default_profile_grid() if grid is None else np.asarray(grid, dtype=float)
     nan = float("nan")
     points: list[ProfilePoint] = []
-    warm = None  # standardized estimates of the last converged point
+    warm: list[tuple[float, np.ndarray]] = []  # (lam, standardized estimates), last 2 converged
     for lam in map(float, lams):
         lspec = spec.with_boxcox_lambda(lam)
+        start = None
+        if warm:
+            (lam0, w0), (lam1, w1) = warm[0], warm[-1]
+            step = (lam - lam1) / (lam1 - lam0) if lam1 != lam0 else math.inf
+            start = w1 + (w1 - w0) * step if abs(step) <= _MAX_SECANT_STEP else w1
         try:
             std = _Standardizer(_Likelihood(data, lspec))
-            fit = fit_ml(data, lspec, None if warm is None else std.original_params(warm)[0])
+            fit = fit_ml(data, lspec, None if start is None else std.original_params(start)[0])
             ok = fit.converged
         except NonConvergenceError as err:
             fit, ok = err.result, False
@@ -689,7 +707,7 @@ def profile_lambda(
             points.append(ProfilePoint(lam, nan, nan, nan, nan, False))
             continue
         if ok:
-            warm = std.standardized_params(fit.estimates[None])
+            warm = [*warm[-1:], (lam, std.standardized_params(fit.estimates[None]))]
         try:
             q = quantile_at_use(fit, use, p)
             points.append(ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, ok))
@@ -810,10 +828,11 @@ def bootstrap_quantile(
         rng = np.random.default_rng(seed)
         block = max(1, _BLOCK_ELEMENTS // n)
         for lo in range(0, n_boot, block):
-            counts = np.array([
-                np.bincount(rng.integers(0, n, size=n), minlength=n)
-                for _ in range(min(block, n_boot - lo))
-            ])
+            # One draw of every resample in the block, counted per row of
+            # draws by offsetting each row into its own n bins.
+            draws = rng.integers(0, n, size=(min(block, n_boot - lo), n))
+            draws += n * np.arange(len(draws))[:, None]
+            counts = np.bincount(draws.ravel(), minlength=draws.size).reshape(draws.shape)
             hi = lo + len(counts)
             reasons[lo:hi], fit, sol = _fit_replicates(std.like.weighted(counts), start)
             if fit.size:

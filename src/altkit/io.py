@@ -158,13 +158,16 @@ def _read_life_columns(text: str) -> LifeData | None:
     """`text` read by numpy's C reader, or None when this path does not
     apply; it never raises.  It applies to plain text: no quote, no carriage
     return and a final newline, so the csv module would split each line at
-    every comma, and no blank or whitespace-only line, so a row's line is its
-    index + 2.  Every cell must be within csv's field size limit, every
-    status exactly failed or censored, every other cell a number numpy
+    every comma, no blank or whitespace-only line, so a row's line is its
+    index + 2, and no NUL, which numpy's fixed-width strings would drop from
+    the end of a status.  Every cell must be within csv's field size limit,
+    every status exactly failed or censored (read as 9 characters, so a
+    longer status cannot be cut down to one), every other cell a number numpy
     reads (a spelling only float() reads, such as 1_000, takes the row-wise
     read, and numpy gives float()'s value for the rest) and every time
     finite and > 0."""
-    if '"' in text or "\r" in text or "\n\n" in text or not text.endswith("\n"):
+    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text \
+            or not text.endswith("\n"):
         return None
     lines = text.split("\n")
     header = lines[0].split(",")
@@ -175,7 +178,7 @@ def _read_life_columns(text: str) -> LifeData | None:
                    for cell in line.split(",")):
         return None
     n = len(lines) - 2
-    dtype = [("", object if name == "status" else float) for name in header]
+    dtype = [("", "U9" if name == "status" else float) for name in header]
     try:
         table = np.loadtxt(lines[1:-1], delimiter=",", comments=None, dtype=dtype, ndmin=1)
     except ValueError:
@@ -190,7 +193,7 @@ def _read_life_columns(text: str) -> LifeData | None:
     time = columns.pop("time")
     if not ((time > 0.0) & (time < math.inf)).all():
         return None
-    # Copies, not field views that would keep the status strings alive.
+    # Copies, not field views that would keep the whole table alive.
     return LifeData(time.copy(), failed, {name: v.copy() for name, v in columns.items()},
                     np.arange(2, n + 2))
 

@@ -264,7 +264,22 @@ class TestAfRelationships:
         code = main(["af", "--rel", rel, *argv])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: expected a number for --{flag}, got nan\n"
+        assert err == f"error: expected a finite number for --{flag}, got nan\n"
+
+    @pytest.mark.parametrize("rel, argv, flag, value", [
+        ("arrhenius", ["--use", "temp_C=50", "--test", "temp_C=120", "--ea-ev", "inf"],
+         "ea-ev", "inf"),
+        ("arrhenius", ["--use", "temp_C=50", "--test", "temp_C=120", "--ea-kj=-inf"],
+         "ea-kj", "-inf"),
+        ("boxcox", ["--use", "v=120", "--test", "v=170", "--lambda", "inf",
+                    "--gamma1", "-1.5"], "lambda", "inf"),
+    ])
+    def test_infinite_option_exits_2(self, capsys, rel, argv, flag, value):
+        # An infinite activation energy once printed 120,nan and exited 0.
+        code = main(["af", "--rel", rel, *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: expected a finite number for --{flag}, got {value}\n"
 
     @pytest.mark.parametrize("rel, use, test, options", [
         ("arrhenius", "temp_K=1", "temp_K=1e9", ["--ea-ev", "100"]),
@@ -569,6 +584,18 @@ class TestOverflow:
         block, key = null
         assert json.loads(out)[block][0][key] is None
 
+    def test_overflowing_quantile_variance_warns_once(self, gab_csv, capsys):
+        # The delta-method variance overflows at voltstress=1e300; numpy once
+        # added its own overflow warning and source line to stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", "--data", gab_csv, "--model", "weibull: mu ~ voltstress",
+                         "--use", "voltstress=1e300"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert err == "warning: non-finite quantile values for p=0.01,0.05 are reported as null\n"
+        assert [q["se"] for q in json.loads(out)["quantiles"]] == [None, None]
+
     def test_profile_prints_inf(self, tmp_path, capsys):
         path = tmp_path / "life.csv"
         path.write_text(LINE4_CSV)
@@ -863,7 +890,15 @@ class TestDose:
         code = main(["dose", "--spectrum", spectrum_csv, f"--{flag}", "nan"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == f"error: expected a number for --{flag}, got nan\n"
+        assert err == f"error: expected a finite number for --{flag}, got nan\n"
+
+    @pytest.mark.parametrize("flag, value", [("p", "inf"), ("cf", "inf"), ("beta0", "-inf")])
+    def test_infinite_option_exits_2(self, spectrum_csv, capsys, flag, value):
+        # 1.0 ** inf is 1: an infinite --p at the default --cf once ran as --p 1.
+        code = main(["dose", "--spectrum", spectrum_csv, f"--{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: expected a finite number for --{flag}, got {value}\n"
 
     def test_absorbance_column(self, tmp_path, capsys):
         # Absorbance ln 2 absorbs half the unit irradiance over 30 nm.

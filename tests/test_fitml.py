@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
     BootstrapQuantiles,
+    LifeData,
     LifeRecord,
     design_row,
     default_profile_grid,
@@ -42,6 +43,7 @@ from altkit.fitml import (
     SKIP_REASONS,
     _default_init,
     _fit_replicates,
+    _Likelihood,
     _Standardizer,
 )
 from altkit.lifetime import std_quantile
@@ -746,6 +748,92 @@ class TestProfileWarmStart:
             assert pt.converged
             assert_allclose(pt.loglik, fit.loglik, rtol=1e-10)
         assert sum(steps) < sum(fit.iterations for fit in cold)
+
+
+def last_point_sweep(data, spec, grid):
+    """The sweep with each fit started from the last converged point's
+    solution alone, the start profile_lambda took before the secant."""
+    data, warm, fits = LifeData.of(data), None, []
+    for lam in grid:
+        lspec = spec.with_boxcox_lambda(lam)
+        std = _Standardizer(_Likelihood(data, lspec))
+        fit = fit_ml(data, lspec, None if warm is None else std.original_params(warm)[0])
+        warm = std.standardized_params(fit.estimates[None])
+        fits.append(fit)
+    return fits
+
+
+class TestProfileSecantStart:
+    @staticmethod
+    def recorded_fits(monkeypatch):
+        """fit_ml replaced by one that records each call's init and result."""
+        calls = []
+        cold_fit = altkit.fitml.fit_ml
+
+        def recorded(data, spec, init=None):
+            fit = cold_fit(data, spec, init)
+            calls.append((init, fit))
+            return fit
+
+        monkeypatch.setattr(altkit.fitml, "fit_ml", recorded)
+        return calls
+
+    @pytest.mark.parametrize("family, steps", [("lognormal", 67), ("weibull", 68)])
+    def test_default_sweep_takes_fewer_steps_for_the_same_results(
+            self, gab, monkeypatch, family, steps):
+        spec = parse_model(f"{family}: mu ~ boxcox(voltstress, 1)")
+        calls = self.recorded_fits(monkeypatch)
+        points = profile_lambda(gab, spec, GAB_USE)
+        monkeypatch.undo()
+        # 6 or 7 steps cold, 3 from the first point alone, then 2 per point
+        # where the last point alone takes 3 (96 and 97 in all).
+        assert len(calls) == 31
+        assert sum(fit.iterations for _, fit in calls) <= steps
+        for pt, fit in zip(points, last_point_sweep(gab, spec, default_profile_grid())):
+            assert pt.converged == fit.converged
+            assert_allclose(pt.loglik, fit.loglik, rtol=1e-12)
+
+    @pytest.mark.parametrize("grid", [
+        [1.0, 1.0, 1.0, 1.5],  # a repeated exponent: no secant through one point
+        [0.0, 0.5, 400.0, 1.0, 1.5],  # 400 fails between converged points
+        [0.0, 1e-300, 1.0],  # a secant 1e300 spacings long is not taken
+    ], ids=["repeated", "failing-point", "far-reach"])
+    def test_every_start_is_finite_and_every_point_as_cold(self, gab, monkeypatch, grid):
+        spec = parse_model("lognormal: mu ~ boxcox(voltstress, 1)")
+        calls = self.recorded_fits(monkeypatch)
+        points = profile_lambda(gab, spec, GAB_USE, grid=grid)
+        monkeypatch.undo()
+        assert calls[0][0] is None
+        assert all(np.isfinite(init).all() for init, _ in calls[1:])
+        for pt in points:
+            if pt.lam == 400.0:
+                assert not pt.converged and math.isnan(pt.loglik)
+                continue
+            cold = fit_ml(gab, spec.with_boxcox_lambda(pt.lam))
+            assert pt.converged
+            assert_allclose(pt.loglik, cold.loglik, rtol=1e-10)
+
+
+class TestBootstrapDraws:
+    @pytest.mark.parametrize("n", [6, 39, 74, 75])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_counts_equal_one_draw_per_resample(self, gab, monkeypatch, n, seed):
+        seen = []
+        weighted = _Likelihood.weighted
+
+        def spy(self, counts):
+            seen.append(np.array(counts))
+            return weighted(self, counts)
+
+        monkeypatch.setattr(_Likelihood, "weighted", spy)
+        # Blocks of 3 resamples, so that the stream runs across blocks.
+        monkeypatch.setattr(altkit.fitml, "_BLOCK_ELEMENTS", 3 * n)
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        bootstrap_quantile(gab[:n], spec, GAB_USE, 0.1, 8, seed)
+        rng = np.random.default_rng(seed)
+        want = [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(8)]
+        assert [len(c) for c in seen] == [3, 3, 2]
+        assert_array_equal(np.concatenate(seen), want)
 
 
 class TestHessianUtilities:

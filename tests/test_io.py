@@ -311,9 +311,18 @@ class TestColumnarMatchesRowWise:
         (PLAIN.replace("failed", " failed").replace("censored", "censored "), False),
         (PLAIN.replace("nan", '"nan"'), False),
         (PLAIN.replace("1.5", "0"), False),
+        # Status is read as 9 characters: NULs at its end would vanish, and a
+        # 10-character status must not be cut to a valid one.
+        (PLAIN.replace("1.5,failed", "1.5,failed\x00\x00\x00"), False),
+        (PLAIN.replace(",1\n", ",1\x00\n"), False),
+        (PLAIN.replace("censored", "censoredXY"), False),
+        (PLAIN.replace("failed", "Failed"), False),
+        (PLAIN.replace("failed", " failed"), False),
     ], ids=["plain", "spaced-floats", "float-forms", "nul-status", "long-status", "cell-at-limit",
             "long-line", "cell-over-limit", "long-line-cell-over", "name-over-limit", "crlf",
-            "space-line", "blank-line", "no-final-newline", "spaced-status", "quote", "bad-time"])
+            "space-line", "blank-line", "no-final-newline", "spaced-status", "quote", "bad-time",
+            "nul-padded-status", "nul-number", "status-over-9", "capital-status",
+            "leading-space-status"])
     def test_each_input_takes_its_path(self, text, fast):
         assert (_read_life_columns(text) is not None) is fast
         assert_reads_as_oracle(text)
