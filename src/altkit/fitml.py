@@ -14,15 +14,16 @@ the scaled gradient max-norm at the returned point is below 1e-5.
 
 Each point the search visits is evaluated in at most two passes over
 the stacked design X = [x_mu | x_sig], held transposed so each column is
-contiguous.  The first, when the point is made, computes sigma, z and the
-objective, the linear predictors as elementwise column updates; the
-second computes the score and the observed information together, once,
-when the point is accepted or its score is asked for, as one product of
-stacked per-row weights with X, so a trial step that is rejected costs
-the first pass only.  Records are stored failures first, so the density
-kernels run on the failures only and the survival kernels on the
-censored units only.  The accepted point's score and observed
-information serve both the next step and the final covariance.
+contiguous: an objective pass when the point is made (sigma, z and the
+objective, the linear predictors as elementwise column updates), and a
+derivative pass for the score and the observed information together, one
+product of stacked per-row weights with X, once and only when the point
+is accepted or its score is asked for.  So a Newton round costs one
+objective pass per trial point and one derivative pass per accepted point
+(or tried full step, whose score decides it).  Records are stored failures
+first, so the density kernels run on the failures only and the survival
+kernels on the censored units only; the accepted point's score and
+observed information serve both the next step and the final covariance.
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
@@ -51,7 +52,6 @@ O(h) away.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,18 +104,18 @@ class _Likelihood:
     """
 
     def __init__(self, data: LifeData, spec: ModelSpec):
-        self.order = np.concatenate([np.flatnonzero(data.failed), np.flatnonzero(~data.failed)])
+        self.order = np.argsort(~data.failed, kind="stable")
         x = [design_matrix(spec.mu_terms, data).T, design_matrix(spec.sigma_terms, data).T]
         self.xt = np.concatenate(x).take(self.order, axis=1)
         self.logt = np.log(data.time)[self.order]
-        self.n_failed = int(data.failed.sum())
+        self.n_failed = int(np.count_nonzero(data.failed))
         self.family = spec.family
         self.n_mu = spec.n_mu
         self.weights = None
 
     def _with(self, **attrs) -> "_Likelihood":
-        clone = copy.copy(self)
-        clone.__dict__.update(attrs)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__, **attrs)
         return clone
 
     def weighted(self, counts: np.ndarray) -> "_Likelihood":
@@ -126,10 +126,6 @@ class _Likelihood:
     def replicates(self, which: np.ndarray) -> "_Likelihood":
         """The replicates selected by index or mask `which`."""
         return self if self.weights is None else self._with(weights=self.weights[which])
-
-    def row_weights(self) -> np.ndarray:
-        """The (replicates, rows) weights; one row of ones when unweighted."""
-        return np.ones((1, self.logt.size)) if self.weights is None else self.weights
 
     def weigh(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
         """`values` (..., replicates, rows) times the weights of `rows`;
@@ -236,11 +232,13 @@ def _default_init(like: _Likelihood) -> np.ndarray:
     of the failed fraction (heavy censoring hides spread)."""
     nf, k = like.n_failed, like.n_mu
     xf, yf = like.xt[:k, :nf].T, like.logt[:nf]
-    weights = like.row_weights()
+    weights = np.ones((1, like.logt.size)) if like.weights is None else like.weights
     theta = np.zeros((len(weights), len(like.xt)))
     for row, w in zip(theta, weights):
         r = np.sqrt(w[:nf])
-        beta, *_ = np.linalg.lstsq(xf * r[:, None], yf * r, rcond=None)
+        # Unit weights change no bit, but their products would copy every row.
+        x, y = (xf, yf) if like.weights is None else (xf * r[:, None], yf * r)
+        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
         resid = r * (yf - xf @ beta)
         n_failed = float(w[:nf].sum())
         s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
@@ -250,13 +248,19 @@ def _default_init(like: _Likelihood) -> np.ndarray:
 
 
 def _rank_deficient(like: _Likelihood, xt: np.ndarray) -> np.ndarray:
-    """Whether the design held as xt (rows in the stored order) is not
-    finite or loses rank under each replicate's row weights."""
-    if not np.isfinite(xt).all():
-        return np.ones(len(like.row_weights()), dtype=bool)
+    """Whether the design held as xt (rows in the stored order) is not finite
+    or loses rank under each replicate's row weights, by np.linalg.matrix_rank's
+    rule: a singular value at most max(rows, columns) * eps times the largest is 0.
+    One column's singular value is its norm, which is finite on a standardized
+    design, so it has rank 1 exactly where some weighted entry is not 0."""
     # Unit weights change no bit, but their product would copy every row.
     x = xt.T[None] if like.weights is None else np.sqrt(like.weights)[:, :, None] * xt.T
-    return np.linalg.matrix_rank(x) < len(xt)
+    if not np.isfinite(xt).all():
+        return np.ones(len(x), dtype=bool)
+    if len(xt) == 1:
+        return ~x.any(axis=(1, 2))
+    s = np.linalg.svd(x, compute_uv=False)  # in descending order
+    return (len(x[0]) < len(xt)) | ~(s[:, -1] > s[:, 0] * (max(x[0].shape) * np.finfo(float).eps))
 
 
 class _Standardizer:
@@ -279,8 +283,9 @@ class _Standardizer:
         with np.errstate(over="ignore", invalid="ignore"):
             _, e = np.frexp(np.abs(xt).max(axis=1, initial=0.0))
             scaled = np.ldexp(xt, -e[:, None])
-            m = np.ldexp(scaled.mean(axis=1), e)
-            s = np.ldexp(scaled.std(axis=1), e)
+            mean = scaled.sum(axis=1, keepdims=True) / xt.shape[1]  # as np.mean and np.std
+            m = np.ldexp(mean[:, 0], e)
+            s = np.ldexp(np.sqrt(np.square(scaled - mean).sum(axis=1) / xt.shape[1]), e)
             m[intercepts], s[intercepts], e[intercepts] = 0.0, 1.0, 0  # intercepts untouched
             s[s == 0.0] = 1.0  # constant column; the rank check rejects it
             self.like = like._with(xt=(xt - m[:, None]) / s[:, None])
@@ -328,7 +333,7 @@ def _descent_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     found."""
     steps = _solve(h, g)
     decrease = np.einsum("ij,ij->i", g, steps)
-    for i in np.flatnonzero(~(decrease > 0.0)):
+    for i in () if (decrease > 0.0).all() else np.flatnonzero(~(decrease > 0.0)):
         ridge = 1e-8 * (float(np.max(np.abs(np.diag(h[i])))) or 1.0)
         for _ in range(11):
             step = _solve(h[i : i + 1] + ridge * np.eye(g.shape[1]), g[i : i + 1])[0]
@@ -345,27 +350,30 @@ class _Solution:
     score and Hessian there, and the steps taken."""
 
     def __init__(self, start: _Point):
-        self.theta = start.theta.copy()
-        self.nll = start.nll.copy()
-        self.score, self.hessian = (a.copy() for a in start.derivatives)
+        self.theta, self.nll = start.theta.copy(), start.nll  # theta is the caller's
+        self.score, self.hessian = start.derivatives
         self.steps = np.zeros(len(self.theta), dtype=int)
 
-    def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> None:
+    def accept(self, idx: np.ndarray, trial: _Point, keep: np.ndarray) -> np.ndarray:
         """Move replicates idx[keep] to their trial points, the rows of
-        `trial` where `keep` is true."""
+        `trial` where `keep` is true; idx is ascending.  Returns the indices
+        of those moved whose score is finite there, ascending."""
         if not keep.any():
-            return
+            return idx[keep]
         new = (trial.theta, trial.nll, *trial.derivatives)
         if not keep.all():
             idx, new = idx[keep], [a[keep] for a in new]
-        for mine, a in zip((self.theta, self.nll, self.score, self.hessian), new):
-            mine[idx] = a
+        if idx.size == self.steps.size:  # every replicate moves: keep the trial's arrays
+            self.theta, self.nll, self.score, self.hessian = new
+        else:
+            for mine, a in zip((self.theta, self.nll, self.score, self.hessian), new):
+                mine[idx] = a
         self.steps[idx] += 1
+        return idx[np.isfinite(new[2]).all(axis=1)]
 
     def scaled_grad(self) -> np.ndarray:
-        return np.max(
-            np.abs(self.score) * np.maximum(1.0, np.abs(self.theta)), axis=1
-        ) / np.maximum(1.0, np.abs(self.nll))
+        return (np.abs(self.score) * np.maximum(1.0, np.abs(self.theta))).max(
+            axis=1) / np.maximum(1.0, np.abs(self.nll))
 
 
 def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
@@ -373,39 +381,38 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
     move together, one likelihood pass and one stacked solve per round,
     but each has its own ridge, step length and stop."""
     sol = _Solution(like.at(theta))
-    moving = np.isfinite(sol.score).all(axis=1)
-    # Every replicate still moving has taken one step per round.
+    # The replicates still moving, each having taken one step per round.
+    idx = np.flatnonzero(np.isfinite(sol.score).all(axis=1))
     for _ in range(NEWTON_STEPS):
-        idx = np.flatnonzero(moving)
         if not idx.size:
             break
-        g = sol.score[idx]
-        step, decrease = _descent_steps(sol.hessian[idx], g)
-        found = decrease > 0.0
-        small = decrease < DECREMENT_TOL * np.maximum(1.0, np.abs(sol.nll[idx]))
-        last = found & small
-        if last.any():
-            # f cannot resolve the decrease the quadratic model predicts
-            # (half of g @ step) but the score can: take the full step
-            # where it shrinks the score, then stop.
-            trial = like.replicates(idx[last]).at(sol.theta[idx[last]] - step[last])
-            shrinks = np.abs(trial.derivatives[0]).max(axis=1) < np.abs(g[last]).max(axis=1)
-            sol.accept(idx[last], trial, shrinks)
-        # Only a replicate that a step below lowers keeps moving.
-        moving[idx] = False
-        search = found & ~small
-        idx, step = idx[search], step[search]
-        alpha = 1.0
+        # The rows of idx, taken before any moves (the arrays themselves for all).
+        mine = (sol.theta, sol.nll, sol.score, sol.hessian)
+        theta, nll, g, h = mine if idx.size == sol.steps.size else [a[idx] for a in mine]
+        step, decrease = _descent_steps(h, g)
+        bound = DECREMENT_TOL * np.maximum(1.0, np.abs(nll))
+        search = decrease >= bound  # a decrease f can resolve (so positive)
+        if not search.all():
+            last = (decrease > 0.0) & (decrease < bound)
+            if last.any():
+                # f cannot resolve the decrease the quadratic model predicts
+                # (half of g @ step) but the score can: take the full step
+                # where it shrinks the score, then stop.
+                trial = like.replicates(idx[last]).at(theta[last] - step[last])
+                shrinks = np.abs(trial.derivatives[0]).max(axis=1) < np.abs(g[last]).max(axis=1)
+                sol.accept(idx[last], trial, shrinks)
+            idx, theta, nll, step = idx[search], theta[search], nll[search], step[search]
+        # Only a replicate that a step below lowers, to a finite score, keeps moving.
+        alpha, moved = 1.0, [idx[:0]]
         while idx.size and alpha > 1e-10:
-            trial = like.replicates(idx).at(sol.theta[idx] - alpha * step)
-            lower = trial.nll < sol.nll[idx]
-            sol.accept(idx, trial, lower)
-            moving[idx[lower]] = True
+            trial = like.replicates(idx).at(theta - alpha * step)
+            lower = trial.nll < nll
+            moved.append(sol.accept(idx, trial, lower))
             if lower.all():
                 break
-            idx, step = idx[~lower], step[~lower]
+            idx, theta, nll, step = idx[~lower], theta[~lower], nll[~lower], step[~lower]
             alpha *= 0.5
-        moving &= np.isfinite(sol.score).all(axis=1)
+        idx = moved[-1] if len(moved) < 3 else np.sort(np.concatenate(moved))  # ascending
     return sol
 
 
@@ -422,11 +429,10 @@ def _fit_replicates(
     first of _INESTIMABLE, _ILL_POSED and _NON_CONVERGED whose rule it
     breaks, else _KEPT.  Returns the reasons, the indices of the
     replicates fitted and their _Solution (None when none was)."""
-    weights = like.row_weights()
-    reasons = np.full(len(weights), _KEPT)
-    k = like.n_mu
-    reasons[_rank_deficient(like, like.xt[:k]) | _rank_deficient(like, like.xt[k:])] = _ILL_POSED
-    reasons[weights[:, : like.n_failed].sum(axis=1) == 0.0] = _INESTIMABLE
+    k, nf = like.n_mu, like.n_failed
+    ill = _rank_deficient(like, like.xt[:k]) | _rank_deficient(like, like.xt[k:])
+    failed = nf if like.weights is None else like.weights[:, :nf].sum(axis=1)
+    reasons = np.where(failed == 0.0, _INESTIMABLE, np.where(ill, _ILL_POSED, _KEPT))
     fit = np.flatnonzero(reasons == _KEPT)
     if not fit.size:
         return reasons, fit, None
@@ -479,11 +485,6 @@ class FitResult:
         return float(self.se[self._index(name)])
 
 
-def _column_ranges(xt: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """The range of each non-intercept column of the design held as `xt`."""
-    return tuple((float(x.min()), float(x.max())) for x in xt[1:])
-
-
 def fit_ml(
     data: Sequence[LifeRecord],
     spec: ModelSpec,
@@ -500,7 +501,7 @@ def fit_ml(
     if not data:
         raise InestimableError("no records")
     init = None if init is None else _params(init, spec, "init")
-    like = _Likelihood(data, spec)
+    like, k = _Likelihood(data, spec), spec.n_mu
     std = _Standardizer(like)
     (reason,), _, sol = _fit_replicates(
         std.like, None if init is None else std.standardized_params(init[None])
@@ -510,7 +511,6 @@ def fit_ml(
             "all records are censored; the model parameters are inestimable"
         )
     if reason == _ILL_POSED:
-        k = spec.n_mu
         design, xt = (("mu", std.like.xt[:k]) if _rank_deficient(std.like, std.like.xt[:k])[0]
                       else ("sigma", std.like.xt[k:]))
         if not np.isfinite(xt).all():
@@ -539,14 +539,14 @@ def fit_ml(
     scaled = std.scaled_covariance(cov_std)
     scaled = 0.5 * (scaled + scaled.T)
     e = std.exponents
-
+    lo, hi = like.xt.min(axis=1).tolist(), like.xt.max(axis=1).tolist()  # column ranges
     result = FitResult(
         spec=spec,
         param_names=spec.param_names,
         estimates=std.original_params(sol.theta)[0],
         loglik=-float(sol.nll[0]),
         covariance=np.ldexp(scaled, -(e[:, None] + e)),
-        se=np.ldexp(np.sqrt(np.clip(np.diag(scaled), 0.0, None)), -e),
+        se=np.ldexp(np.sqrt(np.maximum(scaled.diagonal(), 0.0)), -e),
         scaled_covariance=scaled,
         scale_exponents=e,
         converged=bool(reason == _KEPT),
@@ -554,8 +554,8 @@ def fit_ml(
         warnings=warnings,
         n_records=len(data),
         n_failed=like.n_failed,
-        mu_column_ranges=_column_ranges(like.xt[: spec.n_mu]),
-        sigma_column_ranges=_column_ranges(like.xt[spec.n_mu :]),
+        mu_column_ranges=tuple(zip(lo[1:k], hi[1:k])),
+        sigma_column_ranges=tuple(zip(lo[k + 1 :], hi[k + 1 :])),
     )
     if not result.converged:
         raise NonConvergenceError(

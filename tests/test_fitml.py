@@ -12,6 +12,7 @@ import math
 import warnings
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from altkit.fitml import (
     _default_init,
     _fit_replicates,
     _Likelihood,
+    _rank_deficient,
     _Standardizer,
 )
 from altkit.lifetime import std_quantile
@@ -316,6 +318,56 @@ class TestFitValidation:
         init = _default_init(likelihood(gab, parse_model("lognormal: mu ~ log(voltstress)")))
         assert init.shape == (1, 3)
         assert np.all(np.isfinite(init))
+
+
+def random_design(rng) -> np.ndarray:
+    """A design held as xt (one row per column) with 1 to 8 records and 1 to
+    4 columns, some of them collinear or nearly so, constant, all zero or
+    scaled by 2^600 or 2^-600."""
+    n, cols = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+    xt = rng.integers(-3, 4, size=(cols, n)).astype(float)
+    for j in range(cols):
+        kind = rng.integers(8)
+        if kind == 0:
+            xt[j] = 1.0 if rng.integers(2) else rng.normal()  # an intercept, or constant
+        elif kind == 1:
+            xt[j] = 0.0
+        elif kind == 2 and j:
+            xt[j] = rng.integers(-2, 3) * xt[rng.integers(j)] + (xt[0] if j > 1 else 0.0)
+        elif kind == 3:
+            xt[j] = np.ldexp(xt[j] + rng.normal(size=n), int(rng.choice([-600, 600])))
+        elif kind == 4 and j:  # collinear but for a few ulps: near matrix_rank's threshold
+            xt[j] = xt[j - 1] + np.ldexp(rng.normal(size=n), -int(rng.integers(46, 54)))
+    return xt
+
+
+class TestRankVerdict:
+    # _rank_deficient takes matrix_rank's verdict from one SVD per design
+    # (none for one column) on the design under each replicate's weights.
+    def test_agrees_with_matrix_rank(self):
+        rng = np.random.default_rng(21)
+        seen = Counter()
+        for _ in range(400):
+            xt = random_design(rng)
+            if rng.integers(2):
+                weights = None
+                designs = [xt.T]
+            else:  # zero-weight rows, and sometimes a replicate of no weight
+                weights = rng.choice([0.0, 0.0, 0.25, 1.0, 2.0, 3.0],
+                                     size=(int(rng.integers(1, 5)), xt.shape[1]))
+                designs = [np.sqrt(w)[:, None] * xt.T for w in weights]
+            want = [np.linalg.matrix_rank(x) < len(xt) for x in designs]
+            got = _rank_deficient(SimpleNamespace(weights=weights), xt)
+            assert got.tolist() == want, (xt, weights)
+            seen[len(xt) == 1, weights is None, *want[:1]] += 1
+        # Every kind of design, with both verdicts.
+        assert len(seen) == 8
+
+    def test_a_design_that_is_not_finite(self):
+        xt = np.array([[1.0, 1.0, 1.0], [1.0, np.inf, 2.0]])
+        for weights in (None, np.ones((3, 3))):
+            got = _rank_deficient(SimpleNamespace(weights=weights), xt)
+            assert got.all() and got.shape == (1 if weights is None else 3,)
 
 
 class TestDegenerateSamples:
@@ -812,6 +864,26 @@ class TestProfileSecantStart:
             cold = fit_ml(gab, spec.with_boxcox_lambda(pt.lam))
             assert pt.converged
             assert_allclose(pt.loglik, cold.loglik, rtol=1e-10)
+
+
+class TestWorkCounts:
+    # The work a fit does, counted without a clock: objective passes
+    # (std_logpdf calls), derivative passes (std_dlogpdf calls) and Newton
+    # steps.  A change to the optimizer's path moves these pins.
+    @pytest.mark.parametrize("family, passes, steps", [("lognormal", 7, 6), ("weibull", 8, 7)])
+    def test_cold_gab_fit(self, gab, monkeypatch, family, passes, steps):
+        rows = count_kernel_rows(monkeypatch)
+        fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
+        assert len(rows["std_logpdf"]) == len(rows["std_dlogpdf"]) == passes
+        assert fit.iterations == steps
+
+    def test_default_boxcox_sweep(self, gab, monkeypatch):
+        rows = count_kernel_rows(monkeypatch)
+        calls = TestProfileSecantStart.recorded_fits(monkeypatch)
+        profile_lambda(gab, parse_model("lognormal: mu ~ boxcox(voltstress, 1)"), GAB_USE)
+        assert len(rows["std_logpdf"]) == 103
+        assert len(rows["std_dlogpdf"]) == 98
+        assert sum(fit.iterations for _, fit in calls) == 67
 
 
 class TestBootstrapDraws:
