@@ -12,18 +12,18 @@ when the objective can no longer resolve the predicted decrease, when no
 step lowers it, or after NEWTON_STEPS steps; the fit has converged when
 the scaled gradient max-norm at the returned point is below 1e-5.
 
-Each point the search visits is evaluated in at most two passes over
-the stacked design X = [x_mu | x_sig], held transposed so each column is
-contiguous: an objective pass when the point is made (sigma, z and the
-objective, the linear predictors as elementwise column updates), and a
-derivative pass for the score and the observed information together, one
-product of stacked per-row weights with X, once and only when the point
-is accepted or its score is asked for.  So a Newton round costs one
+Set-up builds X = [x_mu | x_sig], held transposed with records failures
+first, and its standardized copy a column at a time, doing no (columns,
+rows) work beyond the two arrays: about 0.6 ms of an 8.3 ms fit at 50,000
+rows on the 2-core machine of BENCH_22.json.
+Each point the search visits is then evaluated in at most two passes over
+X: an objective pass when the point is made (sigma, z and the objective),
+and a derivative pass for the score and the observed information together,
+one product of stacked per-row weights with X, once and only when the
+point is accepted or its score is asked for.  So a Newton round costs one
 objective pass per trial point and one derivative pass per accepted point
-(or tried full step, whose score decides it).  Records are stored failures
-first, so the density kernels run on the failures only and the survival
-kernels on the censored units only; the accepted point's score and
-observed information serve both the next step and the final covariance.
+(or tried full step, whose score decides it).  The density kernels see the
+failures only, the survival kernels the censored units only.
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
@@ -38,16 +38,6 @@ set of rules, the first broken rule deciding: no failure weight, a
 standardized design that is not finite or loses rank under the row
 weights, a scaled gradient of GRAD_TOL or more after Newton.  fit_ml is
 its batch of one with unit weights.
-
-bootstrap_quantile standardizes once with the full sample's column
-statistics, starts every resample from the full sample's own replicate
-fit, and fits the resamples in blocks of bounded size, drawing each
-block's resamples at once.  profile_lambda starts each grid point on the
-straight line through the last two converged points' solutions in
-standardized coordinates, which follow a smooth path in the exponent even
-though the transformed column changes scale: the line's start lies O(h^2)
-from the solution for a grid step h, where the last solution alone lies
-O(h) away.
 """
 
 from __future__ import annotations
@@ -93,10 +83,26 @@ _Z975 = 1.959963984540054  # standard normal 0.975 quantile
 _MAX_SECANT_STEP = 2.0
 
 
+def _failures_first(failed: np.ndarray) -> np.ndarray:
+    """The stored row order: the failed rows, then the censored, each in data order."""
+    return np.concatenate([np.flatnonzero(failed), np.flatnonzero(~failed)])
+
+
+def _stored_design(data: LifeData, spec: ModelSpec, order: np.ndarray) -> np.ndarray:
+    """`_Likelihood.xt` for the rows in `order`, built a column at a time:
+    ones on the intercept rows, each covariate column gathered into its row."""
+    xt, k = np.ones((spec.n_params, order.size)), spec.n_mu
+    for rows, terms in ((xt[1:k], spec.mu_terms), (xt[k + 1 :], spec.sigma_terms)):
+        for row, column in zip(rows, design_matrix(terms, data).T[1:]):
+            column.take(order, out=row, mode="clip")  # in range; clip skips a buffered copy
+    return xt
+
+
 class _Likelihood:
     """The design matrices and log times of the negative log-likelihood; `at` evaluates it.
 
-    `xt` is [x_mu | x_sig] transposed, a contiguous row per column, each intercept (ones) first.
+    `xt` is [x_mu | x_sig] transposed, a row per column, each intercept (ones) first, built
+    a column at a time by _stored_design.
     Rows are stored failures first, so the failed and the censored rows
     are the two slices [:n_failed] and [n_failed:] of every array.
     `weights` is None for one replicate that counts every row once, or a
@@ -104,9 +110,8 @@ class _Likelihood:
     """
 
     def __init__(self, data: LifeData, spec: ModelSpec):
-        self.order = np.argsort(~data.failed, kind="stable")
-        x = [design_matrix(spec.mu_terms, data).T, design_matrix(spec.sigma_terms, data).T]
-        self.xt = np.concatenate(x).take(self.order, axis=1)
+        self.order = _failures_first(data.failed)
+        self.xt = _stored_design(data, spec, self.order)
         self.logt = np.log(data.time)[self.order]
         self.n_failed = int(np.count_nonzero(data.failed))
         self.family = spec.family
@@ -171,20 +176,20 @@ class _Point:
         like, z, sigma = self.like, self.z, self.sigma
         nf, k, xt, p = like.n_failed, like.n_mu, like.xt, len(like.xt)
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            l1_cens = std_dlogsf(z[:, nf:], like.family)
-            l1 = np.concatenate([std_dlogpdf(z[:, :nf], like.family), l1_cens], axis=1)
-            l2 = np.concatenate([
-                std_d2logpdf(z[:, :nf], like.family),
-                std_d2logsf(z[:, nf:], like.family, dlogsf=l1_cens),
-            ], axis=1)
-            # Score weights, then each information weight (negated) times its left columns.
+            # Score weights, then each information weight (negated) times its left columns;
+            # L' and L'' are gathered into d_sig and c_mu, then updated in place.
             rows = np.empty((2 + 2 * p - k,) + z.shape)
             d_mu, d_sig, c_mu, c_mix, c_sig = (rows[i] for i in (0, 1, 2, 2 + k, 2 + p))
+            l1_cens = std_dlogsf(z[:, nf:], like.family)
+            l1 = np.concatenate([std_dlogpdf(z[:, :nf], like.family), l1_cens], axis=1, out=d_sig)
+            l2 = np.concatenate([std_d2logpdf(z[:, :nf], like.family), std_d2logsf(
+                z[:, nf:], like.family, dlogsf=l1_cens)], axis=1, out=c_mu)
             np.divide(l1, sigma, out=d_mu)
-            np.multiply(l1, z, out=d_sig)
+            np.multiply(l2, z, out=c_sig)
+            c_sig += l1
+            l1 *= z
             d_sig[:, :nf] += 1.0
-            np.divide(l2, sigma**2, out=c_mu)
-            np.add(l2 * z, l1, out=c_sig)
+            l2 /= sigma**2
             np.divide(c_sig, sigma, out=c_mix)
             c_sig *= z
             np.multiply(c_mu, xt[1:k, None], out=rows[3 : 2 + k])
@@ -232,18 +237,19 @@ def _default_init(like: _Likelihood) -> np.ndarray:
     of the failed fraction (heavy censoring hides spread)."""
     nf, k = like.n_failed, like.n_mu
     xf, yf = like.xt[:k, :nf].T, like.logt[:nf]
-    weights = np.ones((1, like.logt.size)) if like.weights is None else like.weights
+    weights = [None] if like.weights is None else like.weights
     theta = np.zeros((len(weights), len(like.xt)))
     for row, w in zip(theta, weights):
-        r = np.sqrt(w[:nf])
-        # Unit weights change no bit, but their products would copy every row.
-        x, y = (xf, yf) if like.weights is None else (xf * r[:, None], yf * r)
+        # Unit weights (None) change no bit and sum exactly, but their
+        # products would copy every row.
+        r = None if w is None else np.sqrt(w[:nf])
+        x, y = (xf, yf) if r is None else (xf * r[:, None], yf * r)
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        resid = r * (yf - xf @ beta)
-        n_failed = float(w[:nf].sum())
+        resid = yf - xf @ beta if r is None else r * (yf - xf @ beta)
+        n_failed, n = (nf, like.logt.size) if w is None else (float(w[:nf].sum()), float(w.sum()))
         s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
         row[:k] = beta
-        row[k] = math.log(s0 / (n_failed / float(w.sum())))
+        row[k] = math.log(s0 / (n_failed / n))
     return theta
 
 
@@ -263,38 +269,38 @@ def _rank_deficient(like: _Likelihood, xt: np.ndarray) -> np.ndarray:
     return (len(x[0]) < len(xt)) | ~(s[:, -1] > s[:, 0] * (max(x[0].shape) * np.finfo(float).eps))
 
 
-class _Standardizer:
-    """Center/scale the non-intercept design columns for optimization.
+class _ColumnScales:
+    """The centre m, spread s and range of each covariate row of a stored
+    design, and the affine maps between its parameters and those of the
+    standardized design x' = (x - m)/s, which `out` receives when given: a
+    coefficient is b = b'/s, and its intercept gains -b'm/s.  Each row is
+    scaled by a power of two 2^e near its largest magnitude first, so its
+    mean and spread (np.mean's and np.std's arithmetic) do not overflow; a
+    row that is not finite, or whose centred values overflow, standardizes
+    to inf or nan, which the rank check rejects.  Intercepts are untouched."""
 
-    The search runs where every covariate has mean 0 and spread 1, so the
-    Hessian is well conditioned and the scaled-gradient stopping rule is
-    meaningful regardless of covariate units; estimates and covariance map
-    back through the affine reparameterization afterwards.  A column with
-    x' = (x - m)/s has coefficient b = b'/s, and its intercept gains -b'm/s.
-    """
-
-    def __init__(self, like: _Likelihood):
-        xt, intercepts = like.xt, [0, like.n_mu]
-        # Each column (a contiguous row of xt) is scaled by a power of two
-        # 2^e near its largest magnitude first, so its mean and spread do not
-        # overflow; the scaling and its undoing are exact.  A column whose
-        # values are not finite, or whose centred values overflow,
-        # standardizes to inf or nan, which the rank check rejects.
+    def __init__(self, xt: np.ndarray, n_mu: int, out: np.ndarray | None = None):
+        p, n = xt.shape
+        self.exponents = np.zeros(p, dtype=np.intc)
+        self.to_original, self.from_original = np.eye(p), np.eye(p)
+        self.ranges = []  # (lo, hi) per covariate row
         with np.errstate(over="ignore", invalid="ignore"):
-            _, e = np.frexp(np.abs(xt).max(axis=1, initial=0.0))
-            scaled = np.ldexp(xt, -e[:, None])
-            mean = scaled.sum(axis=1, keepdims=True) / xt.shape[1]  # as np.mean and np.std
-            m = np.ldexp(mean[:, 0], e)
-            s = np.ldexp(np.sqrt(np.square(scaled - mean).sum(axis=1) / xt.shape[1]), e)
-            m[intercepts], s[intercepts], e[intercepts] = 0.0, 1.0, 0  # intercepts untouched
-            s[s == 0.0] = 1.0  # constant column; the rank check rejects it
-            self.like = like._with(xt=(xt - m[:, None]) / s[:, None])
-            self.exponents = e
-            self.to_original = np.diag(1.0 / s)
-            self.from_original = np.diag(s)
-            for lo, hi in ((0, like.n_mu), (like.n_mu, s.size)):
-                self.to_original[lo, lo + 1 : hi] = -m[lo + 1 : hi] / s[lo + 1 : hi]
-                self.from_original[lo, lo + 1 : hi] = m[lo + 1 : hi]
+            for j in (j for j in range(1, p) if j != n_mu):
+                lo, hi = xt[j].min(initial=np.inf), xt[j].max(initial=-np.inf)
+                _, e = np.frexp(max(-lo, hi))  # of the largest magnitude (nan if any is)
+                scaled = np.ldexp(xt[j], -e)
+                mean = scaled.sum() / n
+                scaled -= mean
+                m = np.ldexp(mean, e)
+                # A constant row's s is 0, then 1; the rank check rejects it.
+                s = np.ldexp(np.sqrt(np.square(scaled, out=scaled).sum() / n), e) or 1.0
+                i = 0 if j < n_mu else n_mu  # its intercept
+                self.exponents[j] = e
+                self.to_original[j, j], self.to_original[i, j] = 1.0 / s, -m / s
+                self.from_original[j, j], self.from_original[i, j] = s, m
+                self.ranges.append((float(lo), float(hi)))
+                if out is not None:
+                    np.divide(np.subtract(xt[j], m, out=out[j]), s, out=out[j])
 
     def original_params(self, theta_std: np.ndarray) -> np.ndarray:
         """Original-scale parameters, one row per replicate."""
@@ -309,6 +315,17 @@ class _Standardizer:
         its entries underflows where the covariance's own would."""
         t = np.ldexp(self.to_original, self.exponents[:, None])
         return t @ cov_std @ t.T
+
+
+class _Standardizer(_ColumnScales):
+    """`like` on the standardized design, built a column at a time (ones on
+    the intercept rows), where the Hessian is well conditioned and the
+    scaled-gradient stopping rule does not depend on covariate units."""
+
+    def __init__(self, like: _Likelihood):
+        xt = np.ones(like.xt.shape)
+        super().__init__(like.xt, like.n_mu, out=xt)
+        self.like = like._with(xt=xt)
 
 
 def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -336,7 +353,8 @@ def _descent_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for i in () if (decrease > 0.0).all() else np.flatnonzero(~(decrease > 0.0)):
         ridge = 1e-8 * (float(np.max(np.abs(np.diag(h[i])))) or 1.0)
         for _ in range(11):
-            step = _solve(h[i : i + 1] + ridge * np.eye(g.shape[1]), g[i : i + 1])[0]
+            with np.errstate(invalid="ignore"):  # an inf ridge times eye's zeros: nan, no step
+                step = _solve(h[i : i + 1] + ridge * np.eye(g.shape[1]), g[i : i + 1])[0]
             gain = float(g[i] @ step)
             if gain > 0.0:
                 steps[i], decrease[i] = step, gain
@@ -347,7 +365,8 @@ def _descent_steps(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 class _Solution:
     """Where the Newton loop has left each replicate: theta, the objective,
-    score and Hessian there, and the steps taken."""
+    score and Hessian there (which serve the next step and the final
+    covariance), and the steps taken."""
 
     def __init__(self, start: _Point):
         self.theta, self.nll = start.theta.copy(), start.nll  # theta is the caller's
@@ -501,8 +520,7 @@ def fit_ml(
     if not data:
         raise InestimableError("no records")
     init = None if init is None else _params(init, spec, "init")
-    like, k = _Likelihood(data, spec), spec.n_mu
-    std = _Standardizer(like)
+    std, k = _Standardizer(_Likelihood(data, spec)), spec.n_mu
     (reason,), _, sol = _fit_replicates(
         std.like, None if init is None else std.standardized_params(init[None])
     )
@@ -539,7 +557,6 @@ def fit_ml(
     scaled = std.scaled_covariance(cov_std)
     scaled = 0.5 * (scaled + scaled.T)
     e = std.exponents
-    lo, hi = like.xt.min(axis=1).tolist(), like.xt.max(axis=1).tolist()  # column ranges
     result = FitResult(
         spec=spec,
         param_names=spec.param_names,
@@ -553,9 +570,9 @@ def fit_ml(
         iterations=int(sol.steps[0]),
         warnings=warnings,
         n_records=len(data),
-        n_failed=like.n_failed,
-        mu_column_ranges=tuple(zip(lo[1:k], hi[1:k])),
-        sigma_column_ranges=tuple(zip(lo[k + 1 :], hi[k + 1 :])),
+        n_failed=std.like.n_failed,
+        mu_column_ranges=tuple(std.ranges[: k - 1]),
+        sigma_column_ranges=tuple(std.ranges[k - 1 :]),
     )
     if not result.converged:
         raise NonConvergenceError(
@@ -677,10 +694,12 @@ def profile_lambda(
     smoothly with the exponent even though the transformed column changes
     scale, at the extrapolation w1 + (w1 - w0)(lam - lam1)/(lam1 - lam0)
     through the solutions w0, w1 of the last two converged points lam0,
-    lam1, converted to the original scale with this point's column
-    statistics.  It starts from w1 alone when only one point has converged,
-    when lam1 == lam0 (a grid may repeat an exponent), or when lam lies more
-    than _MAX_SECANT_STEP spacings away from lam1; the first fit, and every fit
+    lam1 (O(h^2) from the solution for a grid step h; w1 lies O(h) away),
+    converted to the original scale with this point's column statistics,
+    which fit_ml's own set-up code computes from one row order per sweep.
+    It starts from w1 alone when only one point has converged, when lam1 ==
+    lam0 (a grid may repeat an exponent), or when lam lies more than
+    _MAX_SECANT_STEP spacings away from lam1; the first fit, and every fit
     before a point has converged, starts cold.
     """
     data = LifeData.of(data)
@@ -690,6 +709,7 @@ def profile_lambda(
     nan = float("nan")
     points: list[ProfilePoint] = []
     warm: list[tuple[float, np.ndarray]] = []  # (lam, standardized estimates), last 2 converged
+    order = _failures_first(data.failed)
     for lam in map(float, lams):
         lspec = spec.with_boxcox_lambda(lam)
         start = None
@@ -698,7 +718,7 @@ def profile_lambda(
             step = (lam - lam1) / (lam1 - lam0) if lam1 != lam0 else math.inf
             start = w1 + (w1 - w0) * step if abs(step) <= _MAX_SECANT_STEP else w1
         try:
-            std = _Standardizer(_Likelihood(data, lspec))
+            std = _ColumnScales(_stored_design(data, lspec, order), lspec.n_mu)
             fit = fit_ml(data, lspec, None if start is None else std.original_params(start)[0])
             ok = fit.converged
         except NonConvergenceError as err:
@@ -809,9 +829,10 @@ def bootstrap_quantile(
     Each resample is fitted once: `p` may be a sequence, and then every p
     is read off the same fits.  A resample is the count of each record in
     n draws with replacement, and the resamples are fitted as weighted
-    replicates of one likelihood, all starting from the full-sample
-    estimates (from the default start when the full-sample fit fails).  Fewer
-    than 2 resamples or a negative seed raise DomainError.
+    replicates of one likelihood, standardized with the full sample's column
+    statistics and all starting from its estimates (from the default start
+    when its fit fails), in blocks of bounded size whose resamples are drawn
+    at once.  Fewer than 2 resamples or a negative seed raise DomainError.
     """
     if n_boot < 2:
         raise DomainError(f"the bootstrap needs at least 2 resamples, got {n_boot}")

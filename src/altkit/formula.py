@@ -280,7 +280,7 @@ def design_matrix(terms: Sequence[Term],
     """
     if not isinstance(data, LifeData):
         return np.array([design_row(terms, c) for c in data]).reshape(-1, 1 + len(terms))
-    x = np.ones((len(data), 1 + len(terms)))
+    x = np.ones((1 + len(terms), len(data))).T  # column-major: each column is contiguous
     if terms and data:
         rules: list = []
         # Overflow gives inf and inf * 0 gives nan, as float arithmetic on

@@ -166,13 +166,12 @@ def _read_life_columns(text: str) -> LifeData | None:
     reads (a spelling only float() reads, such as 1_000, takes the row-wise
     read, and numpy gives float()'s value for the rest) and every time
     finite and > 0."""
-    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text \
-            or not text.endswith("\n"):
+    if '"' in text or "\r" in text or "\0" in text or not text.endswith("\n"):
         return None
-    lines = text.split("\n")
+    lines = text.split("\n")  # the last is "", after the final newline
     header = lines[0].split(",")
     limit = csv.field_size_limit()
-    if len(lines) < 3 or "time" not in header or "status" not in header \
+    if len(lines) < 3 or not all(lines[1:-1]) or "time" not in header or "status" not in header \
             or len(set(header)) < len(header) \
             or any(len(cell) > limit for line in lines if len(line) > limit
                    for cell in line.split(",")):

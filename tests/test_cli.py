@@ -1,15 +1,20 @@
 # The command-line interface: exit codes, report schemas and file output.
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import altkit
@@ -966,3 +971,45 @@ class TestGab:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+# Times log-uniform from the smallest to the largest magnitude a CSV carries,
+# or near 1; levels mostly valid for every model.
+_TIMES = st.one_of(st.floats(-690.0, 690.0).map(math.exp), st.floats(0.5, 50.0))
+_LEVELS = st.sampled_from([1.0, 2.0, 3.5, 170.0, 1e-3, 1.0, 2.0, 3.5, 0.0, -1.0, 1e300])
+_ROWS = st.lists(st.tuples(_TIMES, st.sampled_from(["failed", "censored"]), st.integers(0, 2)),
+                 max_size=8)
+# At most one defect per input: a time no lifetime may take, or a line that
+# is not UTF-8.
+_DEFECTS = st.sampled_from([None, None, None, "0", "-1", "nan", "inf", "x", b"\xff\xfe"])
+_MODELS = ["lognormal: mu ~ v", "weibull: mu ~ log(v)", "lognormal: mu ~ boxcox(v, 1)",
+           "weibull: mu ~ boxcox(v, 0.5)", "lognormal: mu ~ v; sigma ~ v"]
+_COMMANDS = [["fit", "--use", "v=1.5"],
+             ["quantile", "--use", "v=1.5", "--p", "0.1,0.5", "--bootstrap", "10", "--seed", "3"],
+             ["profile", "--use", "v=1.5", "--grid=-1:2:1.5"]]
+
+
+class TestExitContract:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS, levels=st.lists(_LEVELS, min_size=3, max_size=3), defect=_DEFECTS,
+           where=st.integers(0, 8), model=st.sampled_from(_MODELS),
+           command=st.sampled_from(_COMMANDS))
+    # An information matrix whose diagonal is inf: the ridge search once warned.
+    @example(rows=[(1.0, "failed", 1), (0.5, "censored", 0)], levels=[1.0, 2.0, 1.0],
+             defect=None, where=0, model=_MODELS[-1], command=_COMMANDS[0])
+    def test_every_input_exits_0_2_or_3(self, rows, levels, defect, where, model, command):
+        lines = [b"time,status,v"] + [f"{t!r},{s},{levels[i]!r}".encode() for t, s, i in rows]
+        if isinstance(defect, bytes):
+            lines.insert(1 + min(where, len(rows)), defect + b",failed,1")
+        elif defect is not None and rows:
+            lines[1 + where % len(rows)] = f"{defect},failed,1".encode()
+        with contextlib.ExitStack() as stack:
+            path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "d.csv"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            out, err = io.StringIO(), io.StringIO()
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = main([command[0], "--data", str(path), "--model", model, *command[1:]])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -22,6 +22,7 @@ from altkit import (
     BootstrapQuantiles,
     LifeData,
     LifeRecord,
+    design_matrix,
     design_row,
     default_profile_grid,
     fit_ml,
@@ -813,6 +814,102 @@ def last_point_sweep(data, spec, grid):
         warm = std.standardized_params(fit.estimates[None])
         fits.append(fit)
     return fits
+
+
+def oracle_stored_design(data, spec):
+    """The stored order and design as one whole-array gather."""
+    order = np.argsort(~data.failed, kind="stable")
+    x = [design_matrix(spec.mu_terms, data).T, design_matrix(spec.sigma_terms, data).T]
+    return order, np.concatenate(x).take(order, axis=1)
+
+
+def oracle_standardized(xt, n_mu):
+    """Every row's statistics and the standardized design, from whole-array
+    arithmetic over every row, the intercepts then reset to (0, 1, 0)."""
+    intercepts = [0, n_mu]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, e = np.frexp(np.abs(xt).max(axis=1, initial=0.0))
+        scaled = np.ldexp(xt, -e[:, None])
+        mean = scaled.sum(axis=1, keepdims=True) / xt.shape[1]
+        m = np.ldexp(mean[:, 0], e)
+        s = np.ldexp(np.sqrt(np.square(scaled - mean).sum(axis=1) / xt.shape[1]), e)
+        m[intercepts], s[intercepts], e[intercepts] = 0.0, 1.0, 0
+        s[s == 0.0] = 1.0
+        to_original, from_original = np.diag(1.0 / s), np.diag(s)
+        for lo, hi in ((0, n_mu), (n_mu, s.size)):
+            to_original[lo, lo + 1 : hi] = -m[lo + 1 : hi] / s[lo + 1 : hi]
+            from_original[lo, lo + 1 : hi] = m[lo + 1 : hi]
+        return (xt - m[:, None]) / s[:, None], e, to_original, from_original
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestColumnSetUp:
+    # _Likelihood and _Standardizer build their designs a column at a time;
+    # the whole-array oracles above fix every bit they must give.
+    TERMS = ["a", "b", "c", "k", "up", "down", "sq(big)", "sq(big):zero"]
+
+    @staticmethod
+    def data(rng, n, failed):
+        big = np.where(rng.integers(2, size=n) == 1, 1e200, 3.0)  # sq overflows to inf
+        columns = {"a": rng.normal(size=n), "b": rng.uniform(1.0, 3.0, n),
+                   "c": rng.integers(-3, 4, n).astype(float), "k": np.full(n, 2.5),
+                   "up": np.ldexp(rng.normal(size=n), 600),
+                   "down": np.ldexp(rng.normal(size=n), -600),
+                   "big": big, "zero": np.where(big > 3.0, 0.0, 1.0)}  # inf * 0 is nan
+        return LifeData(np.exp(rng.normal(size=n)), failed, columns)
+
+    def test_designs_equal_the_whole_array_oracle(self):
+        rng = np.random.default_rng(22)
+        seen = Counter()
+        for _ in range(300):
+            n = int(rng.choice([1, 2, 7, 40, 300]))
+            failed = [rng.uniform(size=n) < 0.6, np.ones(n, bool), np.zeros(n, bool)][
+                rng.integers(3)]
+            data = self.data(rng, n, failed)
+            mu = rng.choice(self.TERMS, size=rng.integers(0, 4), replace=False)
+            sigma = rng.choice(self.TERMS, size=rng.integers(0, 2), replace=False)
+            spec = parse_model("lognormal: mu ~ " + (" + ".join(mu) or "1")
+                               + ("; sigma ~ " + sigma[0] if len(sigma) else ""))
+            like = _Likelihood(data, spec)
+            order, xt = oracle_stored_design(data, spec)
+            assert_same_bits(like.order, order)
+            assert_same_bits(like.xt, xt)
+            assert like.n_failed == failed.sum()
+            if rng.integers(2):
+                like = like.weighted(rng.integers(0, 3, size=(2, n)))
+            std = _Standardizer(like)
+            xs, e, to_original, from_original = oracle_standardized(xt, spec.n_mu)
+            assert_same_bits(std.like.xt, xs)
+            assert_same_bits(std.exponents, e)
+            assert_same_bits(std.to_original, to_original)
+            assert_same_bits(std.from_original, from_original)
+            assert std.like.weights is like.weights and std.like.logt is like.logt
+            rows = [j for j in range(1, len(xt)) if j != spec.n_mu]
+            # A range holding nan never reaches a FitResult (the fit refuses
+            # the design), so its nan's sign bit is not pinned.
+            assert_array_equal(np.array(std.ranges).reshape(-1, 2),
+                               np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1)[rows])
+            seen[len(mu) + 1, len(sigma) + 1] += 1
+            seen["failed" if failed.all() else "censored" if not failed.any() else "mixed"] += 1
+            seen["weighted" if like.weights is not None else "unweighted"] += 1
+            seen["not finite"] += not np.isfinite(xt).all()
+        assert len(seen) == 4 * 2 + 3 + 2 + 1 and seen["not finite"]  # every kind, some inf or nan
+
+    def test_default_sweep_sets_up_once_per_point(self, gab, monkeypatch):
+        built = Counter()
+        for cls in (_Likelihood, _Standardizer):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__):
+                built[name] += 1
+                init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        points = profile_lambda(gab, parse_model("lognormal: mu ~ boxcox(voltstress, 1)"), GAB_USE)
+        assert len(points) == 31
+        assert built == {"_Likelihood": 31, "_Standardizer": 31}
 
 
 class TestProfileSecantStart:
