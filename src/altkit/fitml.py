@@ -13,23 +13,39 @@ step lowers it, or after NEWTON_STEPS steps; the fit has converged when
 the scaled gradient max-norm at the returned point is below 1e-5.
 
 Set-up builds X = [x_mu | x_sig], held transposed with records failures
-first, and its standardized copy a column at a time, doing no (columns,
-rows) work beyond the two arrays: about 0.6 ms of an 8.3 ms fit at 50,000
-rows on the 2-core machine of BENCH_22.json.
-Each point the search visits is then evaluated in at most two passes over
-X: an objective pass when the point is made (sigma, z and the objective),
-and a derivative pass for the score and the observed information together,
-one product of stacked per-row weights with X, once and only when the
-point is accepted or its score is asked for.  So a Newton round costs one
-objective pass per trial point and one derivative pass per accepted point
-(or tried full step, whose score decides it).  The density kernels see the
-failures only, the survival kernels the censored units only.
+first, a column at a time, and splits the records into segments: runs of
+identical design rows among the failures or among the censored units,
+found by comparing each record's row with the one before it.  An
+accelerated test puts its units on a few levels, so there are few (6 of
+the 50,000 arrhenius-50k records, 8 in the insulation data; all-distinct
+rows make one per record).  Only the segment rows are standardized, and
+the start and the rank check run on them.  Under the normal model the
+failures of a segment enter the likelihood only through their weight,
+mean log time and sum of squared deviations (Nelson 1990; Meeker and
+Escobar 1998), so each lognormal failed segment becomes two pseudo points
+with the same three.
+Each point the search visits is then evaluated in at most two passes: an
+objective pass when the point is made (sigma and mu per segment, z for
+the pseudo points and for the records the kernels evaluate, and the
+objective), and a derivative pass for the score and the observed
+information together, once and only when the point is accepted or its
+score is asked for: per-entry weights summed per segment, then one
+product with the segments' x x'.  So a Newton round costs one objective
+pass per trial point and one derivative pass per accepted point (or
+tried full step, whose score decides it).  The survival kernels see the
+censored units only, the density kernels the Weibull's failures only
+(its failure terms are not quadratic in z).  The median arrhenius-50k
+fit takes about 4.25 ms on the 2-core machine of BENCH_23.json, 8.5 ms
+without segments; a warm 75-row fit pays about 30 us more set-up than
+its passes save.
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
 times each record was drawn, and its weighted likelihood equals that of
-the duplicated records.  A row of weight 0 adds exactly 0, even where its
-kernel value is not finite.  The Newton loop moves all replicates
+the duplicated records.  A record or a segment of weight 0 adds exactly
+0, even where its kernel value, mu or sigma is not finite (as long as the
+products of its design row's entries are, as on a standardized design).
+The Newton loop moves all replicates
 together, with one likelihood pass and one stacked solve per round, while
 the ridge, the step halving and the stop are decided per replicate; every
 product is taken one replicate at a time, so no replicate's result depends
@@ -44,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,6 +75,7 @@ from .errors import (
 )
 from .formula import Factor, ModelSpec, Term, design_matrix, design_row
 from .lifetime import (
+    _LOG_SQRT_2PI,
     std_cdf,
     std_d2logpdf,
     std_d2logsf,
@@ -85,7 +102,7 @@ _MAX_SECANT_STEP = 2.0
 
 def _failures_first(failed: np.ndarray) -> np.ndarray:
     """The stored row order: the failed rows, then the censored, each in data order."""
-    return np.concatenate([np.flatnonzero(failed), np.flatnonzero(~failed)])
+    return np.concatenate([failed.nonzero()[0], (~failed).nonzero()[0]])
 
 
 def _stored_design(data: LifeData, spec: ModelSpec, order: np.ndarray) -> np.ndarray:
@@ -98,47 +115,153 @@ def _stored_design(data: LifeData, spec: ModelSpec, order: np.ndarray) -> np.nda
     return xt
 
 
-class _Likelihood:
-    """The design matrices and log times of the negative log-likelihood; `at` evaluates it.
+def _segment_bounds(xt: np.ndarray, n_failed: int) -> np.ndarray:
+    """The first record of each segment of the stored design xt, then the
+    number of records.  A segment is a maximal run of identical design rows
+    among the failed or among the censored records, found by comparing each
+    record's row with the one before it (a row holding nan is a segment of
+    its own)."""
+    new = np.ones(xt.shape[1] + 1, dtype=bool)
+    np.logical_or.reduce(xt[:, 1:] != xt[:, :-1], axis=0, out=new[1:-1])
+    new[n_failed] = True  # the first censored record, if any
+    return new.nonzero()[0]
 
-    `xt` is [x_mu | x_sig] transposed, a row per column, each intercept (ones) first, built
-    a column at a time by _stored_design.
-    Rows are stored failures first, so the failed and the censored rows
-    are the two slices [:n_failed] and [n_failed:] of every array.
-    `weights` is None for one replicate that counts every row once, or a
-    (replicates, rows) array of row weights in the stored row order.
+
+@lru_cache
+def _derivative_entries(p: int, k: int) -> np.ndarray:
+    """Where the derivative pass finds the score, then the flattened p x p
+    information, in its product flattened per replicate, five p * p blocks
+    of x x' sums, one per weight.  The score's mu entries are in row 0 (xs[0]
+    is ones, so row 0 of x x' is x) of the first weight's block, its log
+    sigma entries in row 0 of the fourth's; the information's (mu, log
+    sigma) and (log sigma, mu) entries are in the second's, (mu, mu) in the
+    third's, (log sigma, log sigma) in the fifth's."""
+    mu, entries = np.arange(p) < k, np.arange(p * p)
+    block = np.where(mu[:, None] != mu, 1, np.where(mu, 2, 4)).ravel()
+    found = np.concatenate([np.where(mu, 0, 3) * p * p + entries[:p], block * p * p + entries])
+    found.flags.writeable = False  # shared by every call
+    return found
+
+
+# The attributes of a _Likelihood that hold one row per replicate.
+_PER_REPLICATE = ("weights", "scale", "counts", "means", "sumsq", "offset", "y")
+_PAIR, _HALVES = np.array([-1.0, 1.0]), np.array([-0.5, -0.5])
+
+
+class _Likelihood:
+    """The design and log times of the negative log-likelihood; `at` evaluates it.
+
+    Records are stored failures first, each block in data order; `logt`
+    holds their log times and `xt` their design [x_mu | x_sig] transposed,
+    a row per column, each intercept (ones) first (_stored_design).  A
+    segment is a maximal run of identical design rows among the failed or
+    among the censored records: `starts` holds each one's first record,
+    `lengths` its size and `xs` its design row; the first n_fseg hold the
+    failures.  Per replicate, `counts` holds each segment's weight W, and
+    `means` and `sumsq` each failed segment's weighted mean log time (0
+    where W is) and sum of squared deviations from it; `offset` is the
+    failures' weighted sum of log time, plus log sqrt(2 pi) each for the
+    lognormal.
+
+    The normal log density is quadratic in z, so a lognormal failed
+    segment enters the likelihood, the score and the information as two
+    pseudo points at mean -+ sqrt(sumsq / W) of weight W/2 each (`scale`
+    holds -W/2), which have its weight, mean and sum of squares.  `y`
+    holds the log times whose z a point computes: the `pseudo` points, then
+    the records from `first` on (the censored for the lognormal, all for
+    the Weibull); `reps` counts the entries of y in each segment and
+    `ystarts` is where each segment's begin.  `weights` is None for one
+    replicate that counts every record once, or a (replicates, entries of
+    y) array: 1 for a pseudo point (0 where W is), then record weights.
     """
 
     def __init__(self, data: LifeData, spec: ModelSpec):
         self.order = _failures_first(data.failed)
         self.xt = _stored_design(data, spec, self.order)
         self.logt = np.log(data.time)[self.order]
-        self.n_failed = int(np.count_nonzero(data.failed))
+        self.n_failed = nf = int(np.count_nonzero(data.failed))
         self.family = spec.family
         self.n_mu = spec.n_mu
-        self.weights = None
+        bounds = _segment_bounds(self.xt, nf)
+        self.starts, self.lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+        self.xs = self.xt[:, self.starts]
+        self.n_fseg = nfs = int(bounds.searchsorted(nf))
+        lognormal = spec.family == "lognormal"
+        self.first, self.pseudo = (nf, 2 * nfs) if lognormal else (0, 0)
+        self.reps = self.lengths.copy()
+        self.reps[: nfs if lognormal else 0] = 2
+        self.ystarts = self.reps.cumsum() - self.reps
+        self.__dict__.update(self._sums(None))
 
     def _with(self, **attrs) -> "_Likelihood":
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__, **attrs)
+        if "xs" in attrs:
+            clone.__dict__.pop("xx", None)
         return clone
+
+    @cached_property
+    def xx(self) -> np.ndarray:
+        """x x' flattened, one row per segment row x: X'diag(w)X is w @ xx
+        for per-segment weights w."""
+        xs = self.xs
+        return (xs[:, None] * xs).reshape(len(xs) ** 2, -1).T
+
+    def _sums(self, w: np.ndarray | None) -> dict:
+        """The attributes in _PER_REPLICATE for record weights w, (replicates,
+        records) in the stored order (None: one replicate that counts every
+        record once)."""
+        nf, nfs, first, ps = self.n_failed, self.n_fseg, self.first, self.pseudo
+        logt, fstarts = self.logt[:nf], self.starts[:nfs]
+        if w is None:
+            counts, wy = self.lengths[None], logt[None]
+        else:
+            counts, wy = np.add.reduceat(w, self.starts, axis=1), w[:, :nf] * logt
+        fcounts = counts[:, :nfs]
+        divisor = fcounts if w is None else fcounts + (fcounts == 0.0)  # 0 / 1 where W is 0
+        sums = np.add.reduceat(wy, fstarts, axis=1)
+        means = sums / divisor
+        sq = np.square(logt - np.repeat(means, self.lengths[:nfs], axis=1))
+        sumsq = np.add.reduceat(sq if w is None else w[:, :nf] * sq, fstarts, axis=1)
+        y = (self.logt[None, first:] if w is None else
+             np.broadcast_to(self.logt[first:], (len(w), self.logt.size - first)))
+        offset = np.add.reduce(sums, axis=1)
+        scale = (fcounts[:, :, None] * _HALVES).reshape(len(y), -1)[:, :ps]
+        if ps:
+            pairs = means[:, :, None] + np.sqrt(sumsq / divisor)[:, :, None] * _PAIR
+            y = np.concatenate([pairs.reshape(len(y), ps), y], axis=1)
+            offset += _LOG_SQRT_2PI * (nf if w is None else fcounts.sum(axis=1))
+        if w is not None:
+            w = np.concatenate([(scale < 0.0).astype(float), w[:, first:]], axis=1)
+        return dict(weights=w, scale=scale, counts=counts, means=means, sumsq=sumsq,
+                    offset=offset, y=y)
 
     def weighted(self, counts: np.ndarray) -> "_Likelihood":
         """One replicate per row of `counts` (replicates, records), the
         weight of each record given in the order of the data."""
-        return self._with(weights=np.asarray(counts, dtype=float)[:, self.order])
+        return self._with(**self._sums(np.asarray(counts, dtype=float)[:, self.order]))
 
     def replicates(self, which: np.ndarray) -> "_Likelihood":
         """The replicates selected by index or mask `which`."""
-        return self if self.weights is None else self._with(weights=self.weights[which])
-
-    def weigh(self, values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-        """`values` (..., replicates, rows) times the weights of `rows`;
-        exactly 0 where a weight is 0, even where the value is not finite."""
         if self.weights is None:
-            return values
-        w = self.weights[:, rows]
-        return np.where(w > 0.0, w * values, 0.0)
+            return self
+        return self._with(**{name: getattr(self, name)[which] for name in _PER_REPLICATE})
+
+    def weigh(self, values: np.ndarray) -> np.ndarray:
+        """`values` (..., replicates, entries of y) times their weights;
+        exactly 0 where a weight is 0, even where the value is not finite."""
+        w = self.weights
+        return values if w is None else np.where(w > 0.0, w * values, 0.0)
+
+    def weigh_segments(self, values: np.ndarray) -> np.ndarray:
+        """`values` (..., replicates, segments), exactly 0 in a segment of no
+        weight, even where the value is not finite."""
+        return values if self.weights is None else np.where(self.counts > 0.0, values, 0.0)
+
+    def expand(self, a: np.ndarray) -> np.ndarray:
+        """Per-segment values a (replicates, segments) repeated over the
+        entries of `y`; a single column as it is, to broadcast."""
+        return a if a.shape[1] == 1 else np.repeat(a, self.reps, axis=1)
 
     def at(self, theta: np.ndarray) -> "_Point":
         """The point theta, one row of parameters per replicate."""
@@ -147,64 +270,78 @@ class _Likelihood:
 
 class _Point:
     """The likelihood at one theta per replicate.  Construction computes
-    sigma, z and `nll`, the objective per replicate (BARRIER where it is
-    not finite); `derivatives` computes the score and the observed
-    information together on first use.  The density kernels see the
-    failed rows only, the survival kernels the censored rows only."""
+    sigma per segment, z for the entries of the likelihood's `y` and `nll`,
+    the objective per replicate (BARRIER where it is not finite);
+    `derivatives` computes the score and the observed information together
+    on first use.  The survival kernels see the censored records only, the
+    density kernels the Weibull's failures only; a lognormal pseudo point
+    takes the normal log density -z^2/2 - log sqrt(2 pi) (`offset` holds
+    the constant) and its derivatives -z and -1, times its weight."""
 
     def __init__(self, like: _Likelihood, theta: np.ndarray):
         self.like = like
         self.theta = theta
-        k, fail, cens = like.n_mu, slice(None, like.n_failed), slice(like.n_failed, None)
+        k, ps = like.n_mu, like.pseudo
+        nk = like.n_failed - like.first  # failures the kernels evaluate
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            logsig = _linear(theta[:, k:], like.xt[k:])
+            logsig = _linear(theta[:, k:], like.xs[k:])
             self.sigma = np.exp(logsig)
-            self.z = z = (like.logt - _linear(theta[:, :k], like.xt[:k])) / self.sigma
-            ll = like.weigh(
-                std_logpdf(z[:, fail], like.family) - logsig[:, fail] - like.logt[fail], fail
-            ).sum(axis=1) + like.weigh(std_logsf(z[:, cens], like.family), cens).sum(axis=1)
-        self.nll = np.where(np.isfinite(ll) & np.isfinite(theta).all(axis=1), -ll, BARRIER)
+            self.z = z = (like.y - like.expand(_linear(theta[:, :k], like.xs[:k]))
+                          ) / like.expand(self.sigma)
+            # Each entry's log-likelihood term but for offset; a single
+            # column of log sigma stays one under the slices, and broadcasts.
+            logsig, terms = like.expand(logsig), [std_logsf(z[:, ps + nk :], like.family)]
+            if ps:
+                terms.insert(0, (np.square(z[:, :ps]) * 0.5 + logsig[:, :ps]) * like.scale)
+            if nk:
+                terms.insert(0, std_logpdf(z[:, :nk], like.family) - logsig[:, :nk])
+            nll = like.offset - like.weigh(np.concatenate(terms, axis=1)).sum(axis=1)
+        self.nll = np.where(np.isfinite(nll) & np.isfinite(theta).all(axis=1), nll, BARRIER)
 
     @cached_property
     def derivatives(self) -> tuple[np.ndarray, np.ndarray]:
         """The score of the negative log-likelihood and the observed
         information, per replicate.  With L' and L'' the first and second
-        z-derivatives per row, the score is X'w with w = L'/sigma (mu) and
+        z-derivatives per record, the score is X'w with w = L'/sigma (mu) and
         L'z, plus 1 on failures (log sigma); the information's (mu, mu),
         (mu, log sigma) and (log sigma, log sigma) blocks are X'diag(w)X
-        with w = -L''/sigma^2, -(L''z + L')/sigma and -(L''z^2 + L'z)."""
-        like, z, sigma = self.like, self.z, self.sigma
-        nf, k, xt, p = like.n_failed, like.n_mu, like.xt, len(like.xt)
+        with w = -L''/sigma^2, -(L''z + L')/sigma and -(L''z^2 + L'z).  The
+        records of a segment share their row of X and their sigma, so each
+        w is summed per segment, and one product with `xx` gives every
+        X'diag(w)X."""
+        like, z = self.like, self.z
+        k, p, ps, nk = like.n_mu, len(like.xs), like.pseudo, like.n_failed - like.first
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            # Score weights, then each information weight (negated) times its left columns;
-            # L' and L'' are gathered into d_sig and c_mu, then updated in place.
-            rows = np.empty((2 + 2 * p - k,) + z.shape)
-            d_mu, d_sig, c_mu, c_mix, c_sig = (rows[i] for i in (0, 1, 2, 2 + k, 2 + p))
-            l1_cens = std_dlogsf(z[:, nf:], like.family)
-            l1 = np.concatenate([std_dlogpdf(z[:, :nf], like.family), l1_cens], axis=1, out=d_sig)
-            l2 = np.concatenate([std_d2logpdf(z[:, :nf], like.family), std_d2logsf(
-                z[:, nf:], like.family, dlogsf=l1_cens)], axis=1, out=c_mu)
-            np.divide(l1, sigma, out=d_mu)
-            np.multiply(l2, z, out=c_sig)
-            c_sig += l1
-            l1 *= z
-            d_sig[:, :nf] += 1.0
-            l2 /= sigma**2
-            np.divide(c_sig, sigma, out=c_mix)
-            c_sig *= z
-            np.multiply(c_mu, xt[1:k, None], out=rows[3 : 2 + k])
-            np.multiply(c_mix, xt[k + 1 :, None], out=rows[3 + k : 2 + p])
-            np.multiply(c_sig, xt[k + 1 :, None], out=rows[3 + p :])
-            m = like.weigh(rows).transpose(1, 0, 2) @ xt.T  # one product per replicate
-        h = -m[:, 2 : 2 + p]  # row i of the information left of column k
-        h[:, k:, k:] = -m[:, 2 + p :, k:]
-        h[:, :k, k:] = h[:, k:, :k].transpose(0, 2, 1)
-        return np.concatenate([m[:, 0, :k], m[:, 1, k:]], axis=1), h
+            # Per entry of y: L', L''z + L', L'', L'z, (L''z + L')z.
+            rows = np.empty((5,) + z.shape)
+            l1, c, l2, l1z, cz = rows
+            l1[:, ps + nk :] = std_dlogsf(z[:, ps + nk :], like.family)
+            l2[:, ps + nk :] = std_d2logsf(z[:, ps + nk :], like.family, dlogsf=l1[:, ps + nk :])
+            if ps:
+                np.multiply(z[:, :ps], like.scale, out=l1[:, :ps])
+                l2[:, :ps] = like.scale
+            if nk:
+                l1[:, :nk] = std_dlogpdf(z[:, :nk], like.family)
+                l2[:, :nk] = std_d2logpdf(z[:, :nk], like.family)
+            np.multiply(l1, z, out=l1z)
+            np.multiply(l2, z, out=c)
+            c += l1
+            np.multiply(c, z, out=cz)
+            # Their weighted sums per segment, then the docstring's w (the information's
+            # negated): L' and L''z + L' over sigma, L'' over sigma^2, 1 per failure on L'z.
+            seg = np.add.reduceat(like.weigh(rows), like.ystarts, axis=2)
+            seg[:3] /= self.sigma
+            seg[2] /= self.sigma
+            seg[3, :, : like.n_fseg] += like.counts[:, : like.n_fseg]
+            m = like.weigh_segments(seg).transpose(1, 0, 2) @ like.xx  # (replicates, 5, p * p)
+        m = m.reshape(len(m), -1).take(_derivative_entries(p, k), axis=1)
+        return m[:, :p], np.negative(m[:, p:]).reshape(-1, p, p)
 
 
-def _linear(theta: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """theta[i] @ xt per replicate as elementwise column updates (no BLAS); xt[0] is ones."""
-    return sum((theta[:, j : j + 1] * xt[j] for j in range(1, len(xt))), theta[:, :1])
+def _linear(theta: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """theta[i] @ xs per replicate; xs[0] is ones, so for one row theta
+    itself, a single column that broadcasts."""
+    return theta if len(xs) == 1 else _per_row(theta, xs)
 
 
 def _per_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,59 +368,65 @@ def likelihood_gradient(
 
 
 def _default_init(like: _Likelihood) -> np.ndarray:
-    """The deterministic start, one row per replicate, its rows counted by
-    their weights: OLS of log time on the mu design over the failed
+    """The deterministic start, one row per replicate, its records counted
+    by their weights: OLS of log time on the mu design over the failed
     records; log sigma from the residual spread inflated by the reciprocal
-    of the failed fraction (heavy censoring hides spread)."""
-    nf, k = like.n_failed, like.n_mu
-    xf, yf = like.xt[:k, :nf].T, like.logt[:nf]
-    weights = [None] if like.weights is None else like.weights
-    theta = np.zeros((len(weights), len(like.xt)))
-    for row, w in zip(theta, weights):
-        # Unit weights (None) change no bit and sum exactly, but their
-        # products would copy every row.
-        r = None if w is None else np.sqrt(w[:nf])
-        x, y = (xf, yf) if r is None else (xf * r[:, None], yf * r)
-        beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        resid = yf - xf @ beta if r is None else r * (yf - xf @ beta)
-        n_failed, n = (nf, like.logt.size) if w is None else (float(w[:nf].sum()), float(w.sum()))
-        s0 = max(math.sqrt(float(resid @ resid) / max(1.0, n_failed - k)), 1e-3)
+    of the failed fraction (heavy censoring hides spread).  Both come from
+    the failed segments: the OLS of their mean log times on their rows, each
+    scaled by the square root of its weight, has the failed records' normal
+    equations, and their residual sum of squares is its own plus the
+    segments' sums of squares."""
+    k, nfs = like.n_mu, like.n_fseg
+    xf = like.xs[:k, :nfs].T
+    theta = np.zeros((len(like.counts), len(like.xs)))
+    for row, w, means, sumsq in zip(theta, like.counts, like.means, like.sumsq):
+        r = np.sqrt(w[:nfs])
+        beta, *_ = np.linalg.lstsq(xf * r[:, None], means * r, rcond=None)
+        resid = r * (means - xf @ beta)
+        n_failed, n = float(w[:nfs].sum()), float(w.sum())
+        s0 = max(math.sqrt((float(sumsq.sum()) + float(resid @ resid)) / max(1.0, n_failed - k)),
+                 1e-3)
         row[:k] = beta
         row[k] = math.log(s0 / (n_failed / n))
     return theta
 
 
-def _rank_deficient(like: _Likelihood, xt: np.ndarray) -> np.ndarray:
-    """Whether the design held as xt (rows in the stored order) is not finite
-    or loses rank under each replicate's row weights, by np.linalg.matrix_rank's
-    rule: a singular value at most max(rows, columns) * eps times the largest is 0.
-    One column's singular value is its norm, which is finite on a standardized
+def _rank_deficient(xs: np.ndarray, roots: np.ndarray, n: int) -> np.ndarray:
+    """Whether a design of n records is not finite or loses rank under each
+    replicate's record weights, by np.linalg.matrix_rank's rule on the
+    weighted records: a singular value at most max(n, columns) * eps times
+    the largest is 0.  The design is given by its segments, `xs` holding
+    one row of it per column and `roots` (replicates, segments) the square
+    roots of their weights: the segment rows scaled by these have the Gram
+    matrix, so the singular values, of the records scaled by theirs.  One
+    column's singular value is its norm, which is finite on a standardized
     design, so it has rank 1 exactly where some weighted entry is not 0."""
-    # Unit weights change no bit, but their product would copy every row.
-    x = xt.T[None] if like.weights is None else np.sqrt(like.weights)[:, :, None] * xt.T
-    if not np.isfinite(xt).all():
+    x = roots[:, :, None] * xs.T
+    if not np.isfinite(xs).all():
         return np.ones(len(x), dtype=bool)
-    if len(xt) == 1:
+    if len(xs) == 1:
         return ~x.any(axis=(1, 2))
     s = np.linalg.svd(x, compute_uv=False)  # in descending order
-    return (len(x[0]) < len(xt)) | ~(s[:, -1] > s[:, 0] * (max(x[0].shape) * np.finfo(float).eps))
+    return (x.shape[1] < len(xs)) | ~(s[:, -1] > s[:, 0] * (max(n, len(xs)) * np.finfo(float).eps))
 
 
 class _ColumnScales:
     """The centre m, spread s and range of each covariate row of a stored
     design, and the affine maps between its parameters and those of the
-    standardized design x' = (x - m)/s, which `out` receives when given: a
-    coefficient is b = b'/s, and its intercept gains -b'm/s.  Each row is
-    scaled by a power of two 2^e near its largest magnitude first, so its
-    mean and spread (np.mean's and np.std's arithmetic) do not overflow; a
-    row that is not finite, or whose centred values overflow, standardizes
-    to inf or nan, which the rank check rejects.  Intercepts are untouched."""
+    standardized design x' = (x - m)/s, which `standardized` holds for the
+    columns `xs` of the design when they are given: a coefficient is b =
+    b'/s, and its intercept gains -b'm/s.  Each row is scaled by a power
+    of two 2^e near its largest magnitude first, so its mean and spread
+    (np.mean's and np.std's arithmetic) do not overflow; a row that is not
+    finite, or whose centred values overflow, standardizes to inf or nan,
+    which the rank check rejects.  Intercepts are untouched."""
 
-    def __init__(self, xt: np.ndarray, n_mu: int, out: np.ndarray | None = None):
+    def __init__(self, xt: np.ndarray, n_mu: int, xs: np.ndarray | None = None):
         p, n = xt.shape
         self.exponents = np.zeros(p, dtype=np.intc)
         self.to_original, self.from_original = np.eye(p), np.eye(p)
         self.ranges = []  # (lo, hi) per covariate row
+        self.standardized = out = None if xs is None else np.ones(xs.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in (j for j in range(1, p) if j != n_mu):
                 lo, hi = xt[j].min(initial=np.inf), xt[j].max(initial=-np.inf)
@@ -300,7 +443,7 @@ class _ColumnScales:
                 self.from_original[j, j], self.from_original[i, j] = s, m
                 self.ranges.append((float(lo), float(hi)))
                 if out is not None:
-                    np.divide(np.subtract(xt[j], m, out=out[j]), s, out=out[j])
+                    np.divide(np.subtract(xs[j], m, out=out[j]), s, out=out[j])
 
     def original_params(self, theta_std: np.ndarray) -> np.ndarray:
         """Original-scale parameters, one row per replicate."""
@@ -318,14 +461,14 @@ class _ColumnScales:
 
 
 class _Standardizer(_ColumnScales):
-    """`like` on the standardized design, built a column at a time (ones on
-    the intercept rows), where the Hessian is well conditioned and the
-    scaled-gradient stopping rule does not depend on covariate units."""
+    """`like` on the standardized design, where the Hessian is well
+    conditioned and the scaled-gradient stopping rule does not depend on
+    covariate units: the column statistics come from every record, and only
+    the segment rows are standardized (the record design is dropped)."""
 
     def __init__(self, like: _Likelihood):
-        xt = np.ones(like.xt.shape)
-        super().__init__(like.xt, like.n_mu, out=xt)
-        self.like = like._with(xt=xt)
+        super().__init__(like.xt, like.n_mu, like.xs)
+        self.like = like._with(xt=None, xs=self.standardized)
 
 
 def _solve(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -448,9 +591,10 @@ def _fit_replicates(
     first of _INESTIMABLE, _ILL_POSED and _NON_CONVERGED whose rule it
     breaks, else _KEPT.  Returns the reasons, the indices of the
     replicates fitted and their _Solution (None when none was)."""
-    k, nf = like.n_mu, like.n_failed
-    ill = _rank_deficient(like, like.xt[:k]) | _rank_deficient(like, like.xt[k:])
-    failed = nf if like.weights is None else like.weights[:, :nf].sum(axis=1)
+    k, n = like.n_mu, like.logt.size
+    roots = np.sqrt(like.counts)
+    ill = _rank_deficient(like.xs[:k], roots, n) | _rank_deficient(like.xs[k:], roots, n)
+    failed = like.counts[:, : like.n_fseg].sum(axis=1)
     reasons = np.where(failed == 0.0, _INESTIMABLE, np.where(ill, _ILL_POSED, _KEPT))
     fit = np.flatnonzero(reasons == _KEPT)
     if not fit.size:
@@ -529,9 +673,10 @@ def fit_ml(
             "all records are censored; the model parameters are inestimable"
         )
     if reason == _ILL_POSED:
-        design, xt = (("mu", std.like.xt[:k]) if _rank_deficient(std.like, std.like.xt[:k])[0]
-                      else ("sigma", std.like.xt[k:]))
-        if not np.isfinite(xt).all():
+        xs, roots = std.like.xs, np.sqrt(std.like.counts)
+        design, xs = (("mu", xs[:k]) if _rank_deficient(xs[:k], roots, len(data))[0]
+                      else ("sigma", xs[k:]))
+        if not np.isfinite(xs).all():
             raise IllPosedFitError(
                 f"{design} design matrix is not finite on these data (a term overflows)")
         raise IllPosedFitError(f"{design} design matrix is rank deficient on these data")

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
@@ -47,10 +49,11 @@ from altkit.fitml import (
     _fit_replicates,
     _Likelihood,
     _rank_deficient,
+    _segment_bounds,
     _Standardizer,
 )
 from altkit.lifetime import std_quantile
-from fd import fd_gradient, fd_hessian, information, likelihood, nll, score
+from fd import fd_gradient, fd_hessian, information, likelihood, nll, reference, score
 
 GAB_MODELS = [
     "lognormal: mu ~ log(voltstress)",
@@ -177,6 +180,83 @@ class TestGradient:
             assert_hessian_matches_fd(like, theta)
 
 
+@st.composite
+def likelihood_cases(draw):
+    """Records on 1 to 4 levels of v, grouped by level (repeated design rows),
+    shuffled, or all distinct; either family; no weights, unit weights or 1
+    to 3 bootstrap replicates, one of which may drop every failure of one
+    level; and, under weights, a level u = 1000 of weight 0 in every
+    replicate where theta makes mu infinite or sigma infinite or 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["lognormal", "weibull"]))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    layout = draw(st.sampled_from(["grouped", "shuffled", "distinct"]))
+    v = np.repeat([1.0, 2.0, 3.0, 5.0][: len(sizes)], sizes)
+    if layout == "distinct":
+        v = 1.0 + 0.37 * np.arange(v.size)
+    elif layout == "shuffled":
+        rng.shuffle(v)
+    failed = rng.uniform(size=v.size) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    weighting = draw(st.sampled_from(["none", "unit", "bootstrap", "drop-level"]))
+    blowup = "none" if weighting == "none" else draw(
+        st.sampled_from(["none", "mu", "sigma", "sigma0"]))
+    u = np.zeros(v.size)
+    if blowup != "none":  # a level of weight 0 where mu or sigma is infinite
+        v, u = np.append(v, [2.0, 2.0, 2.0]), np.append(u, [1000.0] * 3)
+        failed = np.append(failed, [True, False, True])
+    data = LifeData(np.exp(rng.normal(1.0, 0.7, v.size)), failed, {"v": v, "u": u})
+    spec = parse_model(f"{family}: mu ~ log(v) + u; sigma ~ u")
+    theta = np.array([rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0),
+                      1e306 if blowup == "mu" else 0.0, rng.uniform(-1.0, 0.5),
+                      {"sigma": 1.0, "sigma0": -1.0}.get(blowup, 0.0)])
+    weights = None
+    if weighting != "none":
+        weights = (np.ones((1, v.size)) if weighting == "unit" else
+                   rng.integers(0, 4, size=(int(rng.integers(1, 4)), v.size)).astype(float))
+        if weighting == "drop-level":
+            weights[0, failed & (v == v[0])] = 0.0
+        weights[:, u > 0.0] = 0.0
+    return data, spec, theta, weights
+
+
+class TestReferenceLikelihood:
+    # The segment sums, the lognormal failures' pseudo points and the
+    # weights against a plain sum over records of the lifetime kernels.
+    @settings(max_examples=300, deadline=None)
+    @given(case=likelihood_cases())
+    def test_matches_the_record_by_record_sums(self, case):
+        data, spec, theta, weights = case
+        like = _Likelihood(data, spec)
+        if weights is not None:
+            like = like.weighted(weights)
+        point = like.at(np.tile(theta, (1 if weights is None else len(weights), 1)))
+        got_score, got_info = point.derivatives
+        for r, w in enumerate([None] if weights is None else weights):
+            want = reference(data, spec, theta, w)
+            assert np.isfinite(point.nll[r]) and np.isfinite(got_info[r]).all()
+            assert_allclose(point.nll[r], want[0], rtol=1e-12)
+            for got, ref in ((got_score[r], want[1]), (got_info[r], want[2])):
+                assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class TestRowOrder:
+    # The stored order and the segments follow the rows' order; shuffled
+    # rows only make more segments, never another fit.
+    @pytest.mark.parametrize("which", ["gab", "three-level"])
+    def test_shuffled_rows_fit_alike(self, gab, arrhenius_population, which):
+        if which == "gab":
+            data, spec = LifeData.of(gab), parse_model("lognormal: mu ~ log(voltstress)")
+        else:
+            records, spec, _ = arrhenius_population(seed=5, n_total=300)
+            data = LifeData.of(records)
+        rows = np.random.default_rng(17).permutation(len(data))
+        shuffled = LifeData.of([data[i] for i in rows])
+        assert _Likelihood(shuffled, spec).starts.size > _Likelihood(data, spec).starts.size
+        fit, again = fit_ml(data, spec), fit_ml(shuffled, spec)
+        assert_allclose(again.estimates, fit.estimates, rtol=1e-10)
+        assert_allclose(again.loglik, fit.loglik, rtol=1e-10)
+
+
 def count_kernel_rows(monkeypatch) -> dict[str, list[int]]:
     """Replace the lifetime kernels that altkit.fitml calls with wrappers
     that record the number of rows each call sees, by kernel name."""
@@ -196,15 +276,19 @@ class TestKernelPass:
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_failures_and_censored_units_reach_their_own_kernels(
             self, gab, monkeypatch, family):
-        # Every call sees exactly the failed rows (density kernels) or
-        # exactly the censored rows (survival kernels).
+        # The survival kernels see exactly the censored rows.  The Weibull's
+        # density kernels see exactly the failed rows; the lognormal's
+        # failures enter through their segments' sums and reach no kernel.
         rows = count_kernel_rows(monkeypatch)
         fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
         n_censored = fit.n_records - fit.n_failed
-        assert rows["std_logpdf"] and set(rows["std_logpdf"]) == {fit.n_failed}
-        assert rows["std_dlogpdf"] and set(rows["std_dlogpdf"]) == {fit.n_failed}
         assert rows["std_logsf"] and set(rows["std_logsf"]) == {n_censored}
         assert rows["std_dlogsf"] and set(rows["std_dlogsf"]) == {n_censored}
+        if family == "lognormal":
+            assert rows["std_logpdf"] == rows["std_dlogpdf"] == []
+        else:
+            assert rows["std_logpdf"] and set(rows["std_logpdf"]) == {fit.n_failed}
+            assert rows["std_dlogpdf"] and set(rows["std_dlogpdf"]) == {fit.n_failed}
 
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_objective_and_derivative_passes(self, gab, monkeypatch, family):
@@ -214,13 +298,11 @@ class TestKernelPass:
         rows = count_kernel_rows(monkeypatch)
         point = like.at(np.array([[40.0, -7.0, -0.5], [50.0, -9.0, 0.0]]))
         assert np.isfinite(point.nll).all()
-        assert [len(rows[k]) for k in ("std_logpdf", "std_logsf")] == [1, 1]
-        assert rows["std_dlogpdf"] == rows["std_dlogsf"] == []
+        assert [len(rows[k]) for k in ("std_logsf", "std_dlogsf")] == [1, 0]
         score, hessian = point.derivatives
         again = point.derivatives
         assert again[0] is score and again[1] is hessian
-        assert [len(rows[k]) for k in ("std_dlogpdf", "std_dlogsf")] == [1, 1]
-        assert [len(rows[k]) for k in ("std_logpdf", "std_logsf")] == [1, 1]
+        assert [len(rows[k]) for k in ("std_logsf", "std_dlogsf")] == [1, 1]
 
 
 class TestFitInsulationData:
@@ -343,31 +425,45 @@ def random_design(rng) -> np.ndarray:
 
 
 class TestRankVerdict:
-    # _rank_deficient takes matrix_rank's verdict from one SVD per design
-    # (none for one column) on the design under each replicate's weights.
+    # _rank_deficient takes matrix_rank's verdict on the weighted records
+    # from one SVD per design (none for one column) of its segment rows,
+    # each scaled by the square root of its weight under each replicate.
+    @staticmethod
+    def verdict(xt, weights):
+        """_rank_deficient on the segments of the record design xt."""
+        starts = _segment_bounds(xt, xt.shape[1])[:-1]
+        w = np.ones((1, xt.shape[1])) if weights is None else weights
+        return _rank_deficient(xt[:, starts], np.sqrt(np.add.reduceat(w, starts, axis=1)),
+                               xt.shape[1])
+
     def test_agrees_with_matrix_rank(self):
         rng = np.random.default_rng(21)
         seen = Counter()
-        for _ in range(400):
+        for _ in range(600):
             xt = random_design(rng)
-            if rng.integers(2):
+            repeated = bool(rng.integers(2))
+            if repeated:  # each record's row 1 to 3 times in a row
+                xt = np.repeat(xt, rng.integers(1, 4, size=xt.shape[1]), axis=1)
+            kind = int(rng.integers(3))
+            if kind == 0:
                 weights = None
-                designs = [xt.T]
-            else:  # zero-weight rows, and sometimes a replicate of no weight
+            elif kind == 1:  # bootstrap counts, sometimes a replicate of no weight
+                weights = rng.integers(0, 3, size=(int(rng.integers(1, 5)), xt.shape[1]))
+            else:  # zero-weight rows and fractional weights
                 weights = rng.choice([0.0, 0.0, 0.25, 1.0, 2.0, 3.0],
                                      size=(int(rng.integers(1, 5)), xt.shape[1]))
-                designs = [np.sqrt(w)[:, None] * xt.T for w in weights]
+            designs = [xt.T] if weights is None else [np.sqrt(w)[:, None] * xt.T for w in weights]
             want = [np.linalg.matrix_rank(x) < len(xt) for x in designs]
-            got = _rank_deficient(SimpleNamespace(weights=weights), xt)
+            got = self.verdict(xt, None if weights is None else weights.astype(float))
             assert got.tolist() == want, (xt, weights)
-            seen[len(xt) == 1, weights is None, *want[:1]] += 1
+            seen[len(xt) == 1, kind, repeated, *want[:1]] += 1
         # Every kind of design, with both verdicts.
-        assert len(seen) == 8
+        assert len(seen) == 24
 
     def test_a_design_that_is_not_finite(self):
         xt = np.array([[1.0, 1.0, 1.0], [1.0, np.inf, 2.0]])
         for weights in (None, np.ones((3, 3))):
-            got = _rank_deficient(SimpleNamespace(weights=weights), xt)
+            got = self.verdict(xt, weights)
             assert got.all() and got.shape == (1 if weights is None else 3,)
 
 
@@ -848,8 +944,9 @@ def assert_same_bits(got, want):
 
 
 class TestColumnSetUp:
-    # _Likelihood and _Standardizer build their designs a column at a time;
-    # the whole-array oracles above fix every bit they must give.
+    # _Likelihood and _Standardizer build their designs a column at a time
+    # and standardize only the segment rows; the whole-array oracles above
+    # fix every bit they must give.
     TERMS = ["a", "b", "c", "k", "up", "down", "sq(big)", "sq(big):zero"]
 
     @staticmethod
@@ -883,7 +980,9 @@ class TestColumnSetUp:
                 like = like.weighted(rng.integers(0, 3, size=(2, n)))
             std = _Standardizer(like)
             xs, e, to_original, from_original = oracle_standardized(xt, spec.n_mu)
-            assert_same_bits(std.like.xt, xs)
+            assert_same_bits(like.xs, xt[:, like.starts])
+            assert_same_bits(std.like.xs, xs[:, like.starts])
+            assert std.like.xt is None
             assert_same_bits(std.exponents, e)
             assert_same_bits(std.to_original, to_original)
             assert_same_bits(std.from_original, from_original)
@@ -898,6 +997,46 @@ class TestColumnSetUp:
             seen["weighted" if like.weights is not None else "unweighted"] += 1
             seen["not finite"] += not np.isfinite(xt).all()
         assert len(seen) == 4 * 2 + 3 + 2 + 1 and seen["not finite"]  # every kind, some inf or nan
+
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_segments_and_their_sums_equal_a_record_loop(self, family):
+        # Runs of one design row among the failures or the censored units,
+        # each failed run's weight, mean log time and sum of squares, and
+        # the lognormal's pseudo points, which keep those three.
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            levels = rng.choice([1.0, 2.0, 4.0], size=n) if rng.integers(2) else np.sort(
+                rng.choice([1.0, 2.0, 4.0], size=n))
+            data = LifeData(np.exp(rng.normal(size=n)), rng.uniform(size=n) < 0.7,
+                            {"v": levels, "u": rng.choice([0.0, 0.0, 1.0], size=n)})
+            spec = parse_model(f"{family}: mu ~ log(v); sigma ~ u")
+            like = _Likelihood(data, spec)
+            xt, nf = like.xt, like.n_failed
+            new = [i for i in range(n) if i == 0 or i == nf or (xt[:, i] != xt[:, i - 1]).any()]
+            assert like.starts.tolist() == new
+            assert like.lengths.tolist() == np.diff(new + [n]).tolist()
+            assert like.n_fseg == sum(i < nf for i in new)
+            weights = rng.integers(0, 3, size=(3, n)).astype(float)
+            for part, w in ((like, np.ones((1, n))),
+                            (like.weighted(weights), weights[:, like.order])):
+                for i in range(len(w)):
+                    wf, logt = w[i, :nf], like.logt[:nf]
+                    for s, (a, b) in enumerate(zip(new[: like.n_fseg], (new + [n])[1:])):
+                        count = wf[a:b].sum()
+                        mean = (wf[a:b] * logt[a:b]).sum() / count if count else 0.0
+                        sumsq = (wf[a:b] * (logt[a:b] - mean) ** 2).sum()
+                        assert part.counts[i, s] == count
+                        assert_allclose(part.means[i, s], mean, rtol=1e-14, atol=1e-14)
+                        assert_allclose(part.sumsq[i, s], sumsq, rtol=1e-12, atol=1e-14)
+                        if family == "lognormal":  # two points of half the weight
+                            at = slice(like.ystarts[s], like.ystarts[s] + 2)
+                            points, weight = part.y[i, at], -part.scale[i, at]
+                            assert like.reps[s] == 2 and (weight == weight[0]).all()
+                            assert weight.sum() == count
+                            assert_allclose(points.mean(), mean, rtol=1e-14, atol=1e-14)
+                            assert_allclose((weight * (points - mean) ** 2).sum(), sumsq,
+                                            rtol=1e-12, atol=1e-14)
 
     def test_default_sweep_sets_up_once_per_point(self, gab, monkeypatch):
         built = Counter()
@@ -965,21 +1104,21 @@ class TestProfileSecantStart:
 
 class TestWorkCounts:
     # The work a fit does, counted without a clock: objective passes
-    # (std_logpdf calls), derivative passes (std_dlogpdf calls) and Newton
+    # (std_logsf calls), derivative passes (std_dlogsf calls) and Newton
     # steps.  A change to the optimizer's path moves these pins.
     @pytest.mark.parametrize("family, passes, steps", [("lognormal", 7, 6), ("weibull", 8, 7)])
     def test_cold_gab_fit(self, gab, monkeypatch, family, passes, steps):
         rows = count_kernel_rows(monkeypatch)
         fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
-        assert len(rows["std_logpdf"]) == len(rows["std_dlogpdf"]) == passes
+        assert len(rows["std_logsf"]) == len(rows["std_dlogsf"]) == passes
         assert fit.iterations == steps
 
     def test_default_boxcox_sweep(self, gab, monkeypatch):
         rows = count_kernel_rows(monkeypatch)
         calls = TestProfileSecantStart.recorded_fits(monkeypatch)
         profile_lambda(gab, parse_model("lognormal: mu ~ boxcox(voltstress, 1)"), GAB_USE)
-        assert len(rows["std_logpdf"]) == 103
-        assert len(rows["std_dlogpdf"]) == 98
+        assert len(rows["std_logsf"]) == 103
+        assert len(rows["std_dlogsf"]) == 98
         assert sum(fit.iterations for _, fit in calls) == 67
 
 
