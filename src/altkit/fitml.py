@@ -23,31 +23,39 @@ the start and the rank check run on them.  Under the normal model the
 failures of a segment enter the likelihood only through their weight,
 mean log time and sum of squared deviations (Nelson 1990; Meeker and
 Escobar 1998), so each lognormal failed segment becomes two pseudo points
-with the same three.
+with the same three.  The records the kernels evaluate (the censored units
+for the lognormal, every record for the Weibull) are taken an entry at a
+time: a run of a segment's records with one log time, found by the same
+comparison with the log times added, and weighted by its number of
+records.  A test that takes each level's survivors off at one time
+(type-I censoring) makes a level's censored units one entry: 3 entries
+for the 15,000 censored arrhenius-50k units, 4 for the 39 of the
+insulation data.
 Each point the search visits is then evaluated in at most two passes: an
 objective pass when the point is made (sigma and mu per segment, z for
-the pseudo points and for the records the kernels evaluate, and the
-objective), and a derivative pass for the score and the observed
-information together, once and only when the point is accepted or its
-score is asked for: per-entry weights summed per segment, then one
-product with the segments' x x'.  So a Newton round costs one objective
-pass per trial point and one derivative pass per accepted point (or
-tried full step, whose score decides it).  The survival kernels see the
-censored units only, the density kernels the Weibull's failures only
-(its failure terms are not quadratic in z).  The median arrhenius-50k
-fit takes about 4.25 ms on the 2-core machine of BENCH_23.json, 8.5 ms
-without segments; a warm 75-row fit pays about 30 us more set-up than
-its passes save.
+the pseudo points and the entries, and the objective), and a derivative
+pass for the score and the observed information together, once and only
+when the point is accepted or its score is asked for: per-entry weights
+summed per segment, then one product with the segments' x x'.  So a
+Newton round costs one objective pass per trial point and one derivative
+pass per accepted point (or tried full step, whose score decides it).
+The survival kernels see the censored entries only, the density kernels
+the Weibull's failed entries only (its failure terms are not quadratic in
+z).  The median arrhenius-50k fit takes about 1.4 ms on the 2-core
+machine of BENCH_24.json, against 4.2 ms with each censored unit
+evaluated on its own and 8.5 ms without segments; in a warm 75-row fit
+the entries' set-up costs about what their passes save, and the segments'
+set-up some 30 us more than theirs save (BENCH_23.json).
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
 times each record was drawn, and its weighted likelihood equals that of
-the duplicated records.  A record or a segment of weight 0 adds exactly
-0, even where its kernel value, mu or sigma is not finite (as long as the
-products of its design row's entries are, as on a standardized design).
-The Newton loop moves all replicates
-together, with one likelihood pass and one stacked solve per round, while
-the ridge, the step halving and the stop are decided per replicate; every
+the duplicated records.  A record, an entry or a segment of weight 0 adds
+exactly 0, even where its kernel value, mu or sigma is not finite (as
+long as the products of its design row's entries are, as on a
+standardized design).  The Newton loop moves all replicates together,
+with one likelihood pass and one stacked solve per round, while the
+ridge, the step halving and the stop are decided per replicate; every
 product is taken one replicate at a time, so no replicate's result depends
 on the others in its batch.  One replicate fit judges every fit by one
 set of rules, the first broken rule deciding: no failure weight, a
@@ -110,21 +118,29 @@ def _stored_design(data: LifeData, spec: ModelSpec, order: np.ndarray) -> np.nda
     ones on the intercept rows, each covariate column gathered into its row."""
     xt, k = np.ones((spec.n_params, order.size)), spec.n_mu
     for rows, terms in ((xt[1:k], spec.mu_terms), (xt[k + 1 :], spec.sigma_terms)):
-        for row, column in zip(rows, design_matrix(terms, data).T[1:]):
+        for row, column in zip(rows, design_matrix(terms, data).T[1:] if terms else ()):
             column.take(order, out=row, mode="clip")  # in range; clip skips a buffered copy
     return xt
 
 
-def _segment_bounds(xt: np.ndarray, n_failed: int) -> np.ndarray:
-    """The first record of each segment of the stored design xt, then the
-    number of records.  A segment is a maximal run of identical design rows
-    among the failed or among the censored records, found by comparing each
-    record's row with the one before it (a row holding nan is a segment of
-    its own)."""
+def _segment_bounds(xt: np.ndarray, logt: np.ndarray, n_failed: int,
+                    first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bounds of the segments of the stored design xt and of the
+    entries from record `first` on: the first record of each, then the
+    number of records; and where the segments from `first` on begin among
+    the entries' bounds.  A segment is a maximal run of identical design
+    rows among the failed or among the censored records, found by comparing
+    each record's row with the one before it (a row holding nan is a
+    segment of its own); an entry is a maximal run of a segment's records
+    with one log time in `logt`, found by the same comparison with the log
+    times added."""
     new = np.ones(xt.shape[1] + 1, dtype=bool)
     np.logical_or.reduce(xt[:, 1:] != xt[:, :-1], axis=0, out=new[1:-1])
     new[n_failed] = True  # the first censored record, if any
-    return new.nonzero()[0]
+    entry = new[first:].copy()
+    entry[1:-1] |= logt[first + 1 :] != logt[first:-1]
+    entries = entry.nonzero()[0] + first
+    return new.nonzero()[0], entries, new[entries].nonzero()[0]
 
 
 @lru_cache
@@ -144,7 +160,7 @@ def _derivative_entries(p: int, k: int) -> np.ndarray:
 
 
 # The attributes of a _Likelihood that hold one row per replicate.
-_PER_REPLICATE = ("weights", "scale", "counts", "means", "sumsq", "offset", "y")
+_PER_REPLICATE = ("weights", "counts", "means", "sumsq", "offset", "y")
 _PAIR, _HALVES = np.array([-1.0, 1.0]), np.array([-0.5, -0.5])
 
 
@@ -163,16 +179,21 @@ class _Likelihood:
     failures' weighted sum of log time, plus log sqrt(2 pi) each for the
     lognormal.
 
-    The normal log density is quadratic in z, so a lognormal failed
-    segment enters the likelihood, the score and the information as two
-    pseudo points at mean -+ sqrt(sumsq / W) of weight W/2 each (`scale`
-    holds -W/2), which have its weight, mean and sum of squares.  `y`
-    holds the log times whose z a point computes: the `pseudo` points, then
-    the records from `first` on (the censored for the lognormal, all for
-    the Weibull); `reps` counts the entries of y in each segment and
-    `ystarts` is where each segment's begin.  `weights` is None for one
-    replicate that counts every record once, or a (replicates, entries of
-    y) array: 1 for a pseudo point (0 where W is), then record weights.
+    The kernels see the censored records of the lognormal and every record
+    of the Weibull an entry at a time: an entry is a maximal run of a
+    segment's records with one log time, such as the units that come off
+    test together at one level.  `estarts` holds each entry's first record
+    and `multiplicity` its size; the first n_fentries hold failures.  The
+    normal log density is quadratic in z, so a lognormal failed segment
+    enters the likelihood, the score and the information as two pseudo
+    points at mean -+ sqrt(sumsq / W) of weight W/2 each, which have its
+    weight, mean and sum of squares.  `y` holds the log times whose z a
+    point computes: the `pseudo` points, then the entries; `reps` counts
+    the entries of y in each segment and `ystarts` is where each segment's
+    begin.  `weights` holds their weights per replicate: -W/2 for a pseudo
+    point (its term is the negated normal log density), then the summed
+    weight of each entry's records, its multiplicity unless `weighted`
+    gave record weights (`replicate_weights`), which may be 0.
     """
 
     def __init__(self, data: LifeData, spec: ModelSpec):
@@ -182,15 +203,23 @@ class _Likelihood:
         self.n_failed = nf = int(np.count_nonzero(data.failed))
         self.family = spec.family
         self.n_mu = spec.n_mu
-        bounds = _segment_bounds(self.xt, nf)
-        self.starts, self.lengths = bounds[:-1], bounds[1:] - bounds[:-1]
-        self.xs = self.xt[:, self.starts]
-        self.n_fseg = nfs = int(bounds.searchsorted(nf))
         lognormal = spec.family == "lognormal"
-        self.first, self.pseudo = (nf, 2 * nfs) if lognormal else (0, 0)
-        self.reps = self.lengths.copy()
-        self.reps[: nfs if lognormal else 0] = 2
+        first = nf if lognormal else 0  # the first record the kernels see
+        bounds, entries, at = _segment_bounds(self.xt, self.logt, nf, first)
+        self.starts, self.lengths = bounds[:-1], bounds[1:] - bounds[:-1]
+        self.xs = self.xt.take(self.starts, axis=1)
+        self.n_fseg = nfs = int(bounds.searchsorted(nf))
+        self.estarts = entries[:-1]
+        # float, as replicate weights are, so the passes multiply without a cast
+        self.multiplicity = np.subtract(entries[1:], entries[:-1], dtype=float)
+        # The segments from ks on hold the entries; at[i] is segment ks + i's first.
+        self.pseudo, ks = (2 * nfs, nfs) if lognormal else (0, 0)
+        self.reps = np.empty_like(self.lengths)
+        self.reps[:ks] = 2
+        np.subtract(at[1:], at[:-1], out=self.reps[ks:])
         self.ystarts = self.reps.cumsum() - self.reps
+        self.n_fentries = int(at[nfs - ks])
+        self.replicate_weights = False
         self.__dict__.update(self._sums(None))
 
     def _with(self, **attrs) -> "_Likelihood":
@@ -211,57 +240,64 @@ class _Likelihood:
         """The attributes in _PER_REPLICATE for record weights w, (replicates,
         records) in the stored order (None: one replicate that counts every
         record once)."""
-        nf, nfs, first, ps = self.n_failed, self.n_fseg, self.first, self.pseudo
-        logt, fstarts = self.logt[:nf], self.starts[:nfs]
+        nf, nfs, ps = self.n_failed, self.n_fseg, self.pseudo
+        logt, fstarts, ylogt = self.logt[:nf], self.starts[:nfs], self.logt[self.estarts]
         if w is None:
-            counts, wy = self.lengths[None], logt[None]
+            counts, wy, weights = self.lengths[None], logt[None], self.multiplicity[None]
         else:
             counts, wy = np.add.reduceat(w, self.starts, axis=1), w[:, :nf] * logt
+            weights = np.add.reduceat(w, self.estarts, axis=1)
         fcounts = counts[:, :nfs]
         divisor = fcounts if w is None else fcounts + (fcounts == 0.0)  # 0 / 1 where W is 0
         sums = np.add.reduceat(wy, fstarts, axis=1)
         means = sums / divisor
-        sq = np.square(logt - np.repeat(means, self.lengths[:nfs], axis=1))
+        sq = np.square(logt - means.repeat(self.lengths[:nfs], axis=1))
         sumsq = np.add.reduceat(sq if w is None else w[:, :nf] * sq, fstarts, axis=1)
-        y = (self.logt[None, first:] if w is None else
-             np.broadcast_to(self.logt[first:], (len(w), self.logt.size - first)))
+        y = ylogt[None] if w is None else np.broadcast_to(ylogt, (len(w), ylogt.size))
         offset = np.add.reduce(sums, axis=1)
-        scale = (fcounts[:, :, None] * _HALVES).reshape(len(y), -1)[:, :ps]
         if ps:
             pairs = means[:, :, None] + np.sqrt(sumsq / divisor)[:, :, None] * _PAIR
             y = np.concatenate([pairs.reshape(len(y), ps), y], axis=1)
+            halves = (fcounts[:, :, None] * _HALVES).reshape(len(y), ps)
+            weights = np.concatenate([halves, weights], axis=1)
             offset += _LOG_SQRT_2PI * (nf if w is None else fcounts.sum(axis=1))
-        if w is not None:
-            w = np.concatenate([(scale < 0.0).astype(float), w[:, first:]], axis=1)
-        return dict(weights=w, scale=scale, counts=counts, means=means, sumsq=sumsq,
+        return dict(weights=weights, counts=counts, means=means, sumsq=sumsq,
                     offset=offset, y=y)
 
     def weighted(self, counts: np.ndarray) -> "_Likelihood":
         """One replicate per row of `counts` (replicates, records), the
         weight of each record given in the order of the data."""
-        return self._with(**self._sums(np.asarray(counts, dtype=float)[:, self.order]))
+        sums = self._sums(np.asarray(counts, dtype=float)[:, self.order])
+        return self._with(replicate_weights=True, **sums)
 
     def replicates(self, which: np.ndarray) -> "_Likelihood":
         """The replicates selected by index or mask `which`."""
-        if self.weights is None:
+        if not self.replicate_weights:
             return self
         return self._with(**{name: getattr(self, name)[which] for name in _PER_REPLICATE})
 
     def weigh(self, values: np.ndarray) -> np.ndarray:
-        """`values` (..., replicates, entries of y) times their weights;
-        exactly 0 where a weight is 0, even where the value is not finite."""
-        w = self.weights
-        return values if w is None else np.where(w > 0.0, w * values, 0.0)
+        """`values` (..., replicates, entries of y) times their weights, in
+        place, then `drop_unweighted`."""
+        values *= self.weights
+        return self.drop_unweighted(values)
+
+    def drop_unweighted(self, values: np.ndarray) -> np.ndarray:
+        """`values` (..., replicates, entries of y), in place exactly 0 where
+        a weight is 0, even where the value is not finite."""
+        if self.replicate_weights:
+            np.copyto(values, 0.0, where=self.weights == 0.0)
+        return values
 
     def weigh_segments(self, values: np.ndarray) -> np.ndarray:
         """`values` (..., replicates, segments), exactly 0 in a segment of no
         weight, even where the value is not finite."""
-        return values if self.weights is None else np.where(self.counts > 0.0, values, 0.0)
+        return np.where(self.counts > 0.0, values, 0.0) if self.replicate_weights else values
 
     def expand(self, a: np.ndarray) -> np.ndarray:
         """Per-segment values a (replicates, segments) repeated over the
         entries of `y`; a single column as it is, to broadcast."""
-        return a if a.shape[1] == 1 else np.repeat(a, self.reps, axis=1)
+        return a if a.shape[1] == 1 else a.repeat(self.reps, axis=1)
 
     def at(self, theta: np.ndarray) -> "_Point":
         """The point theta, one row of parameters per replicate."""
@@ -273,26 +309,27 @@ class _Point:
     sigma per segment, z for the entries of the likelihood's `y` and `nll`,
     the objective per replicate (BARRIER where it is not finite);
     `derivatives` computes the score and the observed information together
-    on first use.  The survival kernels see the censored records only, the
-    density kernels the Weibull's failures only; a lognormal pseudo point
-    takes the normal log density -z^2/2 - log sqrt(2 pi) (`offset` holds
-    the constant) and its derivatives -z and -1, times its weight."""
+    on first use.  The survival kernels see the censored entries only, the
+    density kernels the Weibull's failed entries only; a lognormal pseudo
+    point's term is the negated normal log density z^2/2 + log sigma
+    (`offset` holds the constant) and its derivatives z and 1, times its
+    weight."""
 
     def __init__(self, like: _Likelihood, theta: np.ndarray):
         self.like = like
         self.theta = theta
-        k, ps = like.n_mu, like.pseudo
-        nk = like.n_failed - like.first  # failures the kernels evaluate
+        k, ps, nk = like.n_mu, like.pseudo, like.n_fentries
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             logsig = _linear(theta[:, k:], like.xs[k:])
             self.sigma = np.exp(logsig)
             self.z = z = (like.y - like.expand(_linear(theta[:, :k], like.xs[:k]))
                           ) / like.expand(self.sigma)
-            # Each entry's log-likelihood term but for offset; a single
-            # column of log sigma stays one under the slices, and broadcasts.
+            # Each entry's log-likelihood term but for offset (a pseudo
+            # point's negated); a single column of log sigma stays one
+            # under the slices, and broadcasts.
             logsig, terms = like.expand(logsig), [std_logsf(z[:, ps + nk :], like.family)]
             if ps:
-                terms.insert(0, (np.square(z[:, :ps]) * 0.5 + logsig[:, :ps]) * like.scale)
+                terms.insert(0, np.square(z[:, :ps]) * 0.5 + logsig[:, :ps])
             if nk:
                 terms.insert(0, std_logpdf(z[:, :nk], like.family) - logsig[:, :nk])
             nll = like.offset - like.weigh(np.concatenate(terms, axis=1)).sum(axis=1)
@@ -310,26 +347,31 @@ class _Point:
         w is summed per segment, and one product with `xx` gives every
         X'diag(w)X."""
         like, z = self.like, self.z
-        k, p, ps, nk = like.n_mu, len(like.xs), like.pseudo, like.n_failed - like.first
+        k, p, ps, nk = like.n_mu, len(like.xs), like.pseudo, like.n_fentries
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            # Per entry of y: L', L''z + L', L'', L'z, (L''z + L')z.
-            rows = np.empty((5,) + z.shape)
+            # Per entry of y: L', L''z + L', L'', L'z, (L''z + L')z, each
+            # times its weight (L' and L'' are, so the products are).
+            rows, w = np.empty((5,) + z.shape), like.weights
             l1, c, l2, l1z, cz = rows
-            l1[:, ps + nk :] = std_dlogsf(z[:, ps + nk :], like.family)
-            l2[:, ps + nk :] = std_d2logsf(z[:, ps + nk :], like.family, dlogsf=l1[:, ps + nk :])
-            if ps:
-                np.multiply(z[:, :ps], like.scale, out=l1[:, :ps])
-                l2[:, :ps] = like.scale
+            kz = z[:, ps + nk :]
+            dlogsf = std_dlogsf(kz, like.family)
+            np.multiply(dlogsf, w[:, ps + nk :], out=l1[:, ps + nk :])
+            np.multiply(std_d2logsf(kz, like.family, dlogsf=dlogsf), w[:, ps + nk :],
+                        out=l2[:, ps + nk :])
+            if ps:  # the pseudo points' terms have derivatives z and 1
+                np.multiply(z[:, :ps], w[:, :ps], out=l1[:, :ps])
+                l2[:, :ps] = w[:, :ps]
             if nk:
-                l1[:, :nk] = std_dlogpdf(z[:, :nk], like.family)
-                l2[:, :nk] = std_d2logpdf(z[:, :nk], like.family)
+                np.multiply(std_dlogpdf(z[:, :nk], like.family), w[:, :nk], out=l1[:, :nk])
+                np.multiply(std_d2logpdf(z[:, :nk], like.family), w[:, :nk], out=l2[:, :nk])
             np.multiply(l1, z, out=l1z)
             np.multiply(l2, z, out=c)
             c += l1
             np.multiply(c, z, out=cz)
-            # Their weighted sums per segment, then the docstring's w (the information's
+            like.drop_unweighted(rows)
+            # Their sums per segment, then the docstring's w (the information's
             # negated): L' and L''z + L' over sigma, L'' over sigma^2, 1 per failure on L'z.
-            seg = np.add.reduceat(like.weigh(rows), like.ystarts, axis=2)
+            seg = np.add.reduceat(rows, like.ystarts, axis=2)
             seg[:3] /= self.sigma
             seg[2] /= self.sigma
             seg[3, :, : like.n_fseg] += like.counts[:, : like.n_fseg]

@@ -183,14 +183,17 @@ class TestGradient:
 @st.composite
 def likelihood_cases(draw):
     """Records on 1 to 4 levels of v, grouped by level (repeated design rows),
-    shuffled, or all distinct; either family; no weights, unit weights or 1
-    to 3 bootstrap replicates, one of which may drop every failure of one
+    shuffled, or all distinct; their times continuous, or tied as a test's
+    readouts tie them (one censoring time per level, failures at a few
+    inspection times); either family; no weights, unit weights or 1 to 3
+    bootstrap replicates, one of which may drop every failure of one
     level; and, under weights, a level u = 1000 of weight 0 in every
     replicate where theta makes mu infinite or sigma infinite or 0."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     family = draw(st.sampled_from(["lognormal", "weibull"]))
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     layout = draw(st.sampled_from(["grouped", "shuffled", "distinct"]))
+    times = draw(st.sampled_from(["continuous", "readouts"]))
     v = np.repeat([1.0, 2.0, 3.0, 5.0][: len(sizes)], sizes)
     if layout == "distinct":
         v = 1.0 + 0.37 * np.arange(v.size)
@@ -204,7 +207,12 @@ def likelihood_cases(draw):
     if blowup != "none":  # a level of weight 0 where mu or sigma is infinite
         v, u = np.append(v, [2.0, 2.0, 2.0]), np.append(u, [1000.0] * 3)
         failed = np.append(failed, [True, False, True])
-    data = LifeData(np.exp(rng.normal(1.0, 0.7, v.size)), failed, {"v": v, "u": u})
+    time = np.exp(rng.normal(1.0, 0.7, v.size))
+    if times == "readouts":
+        _, level = np.unique(v + u, return_inverse=True)
+        ends = np.exp(rng.normal(1.5, 0.3, level.max() + 1))
+        time = np.where(failed, rng.choice(time[:3], size=v.size), ends[level])
+    data = LifeData(time, failed, {"v": v, "u": u})
     spec = parse_model(f"{family}: mu ~ log(v) + u; sigma ~ u")
     theta = np.array([rng.uniform(0.0, 2.0), rng.uniform(-1.0, 1.0),
                       1e306 if blowup == "mu" else 0.0, rng.uniform(-1.0, 0.5),
@@ -220,8 +228,9 @@ def likelihood_cases(draw):
 
 
 class TestReferenceLikelihood:
-    # The segment sums, the lognormal failures' pseudo points and the
-    # weights against a plain sum over records of the lifetime kernels.
+    # The segment sums, the lognormal failures' pseudo points, the tied
+    # records' entries and the weights against a plain sum over records of
+    # the lifetime kernels.
     @settings(max_examples=300, deadline=None)
     @given(case=likelihood_cases())
     def test_matches_the_record_by_record_sums(self, case):
@@ -276,19 +285,40 @@ class TestKernelPass:
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_failures_and_censored_units_reach_their_own_kernels(
             self, gab, monkeypatch, family):
-        # The survival kernels see exactly the censored rows.  The Weibull's
-        # density kernels see exactly the failed rows; the lognormal's
-        # failures enter through their segments' sums and reach no kernel.
+        # The kernels see a level's records with one time once: the 39
+        # censored units come off test at one time per level, so the
+        # survival kernels see 4 rows, and the Weibull's density kernels see
+        # every failure (their times differ within a level).  The
+        # lognormal's failures enter through their segments' sums and reach
+        # no kernel.
         rows = count_kernel_rows(monkeypatch)
         fit = fit_ml(gab, parse_model(f"{family}: mu ~ log(voltstress)"))
-        n_censored = fit.n_records - fit.n_failed
-        assert rows["std_logsf"] and set(rows["std_logsf"]) == {n_censored}
-        assert rows["std_dlogsf"] and set(rows["std_dlogsf"]) == {n_censored}
+        assert fit.n_records - fit.n_failed == 39
+        assert rows["std_logsf"] and set(rows["std_logsf"]) == {4}
+        assert rows["std_dlogsf"] and set(rows["std_dlogsf"]) == {4}
         if family == "lognormal":
             assert rows["std_logpdf"] == rows["std_dlogpdf"] == []
         else:
             assert rows["std_logpdf"] and set(rows["std_logpdf"]) == {fit.n_failed}
             assert rows["std_dlogpdf"] and set(rows["std_dlogpdf"]) == {fit.n_failed}
+
+    def test_record_counts_and_rank_tolerance_stay_per_record(self, gab, monkeypatch):
+        # Tied records are one entry of the likelihood, but a fit reports
+        # records, and the rank check keeps matrix_rank's tolerance factor
+        # max(records, columns).
+        ranks = []
+
+        def spy(xs, roots, n, _rank=_rank_deficient):
+            ranks.append(n)
+            return _rank(xs, roots, n)
+
+        monkeypatch.setattr(altkit.fitml, "_rank_deficient", spy)
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        like = likelihood(gab, spec)
+        assert like.estarts.size == 4 < len(gab) - like.n_failed
+        fit = fit_ml(gab, spec)
+        assert (fit.n_records, fit.n_failed) == (75, 36)
+        assert ranks == [75, 75]
 
     @pytest.mark.parametrize("family", ["lognormal", "weibull"])
     def test_objective_and_derivative_passes(self, gab, monkeypatch, family):
@@ -431,7 +461,8 @@ class TestRankVerdict:
     @staticmethod
     def verdict(xt, weights):
         """_rank_deficient on the segments of the record design xt."""
-        starts = _segment_bounds(xt, xt.shape[1])[:-1]
+        n = xt.shape[1]
+        starts = _segment_bounds(xt, np.zeros(n), n, n)[0][:-1]
         w = np.ones((1, xt.shape[1])) if weights is None else weights
         return _rank_deficient(xt[:, starts], np.sqrt(np.add.reduceat(w, starts, axis=1)),
                                xt.shape[1])
@@ -994,7 +1025,7 @@ class TestColumnSetUp:
                                np.stack([xt.min(axis=1), xt.max(axis=1)], axis=1)[rows])
             seen[len(mu) + 1, len(sigma) + 1] += 1
             seen["failed" if failed.all() else "censored" if not failed.any() else "mixed"] += 1
-            seen["weighted" if like.weights is not None else "unweighted"] += 1
+            seen["weighted" if like.replicate_weights else "unweighted"] += 1
             seen["not finite"] += not np.isfinite(xt).all()
         assert len(seen) == 4 * 2 + 3 + 2 + 1 and seen["not finite"]  # every kind, some inf or nan
 
@@ -1002,26 +1033,42 @@ class TestColumnSetUp:
     def test_segments_and_their_sums_equal_a_record_loop(self, family):
         # Runs of one design row among the failures or the censored units,
         # each failed run's weight, mean log time and sum of squares, and
-        # the lognormal's pseudo points, which keep those three.
+        # the lognormal's pseudo points, which keep those three; and the
+        # entries the kernels see, runs of a segment's records with one
+        # time, with their log time and summed weight.
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(1, 40))
             levels = rng.choice([1.0, 2.0, 4.0], size=n) if rng.integers(2) else np.sort(
                 rng.choice([1.0, 2.0, 4.0], size=n))
-            data = LifeData(np.exp(rng.normal(size=n)), rng.uniform(size=n) < 0.7,
+            times = rng.normal(size=n) if rng.integers(2) else rng.choice([0.0, 0.5, 1.0], n)
+            data = LifeData(np.exp(times), rng.uniform(size=n) < 0.7,
                             {"v": levels, "u": rng.choice([0.0, 0.0, 1.0], size=n)})
             spec = parse_model(f"{family}: mu ~ log(v); sigma ~ u")
             like = _Likelihood(data, spec)
-            xt, nf = like.xt, like.n_failed
+            xt, nf, logt = like.xt, like.n_failed, like.logt
             new = [i for i in range(n) if i == 0 or i == nf or (xt[:, i] != xt[:, i - 1]).any()]
             assert like.starts.tolist() == new
             assert like.lengths.tolist() == np.diff(new + [n]).tolist()
             assert like.n_fseg == sum(i < nf for i in new)
+            first, ps, kernel = (nf, 2 * like.n_fseg, like.n_fseg) if family == "lognormal" else (
+                0, 0, 0)
+            entries = [i for i in range(first, n) if i in new or logt[i] != logt[i - 1]]
+            assert like.estarts.tolist() == entries
+            assert like.multiplicity.tolist() == np.diff(entries + [n]).tolist()
+            assert like.n_fentries == sum(i < nf for i in entries)
+            for s, (a, b) in enumerate(zip(new, new[1:] + [n])):  # each one's entries of y
+                if s >= kernel:
+                    mine = [e for e, i in enumerate(entries) if a <= i < b]
+                    assert like.ystarts[s] == ps + mine[0] and like.reps[s] == len(mine)
             weights = rng.integers(0, 3, size=(3, n)).astype(float)
             for part, w in ((like, np.ones((1, n))),
                             (like.weighted(weights), weights[:, like.order])):
                 for i in range(len(w)):
-                    wf, logt = w[i, :nf], like.logt[:nf]
+                    for e, (a, b) in enumerate(zip(entries, entries[1:] + [n])):
+                        assert part.y[i, ps + e] == logt[a]
+                        assert part.weights[i, ps + e] == w[i, a:b].sum()
+                    wf = w[i, :nf]
                     for s, (a, b) in enumerate(zip(new[: like.n_fseg], (new + [n])[1:])):
                         count = wf[a:b].sum()
                         mean = (wf[a:b] * logt[a:b]).sum() / count if count else 0.0
@@ -1031,7 +1078,7 @@ class TestColumnSetUp:
                         assert_allclose(part.sumsq[i, s], sumsq, rtol=1e-12, atol=1e-14)
                         if family == "lognormal":  # two points of half the weight
                             at = slice(like.ystarts[s], like.ystarts[s] + 2)
-                            points, weight = part.y[i, at], -part.scale[i, at]
+                            points, weight = part.y[i, at], -part.weights[i, at]
                             assert like.reps[s] == 2 and (weight == weight[0]).all()
                             assert weight.sum() == count
                             assert_allclose(points.mean(), mean, rtol=1e-14, atol=1e-14)
