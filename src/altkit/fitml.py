@@ -24,13 +24,15 @@ failures of a segment enter the likelihood only through their weight,
 mean log time and sum of squared deviations (Nelson 1990; Meeker and
 Escobar 1998), so each lognormal failed segment becomes two pseudo points
 with the same three.  The records the kernels evaluate (the censored units
-for the lognormal, every record for the Weibull) are taken an entry at a
-time: a run of a segment's records with one log time, found by the same
-comparison with the log times added, and weighted by its number of
-records.  A test that takes each level's survivors off at one time
-(type-I censoring) makes a level's censored units one entry: 3 entries
-for the 15,000 censored arrhenius-50k units, 4 for the 39 of the
-insulation data.
+for the lognormal, every record for the Weibull, whose failure terms are
+not quadratic in z) are taken an entry at a time: a run of a segment's
+records with one log time, found by the same comparison with the log times
+added, and weighted by its number of records.  A test that takes each
+level's survivors off at one time (type-I censoring) makes a level's
+censored units one entry: 3 entries for the 15,000 censored arrhenius-50k
+units, 4 for the 39 of the insulation data.  So the likelihood has two
+kinds of term: a failure's log density, for the pseudo points and the
+failed entries, and a censored entry's log survival.
 Each point the search visits is then evaluated in at most two passes: an
 objective pass when the point is made (sigma and mu per segment, z for
 the pseudo points and the entries, and the objective), and a derivative
@@ -39,13 +41,6 @@ when the point is accepted or its score is asked for: per-entry weights
 summed per segment, then one product with the segments' x x'.  So a
 Newton round costs one objective pass per trial point and one derivative
 pass per accepted point (or tried full step, whose score decides it).
-The survival kernels see the censored entries only, the density kernels
-the Weibull's failed entries only (its failure terms are not quadratic in
-z).  The median arrhenius-50k fit takes about 1.4 ms on the 2-core
-machine of BENCH_24.json, against 4.2 ms with each censored unit
-evaluated on its own and 8.5 ms without segments; in a warm 75-row fit
-the entries' set-up costs about what their passes save, and the segments'
-set-up some 30 us more than theirs save (BENCH_23.json).
 
 Every point carries a leading replicate axis.  A replicate is the same
 records under integer row weights; a bootstrap resample is the number of
@@ -83,7 +78,6 @@ from .errors import (
 )
 from .formula import Factor, ModelSpec, Term, design_matrix, design_row
 from .lifetime import (
-    _LOG_SQRT_2PI,
     std_cdf,
     std_d2logpdf,
     std_d2logsf,
@@ -161,7 +155,7 @@ def _derivative_entries(p: int, k: int) -> np.ndarray:
 
 # The attributes of a _Likelihood that hold one row per replicate.
 _PER_REPLICATE = ("weights", "counts", "means", "sumsq", "offset", "y")
-_PAIR, _HALVES = np.array([-1.0, 1.0]), np.array([-0.5, -0.5])
+_PAIR = np.array([-1.0, 1.0])
 
 
 class _Likelihood:
@@ -176,24 +170,22 @@ class _Likelihood:
     failures.  Per replicate, `counts` holds each segment's weight W, and
     `means` and `sumsq` each failed segment's weighted mean log time (0
     where W is) and sum of squared deviations from it; `offset` is the
-    failures' weighted sum of log time, plus log sqrt(2 pi) each for the
-    lognormal.
+    failures' weighted sum of log time.
 
     The kernels see the censored records of the lognormal and every record
     of the Weibull an entry at a time: an entry is a maximal run of a
     segment's records with one log time, such as the units that come off
     test together at one level.  `estarts` holds each entry's first record
-    and `multiplicity` its size; the first n_fentries hold failures.  The
-    normal log density is quadratic in z, so a lognormal failed segment
-    enters the likelihood, the score and the information as two pseudo
-    points at mean -+ sqrt(sumsq / W) of weight W/2 each, which have its
-    weight, mean and sum of squares.  `y` holds the log times whose z a
-    point computes: the `pseudo` points, then the entries; `reps` counts
-    the entries of y in each segment and `ystarts` is where each segment's
-    begin.  `weights` holds their weights per replicate: -W/2 for a pseudo
-    point (its term is the negated normal log density), then the summed
-    weight of each entry's records, its multiplicity unless `weighted`
-    gave record weights (`replicate_weights`), which may be 0.
+    and `multiplicity` its size.  The normal log density is quadratic in z,
+    so a lognormal failed segment enters the likelihood, the score and the
+    information as two pseudo points at mean -+ sqrt(sumsq / W) of weight
+    W/2 each, which have its weight, mean and sum of squares.  `y` holds
+    the log times whose z a point computes: the `pseudo` points, then the
+    entries; the first n_fentries are failures.  `reps` counts the entries
+    of y in each segment and `ystarts` is where each segment's begin.
+    `weights` holds their weights per replicate: W/2 for a pseudo point,
+    then the summed weight of each entry's records, its multiplicity unless
+    `weighted` gave record weights (`replicate_weights`), which may be 0.
     """
 
     def __init__(self, data: LifeData, spec: ModelSpec):
@@ -218,7 +210,7 @@ class _Likelihood:
         self.reps[:ks] = 2
         np.subtract(at[1:], at[:-1], out=self.reps[ks:])
         self.ystarts = self.reps.cumsum() - self.reps
-        self.n_fentries = int(at[nfs - ks])
+        self.n_fentries = self.pseudo + int(at[nfs - ks])
         self.replicate_weights = False
         self.__dict__.update(self._sums(None))
 
@@ -258,9 +250,7 @@ class _Likelihood:
         if ps:
             pairs = means[:, :, None] + np.sqrt(sumsq / divisor)[:, :, None] * _PAIR
             y = np.concatenate([pairs.reshape(len(y), ps), y], axis=1)
-            halves = (fcounts[:, :, None] * _HALVES).reshape(len(y), ps)
-            weights = np.concatenate([halves, weights], axis=1)
-            offset += _LOG_SQRT_2PI * (nf if w is None else fcounts.sum(axis=1))
+            weights = np.concatenate([(fcounts * 0.5).repeat(2, axis=1), weights], axis=1)
         return dict(weights=weights, counts=counts, means=means, sumsq=sumsq,
                     offset=offset, y=y)
 
@@ -309,30 +299,23 @@ class _Point:
     sigma per segment, z for the entries of the likelihood's `y` and `nll`,
     the objective per replicate (BARRIER where it is not finite);
     `derivatives` computes the score and the observed information together
-    on first use.  The survival kernels see the censored entries only, the
-    density kernels the Weibull's failed entries only; a lognormal pseudo
-    point's term is the negated normal log density z^2/2 + log sigma
-    (`offset` holds the constant) and its derivatives z and 1, times its
-    weight."""
+    on first use.  The density kernels see the failure entries of y, the
+    survival kernels the censored ones."""
 
     def __init__(self, like: _Likelihood, theta: np.ndarray):
         self.like = like
         self.theta = theta
-        k, ps, nk = like.n_mu, like.pseudo, like.n_fentries
+        k, nf = like.n_mu, like.n_fentries
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             logsig = _linear(theta[:, k:], like.xs[k:])
             self.sigma = np.exp(logsig)
             self.z = z = (like.y - like.expand(_linear(theta[:, :k], like.xs[:k]))
                           ) / like.expand(self.sigma)
-            # Each entry's log-likelihood term but for offset (a pseudo
-            # point's negated); a single column of log sigma stays one
-            # under the slices, and broadcasts.
-            logsig, terms = like.expand(logsig), [std_logsf(z[:, ps + nk :], like.family)]
-            if ps:
-                terms.insert(0, np.square(z[:, :ps]) * 0.5 + logsig[:, :ps])
-            if nk:
-                terms.insert(0, std_logpdf(z[:, :nk], like.family) - logsig[:, :nk])
-            nll = like.offset - like.weigh(np.concatenate(terms, axis=1)).sum(axis=1)
+            # Each entry's log-likelihood term but for offset; a single
+            # column of log sigma stays one under the slice, and broadcasts.
+            failed = std_logpdf(z[:, :nf], like.family) - like.expand(logsig)[:, :nf]
+            terms = np.concatenate([failed, std_logsf(z[:, nf:], like.family)], axis=1)
+            nll = like.offset - like.weigh(terms).sum(axis=1)
         self.nll = np.where(np.isfinite(nll) & np.isfinite(theta).all(axis=1), nll, BARRIER)
 
     @cached_property
@@ -347,34 +330,31 @@ class _Point:
         w is summed per segment, and one product with `xx` gives every
         X'diag(w)X."""
         like, z = self.like, self.z
-        k, p, ps, nk = like.n_mu, len(like.xs), like.pseudo, like.n_fentries
+        k, p, nf = like.n_mu, len(like.xs), like.n_fentries
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            # Per entry of y: L', L''z + L', L'', L'z, (L''z + L')z, each
-            # times its weight (L' and L'' are, so the products are).
+            # Per entry of y: L', L''z + L', L'', L'z (plus 1 on failures),
+            # (L''z + L')z, each times its weight (L' and L'' are, so the
+            # products are).
             rows, w = np.empty((5,) + z.shape), like.weights
             l1, c, l2, l1z, cz = rows
-            kz = z[:, ps + nk :]
-            dlogsf = std_dlogsf(kz, like.family)
-            np.multiply(dlogsf, w[:, ps + nk :], out=l1[:, ps + nk :])
-            np.multiply(std_d2logsf(kz, like.family, dlogsf=dlogsf), w[:, ps + nk :],
-                        out=l2[:, ps + nk :])
-            if ps:  # the pseudo points' terms have derivatives z and 1
-                np.multiply(z[:, :ps], w[:, :ps], out=l1[:, :ps])
-                l2[:, :ps] = w[:, :ps]
-            if nk:
-                np.multiply(std_dlogpdf(z[:, :nk], like.family), w[:, :nk], out=l1[:, :nk])
-                np.multiply(std_d2logpdf(z[:, :nk], like.family), w[:, :nk], out=l2[:, :nk])
+            zf, zc = z[:, :nf], z[:, nf:]
+            np.multiply(std_dlogpdf(zf, like.family), w[:, :nf], out=l1[:, :nf])
+            np.multiply(std_d2logpdf(zf, like.family), w[:, :nf], out=l2[:, :nf])
+            dlogsf = std_dlogsf(zc, like.family)
+            np.multiply(dlogsf, w[:, nf:], out=l1[:, nf:])
+            np.multiply(std_d2logsf(zc, like.family, dlogsf=dlogsf), w[:, nf:],
+                        out=l2[:, nf:])
             np.multiply(l1, z, out=l1z)
+            l1z[:, :nf] += w[:, :nf]
             np.multiply(l2, z, out=c)
             c += l1
             np.multiply(c, z, out=cz)
             like.drop_unweighted(rows)
             # Their sums per segment, then the docstring's w (the information's
-            # negated): L' and L''z + L' over sigma, L'' over sigma^2, 1 per failure on L'z.
+            # negated): L' and L''z + L' over sigma, L'' over sigma^2.
             seg = np.add.reduceat(rows, like.ystarts, axis=2)
             seg[:3] /= self.sigma
             seg[2] /= self.sigma
-            seg[3, :, : like.n_fseg] += like.counts[:, : like.n_fseg]
             m = like.weigh_segments(seg).transpose(1, 0, 2) @ like.xx  # (replicates, 5, p * p)
         m = m.reshape(len(m), -1).take(_derivative_entries(p, k), axis=1)
         return m[:, :p], np.negative(m[:, p:]).reshape(-1, p, p)
@@ -435,12 +415,15 @@ def _default_init(like: _Likelihood) -> np.ndarray:
 
 def _rank_deficient(xs: np.ndarray, roots: np.ndarray, n: int) -> np.ndarray:
     """Whether a design of n records is not finite or loses rank under each
-    replicate's record weights, by np.linalg.matrix_rank's rule on the
-    weighted records: a singular value at most max(n, columns) * eps times
-    the largest is 0.  The design is given by its segments, `xs` holding
-    one row of it per column and `roots` (replicates, segments) the square
-    roots of their weights: the segment rows scaled by these have the Gram
-    matrix, so the singular values, of the records scaled by theirs.  One
+    replicate's record weights, by np.linalg.matrix_rank's rule (a
+    singular value at most max(n, columns) * eps times the largest is 0)
+    applied to its segment rows scaled by the square roots of their
+    weights.  `xs` holds one segment row per column and `roots`
+    (replicates, segments) those square roots: the rows so scaled have the
+    Gram matrix, so the singular values, of the records scaled by theirs.
+    Their SVD rounds otherwise, so where the smallest singular value lies
+    within a few percent of the threshold the verdict can differ from
+    matrix_rank's on the scaled records (9 of 120,000 random designs).  One
     column's singular value is its norm, which is finite on a standardized
     design, so it has rank 1 exactly where some weighted entry is not 0."""
     x = roots[:, :, None] * xs.T
