@@ -3,12 +3,20 @@
 Both supported families are handled through one code path on the log-time
 scale: lognormal uses the standard normal, and Weibull uses the smallest
 extreme value distribution (shape beta = 1/sigma, scale eta = exp(mu)).
+
+The normal kernels come from the standard library, one scalar at a time:
+Phi and log Phi from `math.erfc`, the C library's complementary error
+function, with the asymptotic series of log Phi below z = -37, where
+erfc(-z/sqrt 2) nears the end of the normal doubles; Phi^-1 from
+`statistics.NormalDist.inv_cdf`, Wichura's AS 241 (Applied Statistics 37,
+1988).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Any, Callable
 
 import numpy as np
@@ -17,26 +25,53 @@ from .errors import DomainError
 
 FAMILIES = ("lognormal", "weibull")
 
-
-def _from_scipy(name: str) -> Callable:
-    """A stand-in for scipy.special's `name`.  Its first call imports
-    scipy.special, the slowest import of the package, and binds this
-    module's log_ndtr, ndtr and ndtri to scipy's, so only lognormal work
-    loads scipy and later calls go to scipy directly."""
-
-    def first_call(*args):
-        import scipy.special
-
-        for each in ("log_ndtr", "ndtr", "ndtri"):
-            globals()[each] = getattr(scipy.special, each)
-        return globals()[name](*args)
-
-    return first_call
-
-
-log_ndtr, ndtr, ndtri = map(_from_scipy, ("log_ndtr", "ndtr", "ndtri"))
-
+_SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_inv_cdf = NormalDist().inv_cdf
+
+
+def _log_ndtr(z: float) -> float:
+    if z >= 0.0:
+        return math.log1p(-0.5 * math.erfc(z * _SQRT1_2))
+    if z > -37.0:
+        return math.log(0.5 * math.erfc(-z * _SQRT1_2))
+    # log Phi(z) = -z^2/2 - log(-z) - log sqrt(2 pi) + log(1 - 1/z^2 + 3/z^4 - ...);
+    # at z <= -37 the first term left out is below 2e-17.
+    r = 1.0 / (z * z)
+    term, series = 1.0, 0.0
+    for k in range(1, 7):
+        term *= -(2 * k - 1) * r
+        series += term
+    return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log1p(series)
+
+
+def _ndtr(z: float) -> float:
+    return 0.5 * math.erfc(-z * _SQRT1_2)
+
+
+def _ndtri(p: float) -> float:
+    if 0.0 < p < 1.0:
+        return _inv_cdf(p)
+    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+
+
+def _elementwise(scalar: Callable[[float], float]) -> Callable:
+    """`scalar` applied to each element of an array-like; a float array of
+    the input's shape, or a numpy float for a 0-d input.  NaN goes through
+    every scalar kernel to a NaN.  `map` over the elements as Python floats
+    costs less per call than np.frompyfunc, and numpy sees no floating-point
+    flag that a comparison with NaN sets."""
+
+    def kernel(x):
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+
+    return kernel
+
+
+log_ndtr = _elementwise(_log_ndtr)  # log Phi(z)
+ndtr = _elementwise(_ndtr)  # Phi(z)
+ndtri = _elementwise(_ndtri)  # Phi^-1(p): -inf at 0, inf at 1, NaN outside [0, 1]
 
 
 def std_cdf(z, family: str):

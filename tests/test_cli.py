@@ -86,13 +86,46 @@ class TestStartup:
         assert proc.stdout.decode().strip() == "False"
 
     def test_af_does_not_load_scipy(self):
-        # scipy.special is loaded on the first lognormal kernel call only.
+        # No command loads scipy; af needs no lifetime kernel at all.
         proc = run_altkit(["-c", "import sys; from altkit.cli import main; "
                            "main(['af', '--rel', 'arrhenius', '--use', 'temp_C=50', "
                            "'--test', 'temp_C=120', '--ea-ev', '0.5']); "
                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode().splitlines() == ["temp_C,af", "120,24.4605", "[]"]
+
+    def test_lognormal_commands_do_not_load_scipy(self, gab_csv):
+        # The normal kernels come from the standard library, so a lognormal
+        # fit, bootstrap and profile leave no scipy module loaded.
+        proc = run_altkit([
+            "-c",
+            "import sys; from altkit.cli import main; d = sys.argv[1]; m = 'lognormal: mu ~ '\n"
+            "codes = [main(['fit', '--data', d, '--model', m + 'log(voltstress)',"
+            " '--use', 'voltstress=120', '--quantiles', '0.1,0.5']),\n"
+            "main(['quantile', '--data', d, '--model', m + 'log(voltstress)', '--use',"
+            " 'voltstress=120', '--p', '0.01,0.1,0.5', '--bootstrap', '20', '--seed', '1']),\n"
+            "main(['profile', '--data', d, '--model', m + 'boxcox(voltstress, 1)',"
+            " '--use', 'voltstress=120', '--grid=-1:2:0.5'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+            " file=sys.stderr)",
+            gab_csv])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr.decode() == "[0, 0, 0] []\n"
+
+    def test_lognormal_fit_without_scipy(self, gab_csv):
+        # With scipy unimportable (a None entry in sys.modules makes every
+        # import of it raise ImportError), a lognormal fit still succeeds.
+        proc = run_altkit([
+            "-c",
+            "import sys; sys.modules['scipy'] = None; from altkit.cli import main; "
+            "sys.exit(main(['fit', '--data', sys.argv[1], '--model', "
+            "'lognormal: mu ~ log(voltstress)']))",
+            gab_csv])
+        assert proc.returncode == 0, proc.stderr.decode()
+        report = json.loads(proc.stdout)
+        fit = altkit.fit_ml(load_gab(), altkit.parse_model("lognormal: mu ~ log(voltstress)"))
+        assert report["converged"] is True
+        assert_allclose(report["loglik"], fit.loglik, rtol=1e-12)
 
     def test_files_opened_as_utf8(self, tmp_path):
         # Every path is opened with an explicit encoding, so no command

@@ -3,9 +3,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from altkit import (
     LifeDistribution,
@@ -31,6 +32,7 @@ from altkit import (
     varying_sigma_quantile_ratio,
 )
 from altkit.errors import DomainError
+from altkit.lifetime import log_ndtr, ndtr, ndtri
 
 
 class TestStandardFunctions:
@@ -77,6 +79,100 @@ class TestStandardFunctions:
     def test_unknown_family(self):
         with pytest.raises(DomainError):
             std_cdf(0.0, "gamma")
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+KERNELS = (log_ndtr, ndtr, ndtri)
+
+
+def mp80(f, xs):
+    """f at each x, to 80 digits, rounded to a double."""
+    with mpmath.workdps(80):
+        return np.array([float(f(mpmath.mpf(float(x)))) for x in xs])
+
+
+def log_phi(z):
+    return mpmath.log1p(-mpmath.ncdf(-z)) if z > 0 else mpmath.log(mpmath.ncdf(z))
+
+
+def phi_inverse(p):
+    """Newton's method on log Phi in the lower tail, where it converges from
+    any start; 1 - p is exact at 80 digits."""
+    tail = min(p, 1 - p)
+    x = mpmath.mpf(-1.0)
+    for _ in range(40):
+        step = (mpmath.log(mpmath.ncdf(x)) - mpmath.log(tail)) * mpmath.ncdf(x) / mpmath.npdf(x)
+        x -= step
+        if abs(step) < mpmath.mpf(10) ** -30 * abs(x):
+            break
+    return x if p < 0.5 else -x
+
+
+def assert_within(got, want, rtol):
+    """|got - want| <= rtol * |want|, with rtol an array or a number; below
+    the normal doubles, where a relative error means nothing, to 1e-320."""
+    assert np.all(np.abs(got - want) <= np.maximum(rtol * np.abs(want), 1e-320)), (
+        np.max(np.abs(got - want) / np.maximum(np.abs(want), TINY)))
+
+
+class TestNormalKernels:
+    """log Phi, Phi and Phi^-1 against mpmath at 80 digits.  For z > 0 in
+    log Phi, and for z < 0 in Phi, the rounding of z/sqrt 2 alone moves
+    the result by up to about z^2 eps relative (scipy.special's kernels
+    too), so those bands grow with z^2."""
+
+    def test_log_ndtr_against_mpmath(self):
+        # Across the switch to the asymptotic series at z = -37.
+        z = np.unique(np.concatenate([np.linspace(-60.0, 40.0, 1001),
+                                      np.linspace(-37.2, -36.8, 41),
+                                      np.nextafter(-37.0, [-np.inf, np.inf])]))
+        got, want = log_ndtr(z), mp80(log_phi, z)
+        assert np.all(want[z < -38.5] < -740.0)
+        assert_within(got, want, np.where(z <= 0.0, 4 * EPS, 2 * EPS * (1.0 + z * z)))
+
+    def test_ndtr_against_mpmath(self):
+        z = np.linspace(-38.0, 9.0, 471)
+        assert_within(ndtr(z), mp80(mpmath.ncdf, z), 2 * EPS * (1.0 + z * z))
+
+    def test_ndtri_against_mpmath(self):
+        p = np.concatenate([10.0 ** -np.linspace(300.0, 1.0, 100),
+                            np.linspace(0.02, 0.98, 25),
+                            1.0 - 10.0 ** -np.linspace(1.0, 16.0, 31)])
+        p = p[p != 0.5]
+        assert_within(ndtri(p), mp80(phi_inverse, p), 2e-15)
+        assert ndtri(0.5) == 0.0
+
+    def test_std_quantile_matches_scipy_on_uniforms(self):
+        from scipy.special import ndtri as scipy_ndtri
+
+        u = np.random.default_rng(1).uniform(size=50_000)
+        assert_within(std_quantile(u, "lognormal"), scipy_ndtri(u), 2e-15)
+
+    def test_boundaries_match_scipy(self):
+        # Phi^-1 is -inf at 0 and inf at 1 (a uniform draw can be 0.0) and
+        # NaN outside [0, 1]; NaN in gives NaN out, without a warning, also
+        # after a hundred calls have warmed up the interpreter.
+        import scipy.special
+
+        for kernel in KERNELS:
+            out = kernel(np.append(np.linspace(0.0, 1.0, 101), np.nan))
+            assert np.isnan(out[-1]) and not np.isnan(out[:-1]).any()
+        z = np.array([-np.inf, np.inf, np.nan])
+        assert_array_equal(log_ndtr(z), scipy.special.log_ndtr(z))
+        assert_array_equal(ndtr(z), scipy.special.ndtr(z))
+        p = np.array([-np.inf, -0.5, 0.0, 1.0, 1.5, np.inf, np.nan])
+        assert_array_equal(ndtri(p), scipy.special.ndtri(p))
+        assert_array_equal(ndtri(p), [np.nan, np.nan, -np.inf, np.inf, np.nan, np.nan, np.nan])
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_shapes(self, kernel):
+        for scalar in (0.25, np.float64(0.25), np.array(0.25)):
+            assert type(kernel(scalar)) is np.float64
+        for shape in ((0,), (0, 3), (2, 1, 3)):
+            out = kernel(np.full(shape, 0.25))
+            assert out.dtype == np.float64 and out.shape == shape
+        assert_array_equal(kernel([0.25, 0.75]), [kernel(0.25), kernel(0.75)])
 
 
 class TestLifeDistribution:
