@@ -890,19 +890,19 @@ def profile_lambda(
         try:
             std = _ColumnScales(_stored_design(data, lspec, order), lspec.n_mu)
             fit = fit_ml(data, lspec, None if start is None else std.original_params(start)[0])
-            ok = fit.converged
         except NonConvergenceError as err:
-            fit, ok = err.result, False
+            fit = err.result
         except (IllPosedFitError, InestimableError, DomainError):
             points.append(ProfilePoint(lam, nan, nan, nan, nan, False))
             continue
-        if ok:
+        if fit.converged:
             warm = [*warm[-1:], (lam, std.standardized_params(fit.estimates[None]))]
         try:
             q = quantile_at_use(fit, use, p)
-            points.append(ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, ok))
+            points.append(
+                ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, fit.converged))
         except (MissingVariableError, DomainError):
-            points.append(ProfilePoint(lam, fit.loglik, nan, nan, nan, ok))
+            points.append(ProfilePoint(lam, fit.loglik, nan, nan, nan, fit.converged))
     return points
 
 

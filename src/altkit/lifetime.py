@@ -3,6 +3,8 @@
 Both supported families are handled through one code path on the log-time
 scale: lognormal uses the standard normal, and Weibull uses the smallest
 extreme value distribution (shape beta = 1/sigma, scale eta = exp(mu)).
+Each family's standard functions live in one table, `_STANDARD`, behind
+the `std_*` kernels, and `FAMILIES` is its keys.
 
 The normal kernels come from the standard library, one scalar at a time:
 Phi and log Phi from `math.erfc`, the C library's complementary error
@@ -22,8 +24,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import DomainError
-
-FAMILIES = ("lognormal", "weibull")
 
 _SQRT1_2 = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -74,85 +74,82 @@ ndtr = _elementwise(_ndtr)  # Phi(z)
 ndtri = _elementwise(_ndtri)  # Phi^-1(p): -inf at 0, inf at 1, NaN outside [0, 1]
 
 
+def _normal_dlogsf(z):
+    return -np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_ndtr(-z))
+
+
+def _normal_d2logsf(z, d):
+    d = _normal_dlogsf(z) if d is None else d
+    return -d * (d + z)
+
+
+# A density-side function beside its survival-side one; d2logsf also takes
+# dlogsf, or None.
+_STANDARD = {
+    "lognormal": dict(
+        cdf=ndtr, quantile=ndtri,
+        logpdf=lambda z: -0.5 * z * z - _LOG_SQRT_2PI, logsf=lambda z: log_ndtr(-z),
+        dlogpdf=lambda z: -z, dlogsf=_normal_dlogsf,
+        d2logpdf=lambda z: np.full_like(z, -1.0), d2logsf=_normal_d2logsf,
+    ),
+    "weibull": dict(
+        cdf=lambda z: -np.expm1(-np.exp(z)),
+        quantile=lambda p: np.log(-np.log1p(-np.asarray(p, dtype=float))),
+        logpdf=lambda z: z - np.exp(z), logsf=lambda z: -np.exp(z),
+        dlogpdf=lambda z: -np.expm1(z), dlogsf=lambda z: -np.exp(z),
+        d2logpdf=lambda z: -np.exp(z), d2logsf=lambda z, d: -np.exp(z),
+    ),
+}
+FAMILIES = tuple(_STANDARD)
+
+
+def _standard(family: str) -> dict:
+    try:
+        return _STANDARD[family]
+    except KeyError:
+        raise DomainError(f"unknown family {family!r}") from None
+
+
 def std_cdf(z, family: str):
     """Standard cdf on the log scale: normal Phi or SEV 1 - exp(-exp(z))."""
-    if family == "lognormal":
-        return ndtr(z)
-    if family == "weibull":
-        return -np.expm1(-np.exp(z))
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["cdf"](z)
 
 
 def std_quantile(p, family: str):
     """Inverse of std_cdf."""
-    if family == "lognormal":
-        return ndtri(p)
-    if family == "weibull":
-        return np.log(-np.log1p(-np.asarray(p, dtype=float)))
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["quantile"](p)
 
 
 def std_logpdf(z, family: str):
     """Log of the standard density on the log scale."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        return -0.5 * z * z - _LOG_SQRT_2PI
-    if family == "weibull":
-        return z - np.exp(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["logpdf"](np.asarray(z, dtype=float))
 
 
 def std_logsf(z, family: str):
     """Log survival log[1 - Phi(z)], computed without cancellation."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        return log_ndtr(-z)
-    if family == "weibull":
-        return -np.exp(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["logsf"](np.asarray(z, dtype=float))
 
 
 def std_dlogpdf(z, family: str):
     """Derivative of std_logpdf with respect to z."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        return -z
-    if family == "weibull":
-        return -np.expm1(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["dlogpdf"](np.asarray(z, dtype=float))
 
 
 def std_dlogsf(z, family: str):
     """Derivative of std_logsf with respect to z (negative hazard)."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        return -np.exp(std_logpdf(z, family) - std_logsf(z, family))
-    if family == "weibull":
-        return -np.exp(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["dlogsf"](np.asarray(z, dtype=float))
 
 
 def std_d2logpdf(z, family: str):
     """Second derivative of std_logpdf with respect to z."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        return np.full_like(z, -1.0)
-    if family == "weibull":
-        return -np.exp(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["d2logpdf"](np.asarray(z, dtype=float))
 
 
 def std_d2logsf(z, family: str, dlogsf=None):
     """Second derivative of std_logsf with respect to z: -d*(d + z) for the
     normal, with d = std_dlogsf (pass it as `dlogsf` when already known);
     -exp(z) for the SEV."""
-    z = np.asarray(z, dtype=float)
-    if family == "lognormal":
-        d = std_dlogsf(z, family) if dlogsf is None else dlogsf
-        return -d * (d + z)
-    if family == "weibull":
-        return -np.exp(z)
-    raise DomainError(f"unknown family {family!r}")
+    return _standard(family)["d2logsf"](np.asarray(z, dtype=float), dlogsf)
 
 
 @dataclass(frozen=True)

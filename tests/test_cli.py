@@ -461,6 +461,26 @@ class TestFit:
                      "lognormal: mu ~ log(voltstress)"])
         assert code == 2
 
+    @pytest.mark.parametrize("problem", ["name_too_long", "not_a_directory", "symlink_loop"])
+    def test_unopenable_data_exits_2(self, tmp_path, capsys, problem):
+        life = tmp_path / "life.csv"
+        life.write_text("time,status,voltstress\n1,failed,1\n")
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        data = {"name_too_long": tmp_path / ("x" * 300 + ".csv"),
+                "not_a_directory": life / "x", "symlink_loop": loop}[problem]
+        code = main(["fit", "--data", str(data), "--model", "lognormal: mu ~ log(voltstress)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_exits_2(self, capsys):
+        code = main(["gab", "--output", "/dev/full"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_formula_exits_2(self, gab_csv, capsys):
         code = main(["fit", "--data", gab_csv, "--model",
                      "lognormal: mu ~ exp(voltstress)"])

@@ -81,6 +81,8 @@ class TestFirstOrderPath:
             FirstOrderPathParams(d_inf=0.0, rate_u=0.1)
         with pytest.raises(DomainError):
             FirstOrderPathParams(d_inf=0.8, rate_u=-0.1)
+        with pytest.raises(DomainError, match="^af must be > 0$"):
+            FirstOrderPathParams(d_inf=0.8, rate_u=0.1, af=0.0)
         with pytest.raises(DomainError):
             first_order_path(-1.0, FirstOrderPathParams(d_inf=0.8, rate_u=0.1))
 
@@ -142,6 +144,12 @@ class TestParallelPath:
         )
         with pytest.raises(NoCrossingError):
             parallel_crossing_time(p, FailureThreshold(0.85))
+        cancelling = ParallelPathParams(
+            FirstOrderPathParams(d_inf=0.5, rate_u=0.2),
+            FirstOrderPathParams(d_inf=-0.5, rate_u=0.01),
+        )
+        with pytest.raises(NoCrossingError, match="combined asymptote is 0"):
+            parallel_crossing_time(cancelling, FailureThreshold(0.1))
 
 
 class TestDielectric:
@@ -198,6 +206,14 @@ class TestDielectric:
             dielectric_strength(
                 1.0, 170.0, DielectricPathParams(delta0=400.0, beta1=-9.0),
                 variant="quadratic")
+
+    def test_domain(self):
+        with pytest.raises(DomainError, match="^delta0 must be > 0$"):
+            DielectricPathParams(delta0=0.0, beta1=-9.0)
+        with pytest.raises(DomainError, match="^gamma0 must be > 0$"):
+            DielectricPathParams(delta0=400.0, gamma0=0.0)
+        with pytest.raises(DomainError, match="^time must be >= 0$"):
+            dielectric_strength(-1.0, 170.0, DielectricPathParams(delta0=400.0, beta1=-9.0))
 
 
 class TestPseudoFailureTimes:
@@ -261,6 +277,10 @@ class TestPseudoFailureTimes:
             DegradationSample("u", (1.0, 1.0), (0.5, 0.4))
         with pytest.raises(DomainError):
             DegradationSample("u", (2.0, 1.0), (0.5, 0.4))
+        # Two times one ulp apart have the same square root.
+        close = DegradationSample("u", (1.0, math.nextafter(1.0, 2.0)), (0.5, 0.4))
+        with pytest.raises(IllPosedFitError, match="^unit 'u': constant times$"):
+            pseudo_failure_times([close], 0.4, time_transform="sqrt")
 
     @pytest.mark.parametrize("times, responses, message", [
         ((-1.0, 1.0), (0.5, 0.4), "measurement times must be >= 0"),

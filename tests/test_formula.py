@@ -80,6 +80,16 @@ class TestParsing:
         with pytest.raises(FormulaError):
             # at most one power-transform exponent per model
             parse_model("lognormal: mu ~ boxcox(v,0.5) + boxcox(w,1.0)")
+        for text, message in [
+            ("lognormal: mu ~ log(v))", "unbalanced parentheses"),
+            ("lognormal: mu ~ log(v", "unbalanced parentheses"),
+            ("lognormal: mu ~ v:", "^empty factor$"),
+            ("lognormal: mu ~ 2v", "^invalid variable name '2v'$"),
+            ("lognormal: mu ~ v +", "^empty term in mu part$"),
+            ("lognormal: mu ~ 1; sigma ~ 1; sigma ~ 1", "at most two parts"),
+        ]:
+            with pytest.raises(FormulaError, match=message):
+                parse_model(text)
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e400", "x"])
     def test_boxcox_exponent_must_be_finite(self, lam):
@@ -192,6 +202,8 @@ class TestDesignMatrix:
         assert resolve_kelvin({"temp_C": 20.0, "temp_K": 1.0}, "temp_C") == 293.15
         with pytest.raises(MissingVariableError, match="temp_C"):
             resolve_kelvin({"temp_K": 300.0}, "temp_C")
+        with pytest.raises(UnitMismatchError, match="supplied in both _C and _K"):
+            resolve_kelvin({"temp_C": 20.0, "temp_K": 293.15}, "temp")
 
     def test_domain_errors_surface(self):
         spec = parse_model("lognormal: mu ~ log(v)")

@@ -79,6 +79,14 @@ class TestStandardFunctions:
         with pytest.raises(DomainError):
             std_cdf(0.0, "gamma")
 
+    @pytest.mark.parametrize("kernel", [
+        std_cdf, std_quantile, std_logpdf, std_logsf,
+        std_dlogpdf, std_dlogsf, std_d2logpdf, std_d2logsf,
+    ], ids=lambda f: f.__name__)
+    def test_unknown_family_is_named(self, kernel):
+        with pytest.raises(DomainError, match="^unknown family 'gamma'$"):
+            kernel(0.5, "gamma")
+
 
 EPS = np.finfo(float).eps
 TINY = np.finfo(float).tiny
@@ -214,6 +222,8 @@ class TestLifeDistribution:
         d = LifeDistribution("lognormal", 0.0, 1.0)
         with pytest.raises(DomainError):
             d.weibull_shape
+        with pytest.raises(DomainError, match="weibull family only"):
+            d.weibull_scale
         with pytest.raises(DomainError):
             cdf(d, 0.0)
         with pytest.raises(DomainError):
@@ -289,6 +299,8 @@ class TestProportionalHazards:
             ph_transform(f_use, 0.0, 10.0)
         with pytest.raises(DomainError):
             ph_transform(f_use, 4.0, 0.0)
+        with pytest.raises(DomainError, match="fell on a boundary"):
+            ph_transform(f_use, 4.0, 1e-300)  # the survival rounds to 1
 
 
 class TestVaryingSigma:
@@ -308,6 +320,12 @@ class TestVaryingSigma:
         r01 = varying_sigma_quantile_ratio(m, 5.0, 1.0, 0.1)
         r09 = varying_sigma_quantile_ratio(m, 5.0, 1.0, 0.9)
         assert abs(r01 / r09 - 1.0) > 0.1
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_p_inside_unit_interval(self, p):
+        m = VaryingSigmaModel(mu=lambda x: 10.0, log_sigma=lambda x: 0.0)
+        with pytest.raises(DomainError, match="strictly inside"):
+            varying_sigma_quantile_ratio(m, 5.0, 1.0, p)
 
 
 class TestTimeTransformationAxioms:
@@ -377,3 +395,8 @@ class TestTimeTransformationAxioms:
         # t = 0 is outside the validity window, so that axiom is untestable.
         assert report.zero_at_origin is None
         assert report.all_axioms_pass
+
+    def test_grid_needs_two_times(self):
+        tt = TimeTransformation(func=lambda t, x: t, x_use=1.0)
+        with pytest.raises(DomainError, match="at least two grid times"):
+            check_time_transformation(tt, [1.0], [1.0])

@@ -119,6 +119,8 @@ class TestTotalDosage:
             total_dosage(5.0, grid, f, [0.0, 4.0])  # does not end at t
         with pytest.raises(DomainError):
             total_dosage(5.0, grid, f, [0.0, 3.0, 3.0, 5.0])  # not increasing
+        with pytest.raises(DomainError, match="nonempty 1-d"):
+            total_dosage(5.0, grid, f, [])
 
 
 class TestEffectiveExposure:
@@ -167,6 +169,8 @@ class TestMoistureTable:
             MoistureTable(rh=(0.5, 0.2), mc=(1.0, 2.0))
         with pytest.raises(DataError):
             MoistureTable(rh=(0.2, 0.5), mc=(1.0,))
+        with pytest.raises(DataError, match=r"lie in \[0, 1\]"):
+            MoistureTable(rh=(0.2, 1.5), mc=(1.0, 2.0))
 
 
 class TestPhotoMu:

@@ -89,6 +89,10 @@ class TestArrhenius:
         with pytest.raises(ConfigError):
             arrhenius_rate(C(100.0), p)
 
+    def test_rate_constant_must_be_positive(self):
+        with pytest.raises(DomainError, match="^gamma0 must be > 0$"):
+            ReactionRateParams(gamma0=0.0, ea=ActivationEnergy.ev(0.5))
+
 
 class TestEyring:
     def test_golden_160_vs_90(self):
@@ -175,6 +179,13 @@ class TestCoffinManson:
             coffin_manson_af(0.0, 20.0, 2.0)
         with pytest.raises(DomainError):
             CoffinMansonParams(delta=-1.0, beta1=2.0)
+        with pytest.raises(DomainError, match="^beta1 must be > 0$"):
+            CoffinMansonParams(delta=1.0, beta1=0.0)
+        p = CoffinMansonParams(delta=1.0, beta1=2.0)
+        with pytest.raises(DomainError, match="^temperature range must be > 0$"):
+            coffin_manson_cycles(0.0, p)
+        with pytest.raises(DomainError, match="^cycling frequency must be > 0$"):
+            extended_coffin_manson_cycles(20.0, 0.0, C(100.0), p)
 
 
 class TestBoxCox:
@@ -246,6 +257,13 @@ class TestTwoVariableRates:
         assert_allclose(gen_eyring_rate(C(100.0), 2.0, p),
                         373.15 * gen_eyring_rate(C(100.0), 2.0, p0), rtol=1e-12)
 
+    def test_domain(self):
+        with pytest.raises(DomainError, match="^gamma0 must be > 0$"):
+            GenEyringParams(gamma0=-1.0, gamma1=ActivationEnergy.ev(0.5), gamma2=0.1)
+        p = GenEyringParams(gamma0=1.0, gamma1=ActivationEnergy.ev(0.5), gamma2=0.1, m=1.0)
+        with pytest.raises(ConfigError, match="fixes m = 0"):
+            gen_eyring_af(C(120.0), 3.0, C(40.0), 1.0, p)
+
 
 class TestHumidityAndCurrent:
     def test_rh_transforms(self):
@@ -294,6 +312,17 @@ class TestHumidityAndCurrent:
         af = temp_voltage_af(C(120.0), 170.0, C(50.0), 120.0, p)
         expected = arrhenius_af(C(120.0), C(50.0), 0.6) * (170.0 / 120.0) ** -9.0
         assert_allclose(af, expected, rtol=1e-12)
+
+    def test_voltage_and_current_checks(self):
+        p = GenEyringParams(gamma0=1.0, gamma1=ActivationEnergy.ev(0.5), gamma2=-2.0)
+        with pytest.raises(DomainError, match="^voltages must be > 0$"):
+            temp_voltage_af(C(120.0), 170.0, C(50.0), 0.0, p)
+        with pytest.raises(DomainError, match="^current densities must be > 0$"):
+            blacks_af(C(150.0), -2.0e6, C(55.0), 5.0e5, p)
+        interacting = GenEyringParams(gamma0=1.0, gamma1=ActivationEnergy.ev(0.5),
+                                      gamma2=-2.0, gamma3=0.1)
+        with pytest.raises(ConfigError, match="electromigration form has no interaction"):
+            blacks_af(C(150.0), 2.0e6, C(55.0), 5.0e5, interacting)
 
     def test_identity_at_use_condition(self):
         p = GenEyringParams(gamma0=1.0, gamma1=ActivationEnergy.ev(0.9),

@@ -73,6 +73,10 @@ class TestActivationEnergy:
         ea = ActivationEnergy.ev(1.2)
         assert as_activation_energy(ea) is ea
 
+    def test_unknown_unit_rejected(self):
+        with pytest.raises(UnitMismatchError, match="unknown energy unit 'J'"):
+            ActivationEnergy(0.5, "J")
+
 
 class TestConstants:
     def test_boltzmann_reciprocal_matches_exponent_coefficient(self):
