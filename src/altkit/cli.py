@@ -3,7 +3,8 @@
 Subcommands: af (acceleration-factor tables), fit (censored ML fit as a
 JSON report), quantile (use-condition lifetime quantiles, optionally with
 a seeded bootstrap), profile (power-transform exponent sweep as CSV),
-pseudo (degradation paths to a life-data CSV), dose (effective UV dosage).
+pseudo (degradation paths to a life-data CSV), dose (effective UV dosage),
+gab (the embedded insulation data as a life-data CSV).
 
 Exit codes: 0 success; 2 argument/validation errors; 3 non-convergence
 (the JSON report is still emitted with converged=false).  Exits 2 and 3
@@ -105,8 +106,8 @@ def _parse_assignments(chunks) -> dict[str, float]:
     return out
 
 
-def _temperature(cond: dict[str, float], name: str = "temp") -> Temperature:
-    return Temperature.kelvin(resolve_kelvin(cond, name))
+def _temperature(cond: dict[str, float]) -> Temperature:
+    return Temperature.kelvin(resolve_kelvin(cond, "temp"))
 
 
 def _number(name: str, value: float) -> float:
@@ -362,7 +363,8 @@ def cmd_profile(args) -> int:
     records = read_life_csv(args.data)
     spec = parse_model(args.model)
     use = _parse_assignments(args.use)
-    points = profile_lambda(records, spec, use, p=args.p, grid=_parse_grid(args.grid))
+    grid = None if args.grid is None else _parse_grid(args.grid)
+    points = profile_lambda(records, spec, use, p=args.p, grid=grid)
     _write_table(
         ["lambda", "loglik", "quantile", "lower", "upper", "converged"],
         ([pt.lam, pt.loglik, pt.quantile, pt.lower, pt.upper, str(pt.converged).lower()]
@@ -475,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", parents=[fitting], help="power-transform exponent sweep; CSV")
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--p", type=float, default=0.1)
-    p.add_argument("--grid", default="-1:2:0.1", metavar="START:STOP:STEP")
+    p.add_argument("--grid", default=None, metavar="START:STOP:STEP")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("pseudo", help="degradation paths to life-data CSV")
@@ -513,9 +515,6 @@ def main(argv=None) -> int:
         return int(exc.code) if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except AltkitError as exc:
         # MissingVariableError subclasses KeyError, whose str() adds quotes.
         message = exc.args[0] if exc.args else str(exc)

@@ -19,7 +19,6 @@ from .lifetime import std_quantile
 # thousand hours (39 units still running).  Digits are embedded exactly as
 # printed in the source table; the content hash below pins them.
 GAB_CENSOR_TIME = 6.480
-GAB_TIME_UNIT = "thousand hours"
 GAB_CONDITION_COLUMN = "voltstress_V_per_mm"
 GAB_USE_VOLTSTRESS = 120.0
 

@@ -34,11 +34,10 @@ COFFIN_MANSON_BETA1_PLASTIC_ENCAPSULEMENT = 5.0
 
 @dataclass(frozen=True)
 class ReactionRateParams:
-    """Rate prefactor, activation energy and temperature exponent."""
+    """Rate prefactor and activation energy."""
 
     gamma0: float
     ea: ActivationEnergy
-    m: float = 0.0
 
     def __post_init__(self):
         if self.gamma0 <= 0.0:
@@ -86,8 +85,6 @@ def _ea_coeff(ea) -> float:
 
 def arrhenius_rate(temp: Temperature, p: ReactionRateParams) -> float:
     """Reaction rate gamma0 * exp(-Ea / (k * tempK)) at the given temperature."""
-    if p.m != 0.0:
-        raise ConfigError("arrhenius_rate requires m = 0; use gen_eyring_rate for m != 0")
     return p.gamma0 * math.exp(-_ea_coeff(p.ea) / to_kelvin(temp))
 
 

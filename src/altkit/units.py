@@ -30,7 +30,6 @@ KCAL_PER_MOL_PER_EV = 23.060
 
 CELSIUS_OFFSET = 273.15
 
-_ENERGY_UNITS = ("eV", "kJ_per_mol", "kcal_per_mol")
 _EV_FACTOR = {
     "eV": 1.0,
     "kJ_per_mol": KJ_PER_MOL_PER_EV,
@@ -82,7 +81,7 @@ class ActivationEnergy:
     unit: str = "eV"
 
     def __post_init__(self):
-        if self.unit not in _ENERGY_UNITS:
+        if self.unit not in _EV_FACTOR:
             raise UnitMismatchError(f"unknown energy unit {self.unit!r}")
         if self.value < 0.0:
             raise DomainError("activation energy must be >= 0")

@@ -1,10 +1,12 @@
 # The command-line interface: exit codes, report schemas and file output.
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import altkit
+import altkit.cli
 from altkit import gab_content_hash, load_gab, read_life_csv
 from altkit.cli import main
 from altkit.datasets import GAB_CONDITION_COLUMN
@@ -76,6 +79,14 @@ def spectrum_csv(tmp_path):
         lines.append(f"{lam},1.0")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+class TestDocstring:
+    def test_names_every_subcommand(self):
+        parser = altkit.cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        listed = altkit.cli.__doc__.partition("Subcommands:")[2].partition("\n\n")[0]
+        assert re.findall(r"([a-z]+) \(", listed) == list(sub.choices)
 
 
 class TestStartup:
@@ -824,6 +835,15 @@ class TestProfile:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == "error: p must lie strictly inside (0, 1)\n"
+
+    def test_default_grid_is_the_library_sweep(self, gab_csv, capsys):
+        argv = ["profile", "--data", gab_csv, "--model",
+                "lognormal: mu ~ boxcox(voltstress, 1)", "--use", "voltstress=120"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--grid=-1:2:0.1"]) == 0
+        assert capsys.readouterr().out == default
+        assert len(default.splitlines()) == 32  # 31 grid points + header
 
     def test_model_without_boxcox_exits_2(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",

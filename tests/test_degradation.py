@@ -263,6 +263,13 @@ class TestPseudoFailureTimes:
         assert not rec.failed
         assert rec.time == 8.0  # censored at the last observation
 
+    def test_zero_slope_path_censored(self):
+        # Round-off gives the path above a slope of about 5e-17; constant
+        # zero responses give a least-squares slope of exactly 0.
+        s = DegradationSample("u1", (0.0, 4.0, 8.0), (0.0, 0.0, 0.0), {"volt": 150.0})
+        recs = pseudo_failure_times([s], threshold=0.5, horizon=math.inf)
+        assert [(r.time, r.failed, r.condition) for r in recs] == [(8.0, False, {"volt": 150.0})]
+
     def test_mixed_units_keep_input_order(self):
         fast = DegradationSample("a", (0.0, 2.0), (1.0, 0.5), {"volt": 200.0})
         slow = DegradationSample("b", (0.0, 2.0), (1.0, 0.9), {"volt": 150.0})

@@ -917,6 +917,14 @@ class TestBatchedBootstrap:
         with pytest.raises(DomainError):
             bootstrap_quantile(gab, spec, GAB_USE, 0.1, n_boot, 1)
 
+    def test_no_records_skips_every_resample(self):
+        spec = parse_model("lognormal: mu ~ log(voltstress)")
+        boot = bootstrap_quantile([], spec, GAB_USE, 0.1, 5, 1)
+        assert boot.quantiles.shape == (0,)
+        assert boot.n_skipped == 5
+        assert boot.skip_reasons == {"inestimable": 5, "ill_posed": 0,
+                                     "non_converged": 0, "domain": 0}
+
     @pytest.mark.parametrize("quantiles", [np.array([500.0]), np.empty(0), np.full((1, 2), 500.0)])
     def test_se_log_is_nan_below_two_kept(self, quantiles):
         boot = BootstrapQuantiles(quantiles, 2, 2 - len(quantiles))

@@ -22,6 +22,7 @@ from altkit.errors import (
     MissingVariableError,
     UnitMismatchError,
 )
+from altkit.formula import Factor, Term
 from altkit.relationships import box_cox_transform
 from altkit.units import Temperature, to_kelvin
 
@@ -212,6 +213,11 @@ class TestDesignMatrix:
         spec2 = parse_model("lognormal: mu ~ logit(rh)")
         with pytest.raises(DomainError):
             design_row(spec2.mu_terms, {"rh": 1.2})
+
+    def test_unknown_factor_kind(self):
+        term = Term((Factor("cube", inner=Factor("var", "v")),))
+        with pytest.raises(FormulaError, match="^unknown factor kind 'cube'$"):
+            design_matrix((term,), [{"v": 2.0}])
 
     def test_non_finite_entry_names_its_column(self):
         spec = parse_model("lognormal: mu ~ arrh(temp) + log(v)")

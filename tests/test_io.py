@@ -399,6 +399,10 @@ class TestLifeData:
         assert data[::2] == LifeData.of(same)
         assert data[::2] != same[:1] and data[::2] != same[::-1]
         assert data != "abc" and data[:0] == [] and data[:0] == ()
+        assert (data == 5) is False and data != 5
+
+    def test_repr_gives_count_and_columns(self):
+        assert repr(self.data()) == "LifeData(3 records, condition columns ['v', 'w'])"
 
     def test_iteration_keeps_no_record(self):
         data = self.data()
@@ -565,6 +569,14 @@ class TestSpectralCsv:
         with pytest.raises(DataError):
             read_spectral_csv(io.StringIO("wavelength_nm,irradiance\n290,1.0\n"))
 
+    def test_needs_a_value_column(self):
+        with pytest.raises(DataError, match="^spectral CSV needs at least one value column$"):
+            read_spectral_csv(io.StringIO("wavelength_nm\n290\n305\n"))
+
+    def test_short_row_after_clean_rows_names_its_line(self):
+        with pytest.raises(DataError, match="^line 4: expected 2 cells, got 1$"):
+            read_spectral_csv(io.StringIO("wavelength_nm,irradiance\n290,1\n305,2\n320\n"))
+
 
 class TestMoistureCsv:
     def test_reads_table(self):
@@ -679,3 +691,7 @@ class TestDumpJson:
         parsed = json.loads(dump_json({"a": -0.0, "b": 2.0}))
         assert type(parsed["a"]) is float and math.copysign(1.0, parsed["a"]) == -1.0
         assert type(parsed["b"]) is float and parsed["b"] == 2.0
+
+    def test_unknown_object_is_refused(self):
+        with pytest.raises(DataError, match="^cannot serialize object to JSON$"):
+            dump_json(object())

@@ -385,6 +385,18 @@ class TestTimeTransformationAxioms:
         assert not report.nonnegative
         assert report.failures
 
+    def test_increase_and_identity_failures_named(self):
+        grid, xs = np.linspace(0.0, 10.0, 11), [1.0, 2.0]
+        report = check_time_transformation(
+            TimeTransformation(func=lambda t, x: t * (10.0 - t), x_use=1.0), grid, xs)
+        assert not report.strictly_increasing and not report.identity_at_use
+        assert report.failures == ["not strictly increasing in t",
+                                   "not the identity at the use condition"]
+        report = check_time_transformation(
+            TimeTransformation(func=lambda t, x: 2.0 * t, x_use=1.0), grid, xs)
+        assert report.strictly_increasing and not report.identity_at_use
+        assert report.failures == ["not the identity at the use condition"]
+
     def test_validity_interval_enforced(self):
         tt = TimeTransformation(func=lambda t, x: t / x, x_use=1.0,
                                 validity=(1.0, 50.0))

@@ -84,11 +84,6 @@ class TestArrhenius:
         ratio = arrhenius_rate(C(140.0), p) / arrhenius_rate(C(60.0), p)
         assert_allclose(ratio, arrhenius_af(C(140.0), C(60.0), 0.62), rtol=1e-12)
 
-    def test_rate_requires_m_zero(self):
-        p = ReactionRateParams(gamma0=1.0, ea=ActivationEnergy.ev(0.5), m=0.5)
-        with pytest.raises(ConfigError):
-            arrhenius_rate(C(100.0), p)
-
     def test_rate_constant_must_be_positive(self):
         with pytest.raises(DomainError, match="^gamma0 must be > 0$"):
             ReactionRateParams(gamma0=0.0, ea=ActivationEnergy.ev(0.5))
