@@ -27,9 +27,9 @@ from io import StringIO
 
 import numpy as np
 
+# The pseudo, dose and gab handlers import the datasets, degradation and
+# photodeg modules they run, so that no other command loads them.
 from .data import resolve_kelvin, resolve_variable
-from .datasets import load_gab
-from .degradation import pseudo_failure_times
 from .errors import AltkitError, ConfigError, NonConvergenceError
 from .fitml import (
     FitResult,
@@ -47,14 +47,6 @@ from .io import (
     read_degradation_csv,
     read_spectral_csv,
     write_life_csv,
-)
-from .photodeg import (
-    ExposureConfig,
-    SpectralFunctions,
-    SpectralGrid,
-    effective_exposure,
-    instantaneous_dosage,
-    total_dosage,
 )
 from .relationships import (
     GenEyringParams,
@@ -375,6 +367,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_pseudo(args) -> int:
+    from .degradation import pseudo_failure_times
+
     samples = read_degradation_csv(args.data)
     horizon = math.inf if args.extrapolate else args.horizon
     records = pseudo_failure_times(
@@ -385,6 +379,15 @@ def cmd_pseudo(args) -> int:
 
 
 def cmd_dose(args) -> int:
+    from .photodeg import (
+        ExposureConfig,
+        SpectralFunctions,
+        SpectralGrid,
+        effective_exposure,
+        instantaneous_dosage,
+        total_dosage,
+    )
+
     wavelengths, columns = read_spectral_csv(args.spectrum)
     if "irradiance" not in columns:
         raise ConfigError("dose needs an 'irradiance' column in the spectrum CSV")
@@ -431,6 +434,8 @@ def cmd_dose(args) -> int:
 
 
 def cmd_gab(args) -> int:
+    from .datasets import load_gab
+
     _write_output(_life_csv(load_gab()), args.output)
     return 0
 
@@ -477,7 +482,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", parents=[fitting], help="power-transform exponent sweep; CSV")
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--p", type=float, default=0.1)
-    p.add_argument("--grid", default=None, metavar="START:STOP:STEP")
+    p.add_argument("--grid", default=None, metavar="START:STOP:STEP",
+                   help="exponent grid; give a negative START as --grid=-1:2:0.1, "
+                   "since a separate word that starts with '-' is read as an option")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("pseudo", help="degradation paths to life-data CSV")

@@ -217,7 +217,8 @@ def pseudo_failure_times(
     transformed time is computed and solved against the threshold; the
     crossing is mapped back through the inverse time transform ("sqrt"
     squares it).  Units whose fitted line never reaches the threshold in
-    forward time, or reaches it only beyond the horizon, become
+    forward time (a line whose change over the observed times is
+    round-off is flat), or reaches it only beyond the horizon, become
     right-censored records.
 
     Parameters
@@ -259,7 +260,9 @@ def pseudo_failure_times(
 
         cutoff = sample.times[-1] if horizon is None else horizon
         crossing = None
-        if slope != 0.0:
+        # The fitted slope of a flat path is round-off, not 0: a change over
+        # the observed times within n ulps of the responses counts as none.
+        if abs(slope) * np.ptp(u) > len(u) * np.finfo(float).eps * np.max(np.abs(y)):
             # In Python floats, an overflowing crossing is inf without a warning.
             u_star = (threshold - float(intercept)) / float(slope)
             if u_star > 0.0:

@@ -38,10 +38,10 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
+# The degradation and moisture readers import the types they build, so
+# that reading a life CSV loads neither module.
 from .data import CENSORED, FAILED, STATUSES, LifeData, LifeRecord, raise_first_bad
-from .degradation import DegradationSample
 from .errors import DataError
-from .photodeg import MoistureTable
 
 TABLE_SIG_DIGITS = 6
 
@@ -249,6 +249,8 @@ def read_degradation_csv(path_or_file) -> list[DegradationSample]:
     line: its unit id not empty, its condition cells, time and response
     as numbers, its time and response finite, then its condition equal to
     its unit's first row's."""
+    from .degradation import DegradationSample
+
     header, lines, columns, stop = _read_table(
         _read_text(path_or_file), ("unit", "time", "response"),
         "degradation CSV needs 'unit', 'time' and 'response'")
@@ -307,6 +309,8 @@ def read_spectral_csv(path_or_file) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 def read_mc_csv(path_or_file) -> MoistureTable:
     """Read a moisture-content table over relative humidity; a cell that
     is not a finite number names its line."""
+    from .photodeg import MoistureTable
+
     _, lines, columns, stop = _read_table(_read_text(path_or_file), ("rh", "moisture_content"),
                                           "moisture CSV needs 'rh' and 'moisture_content' columns")
     rules = []

@@ -96,6 +96,38 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout.decode().strip() == "False"
 
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        proc = run_altkit(["-c", "import sys, altkit; print(sorted(m for m in sys.modules "
+                           "if m.startswith('altkit.') or m.split('.')[0] == 'numpy'))"])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == "[]\n"
+
+    @pytest.mark.parametrize("command", ["fit", "profile", "af", "quantile"])
+    def test_command_loads_only_what_it_runs(self, gab_csv, command):
+        # numpy.random, which the bootstrap draws from, brings hashlib in.
+        unused = ["altkit.datasets", "altkit.degradation", "altkit.photodeg"]
+        if command != "quantile":
+            unused.append("hashlib")
+        m = "lognormal: mu ~ "
+        argv = {
+            "fit": ["fit", "--data", gab_csv, "--model", m + "log(voltstress)",
+                    "--use", "voltstress=120"],
+            "profile": ["profile", "--data", gab_csv, "--model", m + "boxcox(voltstress, 1)",
+                        "--use", "voltstress=120", "--grid=-1:2:0.5"],
+            "af": ["af", "--rel", "arrhenius", "--use", "temp_C=50", "--test", "temp_C=120",
+                   "--ea-ev", "0.5"],
+            "quantile": ["quantile", "--data", gab_csv, "--model", m + "log(voltstress)",
+                         "--use", "voltstress=120", "--bootstrap", "20", "--seed", "1"],
+        }[command]
+        proc = run_altkit([
+            "-c",
+            "import sys; from altkit.cli import main; code = main(sys.argv[2:])\n"
+            "print(code, [m for m in sys.argv[1].split(',') if m in sys.modules], "
+            "file=sys.stderr)",
+            ",".join(unused), *argv])
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr.decode() == "0 []\n"
+
     def test_af_does_not_load_scipy(self):
         # No command loads scipy; af needs no lifetime kernel at all.
         proc = run_altkit(["-c", "import sys; from altkit.cli import main; "
@@ -844,6 +876,17 @@ class TestProfile:
         assert main([*argv, "--grid=-1:2:0.1"]) == 0
         assert capsys.readouterr().out == default
         assert len(default.splitlines()) == 32  # 31 grid points + header
+
+    def test_negative_start_needs_the_equals_form(self, gab_csv, capsys):
+        # argparse reads a separate word that starts with '-' as an option;
+        # --help says so.
+        argv = ["profile", "--data", gab_csv, "--model", "lognormal: mu ~ boxcox(voltstress, 1)",
+                "--use", "voltstress=120", "--grid", "-1:2:0.1"]
+        assert main(argv) == 2
+        assert "--grid: expected one argument" in capsys.readouterr().err
+        assert main(["profile", "--help"]) == 0
+        assert ("give a negative START as --grid=-1:2:0.1"
+                in " ".join(capsys.readouterr().out.split()))
 
     def test_model_without_boxcox_exits_2(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",

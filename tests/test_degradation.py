@@ -270,6 +270,25 @@ class TestPseudoFailureTimes:
         recs = pseudo_failure_times([s], threshold=0.5, horizon=math.inf)
         assert [(r.time, r.failed, r.condition) for r in recs] == [(8.0, False, {"volt": 150.0})]
 
+    # The least-squares slope of constant responses is round-off, of either
+    # sign; taken as a real slope, it put a crossing at about 1e16.
+    @pytest.mark.parametrize("times, responses, threshold", [
+        ((0.0, 1.0, 2.0), (1.0, 1.0, 1.0), 0.5),
+        ((0.0, 4.0, 8.0), (1.0, 1.0, 1.0), 1.5),
+        ((0.0, 1.0, 2.0), (1e6, 1e6, 1e6), 5e5),
+    ])
+    def test_round_off_slope_is_flat(self, times, responses, threshold):
+        s = DegradationSample("u1", times, responses)
+        rec, = pseudo_failure_times([s], threshold=threshold, horizon=math.inf)
+        assert (rec.time, rec.failed) == (times[-1], False)
+
+    def test_small_real_slope_still_crosses(self):
+        # A rise of 1e-9 per unit time, about 9e6 times the round-off bound.
+        s = DegradationSample("u1", (0.0, 1.0, 2.0), (1.0, 1.0 + 1e-9, 1.0 + 2e-9))
+        rec, = pseudo_failure_times([s], threshold=1.5, horizon=math.inf)
+        assert rec.failed
+        assert_allclose(rec.time, 5e8, rtol=1e-6)
+
     def test_mixed_units_keep_input_order(self):
         fast = DegradationSample("a", (0.0, 2.0), (1.0, 0.5), {"volt": 200.0})
         slow = DegradationSample("b", (0.0, 2.0), (1.0, 0.9), {"volt": 150.0})
