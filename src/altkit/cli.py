@@ -335,8 +335,9 @@ def cmd_quantile(args) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """START:STOP:STEP as grid points; ConfigError unless all three are
-    finite and numpy can build the grid."""
+    """START:STOP:STEP as grid points, equally spaced from START to STOP by
+    the whole number of steps nearest (STOP - START) / STEP; ConfigError
+    unless all three are finite and numpy can build the grid."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
@@ -483,8 +484,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use", action="append", required=True, metavar="VAR=VALUE")
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--grid", default=None, metavar="START:STOP:STEP",
-                   help="exponent grid; give a negative START as --grid=-1:2:0.1, "
-                   "since a separate word that starts with '-' is read as an option")
+                   help="exponent grid; the step is rounded to divide STOP - START "
+                   "into whole steps (0:1:0.4 sweeps 0, 0.5, 1); give a negative START "
+                   "as --grid=-1:2:0.1, since a separate word that starts with '-' is "
+                   "read as an option")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("pseudo", help="degradation paths to life-data CSV")

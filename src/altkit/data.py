@@ -72,6 +72,12 @@ def raise_first_bad(rules: Sequence[tuple], lines=None) -> None:
         raise err
 
 
+def time_rules(time: np.ndarray) -> list[tuple]:
+    """The rules every lifetime keeps, LifeRecord's: > 0, then finite."""
+    return [(~(time > 0.0), lambda i: DataError(f"lifetime must be > 0, got {time[i]}")),
+            (~np.isfinite(time), lambda i: DataError(f"lifetime must be finite, got {time[i]}"))]
+
+
 def _prefix_matches(keys: Collection[str], name: str) -> list[str]:
     prefix = name + "_"
     return [key for key in keys if key.startswith(prefix)]
@@ -156,18 +162,32 @@ class LifeData(Sequence[LifeRecord]):
 
     Indexing and iteration build each LifeRecord when it is asked for and
     keep none; a slice is a LifeData.  It equals any sequence of records
-    that is equal to it record by record.  The arrays are taken as given:
-    the CSV reader and `of` check them.  Condition variables resolve a
-    column at a time, as resolve_variable and resolve_kelvin resolve them
-    in one condition, each read adding to `rules` the rules its values
-    keep: finite, and a temperature > 0 K.
+    that is equal to it record by record.  Construction raises DataError
+    unless every array is one-dimensional with one entry per record, and,
+    as LifeRecord does, for the first time that is not > 0 and finite
+    (naming its line when `lines` is given).  Condition values are checked
+    by the model that uses them: condition variables resolve a column at a
+    time, as resolve_variable and resolve_kelvin resolve them in one
+    condition, each read adding to `rules` the rules its values keep:
+    finite, and a temperature > 0 K.
     """
 
     def __init__(self, time, failed, columns: Mapping[str, Any], lines=None):
-        self.time = np.asarray(time, dtype=float)
+        self.time = time = np.asarray(time, dtype=float)
         self.failed = np.asarray(failed, dtype=bool)
         self.columns = {name: np.asarray(v, dtype=float) for name, v in columns.items()}
         self.lines = None if lines is None else np.asarray(lines)
+        if time.ndim != 1:
+            raise DataError(f"LifeData time must be one-dimensional, got shape {time.shape}")
+        for i, (what, values) in enumerate((("failed", self.failed), ("lines", self.lines),
+                                            *self.columns.items())):
+            if values is not None and values.shape != time.shape:
+                what = what if i < 2 else f"column {what!r}"
+                raise DataError(f"LifeData {what} has shape {values.shape}, not {time.shape}: "
+                                "one entry per record")
+        # One test of the bounds first (a nan bound fails it); the rules only when it fails.
+        if time.size and not 0.0 < time.min() <= time.max() < math.inf:
+            raise_first_bad(time_rules(time), self.lines)
 
     @classmethod
     def of(cls, records: Iterable[LifeRecord]) -> "LifeData":

@@ -115,8 +115,12 @@ class SyntheticGenerator:
 def generate(gen: SyntheticGenerator) -> LifeData:
     """Draw lifetimes and apply the censoring rule; reproducible by seed."""
     counts = [count for _, count in gen.plan]
-    # One design row per plan group, repeated for each of its units.
-    x_mu = np.repeat(design_matrix(gen.spec.mu_terms, [c for c, _ in gen.plan]), counts, axis=0)
+    # The plan's conditions, one row per group; its design row is repeated
+    # for each of the group's units.
+    names = gen.plan[0][0] if gen.plan else ()
+    groups = LifeData(np.ones(len(counts)), np.ones(len(counts), dtype=bool),
+                      {k: [c[k] for c, _ in gen.plan] for k in names})
+    x_mu = np.repeat(design_matrix(gen.spec.mu_terms, groups), counts, axis=0)
     mu = x_mu @ np.asarray(gen.mu_params, dtype=float)
     rng = np.random.default_rng(gen.seed)
     u = rng.uniform(size=sum(counts))
@@ -137,6 +141,5 @@ def generate(gen: SyntheticGenerator) -> LifeData:
             "precision; use a smaller sigma"
         )
     failed = times <= cutoff
-    names = gen.plan[0][0] if gen.plan else ()
-    columns = {k: np.repeat([float(c[k]) for c, _ in gen.plan], counts) for k in names}
+    columns = {k: np.repeat(v, counts) for k, v in groups.columns.items()}
     return LifeData(np.where(failed, times, cutoff), failed, columns)

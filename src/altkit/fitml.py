@@ -69,14 +69,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import LifeData, LifeRecord, raise_first_bad
-from .errors import (
-    DomainError,
-    IllPosedFitError,
-    InestimableError,
-    MissingVariableError,
-    NonConvergenceError,
-)
-from .formula import Factor, ModelSpec, Term, design_matrix, design_row
+from .errors import DomainError, IllPosedFitError, InestimableError, NonConvergenceError
+from .formula import ModelSpec, design_matrix, design_row, parse_model
 from .lifetime import (
     std_cdf,
     std_d2logpdf,
@@ -603,9 +597,9 @@ def _newton(like: _Likelihood, theta: np.ndarray) -> _Solution:
     return sol
 
 
-SKIP_REASONS = ("inestimable", "ill_posed", "non_converged", "domain")
+SKIP_REASONS = ("inestimable", "ill_posed", "non_converged")
 # A replicate's skip reason: _KEPT, or 1 + its index in SKIP_REASONS.
-_KEPT, _INESTIMABLE, _ILL_POSED, _NON_CONVERGED, _DOMAIN = range(1 + len(SKIP_REASONS))
+_KEPT, _INESTIMABLE, _ILL_POSED, _NON_CONVERGED = range(1 + len(SKIP_REASONS))
 
 
 def _fit_replicates(
@@ -673,6 +667,22 @@ class FitResult:
         return float(self.se[self._index(name)])
 
 
+def _fit_sample(
+    data: LifeData, spec: ModelSpec, init: Sequence[float] | None = None
+) -> tuple[_Standardizer, int, _Solution | None]:
+    """The fit of all of `data` from `init`: its _Standardizer, reason and
+    _Solution; InestimableError when no record is a failure."""
+    if not data:
+        raise InestimableError("no records")
+    init = None if init is None else _params(init, spec, "init")
+    std = _Standardizer(_Likelihood(data, spec))
+    (reason,), _, sol = _fit_replicates(
+        std.like, None if init is None else std.standardized_params(init[None]))
+    if reason == _INESTIMABLE:
+        raise InestimableError("all records are censored; the model parameters are inestimable")
+    return std, reason, sol
+
+
 def fit_ml(
     data: Sequence[LifeRecord],
     spec: ModelSpec,
@@ -686,17 +696,8 @@ def fit_ml(
     when the Newton loop stops short of the scaled-gradient tolerance.
     """
     data = LifeData.of(data)
-    if not data:
-        raise InestimableError("no records")
-    init = None if init is None else _params(init, spec, "init")
-    std, k = _Standardizer(_Likelihood(data, spec)), spec.n_mu
-    (reason,), _, sol = _fit_replicates(
-        std.like, None if init is None else std.standardized_params(init[None])
-    )
-    if reason == _INESTIMABLE:
-        raise InestimableError(
-            "all records are censored; the model parameters are inestimable"
-        )
+    std, reason, sol = _fit_sample(data, spec, init)
+    k = spec.n_mu
     if reason == _ILL_POSED:
         xs, roots = std.like.xs, np.sqrt(std.like.counts)
         design, xs = (("mu", xs[:k]) if _rank_deficient(xs[:k], roots, len(data))[0]
@@ -857,8 +858,13 @@ def profile_lambda(
 ) -> list[ProfilePoint]:
     """Profile the power-transform exponent: refit all other parameters at
     each grid value and report the log-likelihood and the use-condition
-    quantile.  A point that fails to converge is flagged, not fatal; a p
-    outside (0, 1) raises DomainError before anything is fitted.
+    quantile.  What every point would raise is raised once, as fit_ml or
+    quantile_at_use raises it: a bad p or use condition before any fit,
+    bad data by the first fit.  A point that stops short keeps its fit,
+    flagged; one whose design is rank deficient or not finite (a Box-Cox
+    power can overflow at some exponents only) is a row of nan.  (A boxcox
+    inside log or logit can leave their domain at some exponents only; the
+    sweep raises there.)
 
     Each fit starts in standardized coordinates, where the solution moves
     smoothly with the exponent even though the transformed column changes
@@ -875,6 +881,8 @@ def profile_lambda(
     data = LifeData.of(data)
     spec.boxcox_lambda()  # validates that the model has a boxcox term
     _check_probability(p)
+    design_row(spec.mu_terms, use)  # what quantile_at_use raises at every exponent
+    design_row(spec.sigma_terms, use)
     lams = default_profile_grid() if grid is None else np.asarray(grid, dtype=float)
     nan = float("nan")
     points: list[ProfilePoint] = []
@@ -892,17 +900,13 @@ def profile_lambda(
             fit = fit_ml(data, lspec, None if start is None else std.original_params(start)[0])
         except NonConvergenceError as err:
             fit = err.result
-        except (IllPosedFitError, InestimableError, DomainError):
+        except IllPosedFitError:
             points.append(ProfilePoint(lam, nan, nan, nan, nan, False))
             continue
         if fit.converged:
             warm = [*warm[-1:], (lam, std.standardized_params(fit.estimates[None]))]
-        try:
-            q = quantile_at_use(fit, use, p)
-            points.append(
-                ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, fit.converged))
-        except (MissingVariableError, DomainError):
-            points.append(ProfilePoint(lam, fit.loglik, nan, nan, nan, fit.converged))
+        q = quantile_at_use(fit, use, p)
+        points.append(ProfilePoint(lam, fit.loglik, q.quantile, q.lower, q.upper, fit.converged))
     return points
 
 
@@ -939,10 +943,7 @@ def reciprocity_test(
     raise_first_bad(rules, data.lines)
     if len(levels) < 2:
         raise InestimableError("need at least 2 distinct cf levels to estimate p")
-    spec = ModelSpec(
-        family, (Term((Factor("log", inner=Factor("var", var="cf")),)),)
-    )
-    fit = fit_ml(data, spec)
+    fit = fit_ml(data, parse_model(f"{family}: mu ~ log(cf)"))
     slope = fit.estimate("mu:log(cf)")
     se = fit.standard_error("mu:log(cf)")
     p_hat = -slope
@@ -959,9 +960,8 @@ class BootstrapQuantiles:
     asked for, one row per kept replicate and one column per p.
     `skip_reasons` counts the skipped replicates by the first rule each
     broke, keyed by SKIP_REASONS: no failure resampled (inestimable), a
-    rank-deficient design (ill_posed), no convergence (non_converged), or
-    a quantile undefined at the use condition (domain).  The counts sum to
-    n_skipped.
+    rank-deficient design (ill_posed) or no convergence (non_converged).
+    The counts sum to n_skipped.
     """
 
     quantiles: np.ndarray
@@ -993,8 +993,9 @@ def bootstrap_quantile(
 ) -> BootstrapQuantiles:
     """Nonparametric bootstrap of quantile_at_use; resamples records with
     replacement.  Replicates whose fit degenerates (no failures, rank
-    deficiency, non-convergence) or whose quantile is undefined are skipped
-    and counted.
+    deficiency, non-convergence) are skipped and counted.  What every
+    replicate would raise is raised once before any draw, as
+    quantile_at_use or fit_ml raises it: a bad p, use condition or data.
 
     Each resample is fitted once: `p` may be a sequence, and then every p
     is read off the same fits.  A resample is the count of each record in
@@ -1008,43 +1009,34 @@ def bootstrap_quantile(
         raise DomainError(f"the bootstrap needs at least 2 resamples, got {n_boot}")
     if seed < 0:
         raise DomainError(f"the bootstrap seed must be >= 0, got {seed}")
-    data = LifeData.of(data)
-    n = len(data)
-    reasons = np.full(n_boot, _INESTIMABLE)
-    estimates = np.full((n_boot, spec.n_params), np.nan)
-    if data:
-        std = _Standardizer(_Likelihood(data, spec))
-        (reason,), _, sol = _fit_replicates(std.like, None)
-        start = sol.theta if reason == _KEPT else None
-        rng = np.random.default_rng(seed)
-        block = max(1, _BLOCK_ELEMENTS // n)
-        for lo in range(0, n_boot, block):
-            # One draw of every resample in the block, counted per row of
-            # draws by offsetting each row into its own n bins.
-            draws = rng.integers(0, n, size=(min(block, n_boot - lo), n))
-            draws += n * np.arange(len(draws))[:, None]
-            counts = np.bincount(draws.ravel(), minlength=draws.size).reshape(draws.shape)
-            hi = lo + len(counts)
-            reasons[lo:hi], fit, sol = _fit_replicates(std.like.weighted(counts), start)
-            if fit.size:
-                estimates[lo + fit] = std.original_params(sol.theta)
-
-    kept = reasons == _KEPT
     ps = np.atleast_1d(np.asarray(p, dtype=float))
-    quantiles = np.empty((0, ps.size))
-    if kept.any():
-        try:
-            _check_probability(ps)
-            xm = design_row(spec.mu_terms, use)
-            xs = design_row(spec.sigma_terms, use)
-        except DomainError:
-            reasons[kept] = _DOMAIN
-        else:
-            est = estimates[kept]
-            mu = _per_row(est[:, : spec.n_mu], xm[:, None])
-            with np.errstate(over="ignore", invalid="ignore"):
-                sigma = np.exp(_per_row(est[:, spec.n_mu :], xs[:, None]))
-                quantiles = np.exp(mu + sigma * std_quantile(ps, spec.family))
+    _check_probability(ps)
+    xm = design_row(spec.mu_terms, use)
+    xs = design_row(spec.sigma_terms, use)
+    data = LifeData.of(data)
+    std, reason, sol = _fit_sample(data, spec)
+    start = sol.theta if reason == _KEPT else None
+    n = len(data)
+    reasons = np.empty(n_boot, dtype=int)
+    estimates = np.full((n_boot, spec.n_params), np.nan)
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, n_boot, block):
+        # One draw of every resample in the block, counted per row of
+        # draws by offsetting each row into its own n bins.
+        draws = rng.integers(0, n, size=(min(block, n_boot - lo), n))
+        draws += n * np.arange(len(draws))[:, None]
+        counts = np.bincount(draws.ravel(), minlength=draws.size).reshape(draws.shape)
+        hi = lo + len(counts)
+        reasons[lo:hi], fit, sol = _fit_replicates(std.like.weighted(counts), start)
+        if fit.size:
+            estimates[lo + fit] = std.original_params(sol.theta)
+
+    est = estimates[reasons == _KEPT]
+    mu = _per_row(est[:, : spec.n_mu], xm[:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.exp(_per_row(est[:, spec.n_mu :], xs[:, None]))
+        quantiles = np.exp(mu + sigma * std_quantile(ps, spec.family))
     tally = np.bincount(reasons, minlength=1 + len(SKIP_REASONS))
     return BootstrapQuantiles(
         quantiles[:, 0] if np.ndim(p) == 0 else quantiles,

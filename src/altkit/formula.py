@@ -15,10 +15,9 @@ Terms are separated by `+`; interactions are products of factors joined by
 part).  The `sigma ~` part, when present, models log(sigma) linearly; when
 absent sigma is a single constant.
 
-Design matrices are built a column at a time: over a LifeData every
+Design matrices are built a column at a time from a LifeData: every
 variable is resolved once, as one array, and each term is a numpy
-expression over those arrays.  A sequence of conditions is evaluated one
-condition at a time.
+expression over those arrays.
 """
 
 from __future__ import annotations
@@ -268,18 +267,13 @@ def parse_model(text: str) -> ModelSpec:
     return ModelSpec(family, mu_terms, sigma_terms)
 
 
-def design_matrix(terms: Sequence[Term],
-                  data: LifeData | Sequence[Mapping[str, float]]) -> np.ndarray:
-    """Rows of [1, term values...] for each row of a LifeData, or for each
-    condition of a sequence, one condition at a time (their keys may
-    differ).
+def design_matrix(terms: Sequence[Term], data: LifeData) -> np.ndarray:
+    """Rows of [1, term values...] for each row of `data`.
 
     When some row cannot be evaluated, the error raised is the one the
     first such row raises on its own (raise_first_bad, after every term);
     it names that row's CSV line when it is known.
     """
-    if not isinstance(data, LifeData):
-        return np.array([design_row(terms, c) for c in data]).reshape(-1, 1 + len(terms))
     x = np.ones((1 + len(terms), len(data))).T  # column-major: each column is contiguous
     if terms and data:
         rules: list = []

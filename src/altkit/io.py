@@ -40,7 +40,9 @@ import numpy as np
 
 # The degradation and moisture readers import the types they build, so
 # that reading a life CSV loads neither module.
-from .data import CENSORED, FAILED, STATUSES, LifeData, LifeRecord, raise_first_bad
+from .data import (
+    CENSORED, FAILED, STATUSES, LifeData, LifeRecord, raise_first_bad, time_rules,
+)
 from .errors import DataError
 
 TABLE_SIG_DIGITS = 6
@@ -211,9 +213,7 @@ def _read_life_rows(source) -> LifeData:
     conditions = _numbers(columns, [c for c in header if c not in ("time", "status")] + ["time"],
                           rules)
     time = conditions.pop("time")
-    rules += [(~(time > 0.0), lambda i: DataError(f"lifetime must be > 0, got {time[i]}")),
-              (~np.isfinite(time), lambda i: DataError(f"lifetime must be finite, got {time[i]}"))]
-    raise_first_bad(rules, lines)
+    raise_first_bad(rules + time_rules(time), lines)
     if stop is not None:
         raise stop
     return LifeData(time, [s == FAILED for s in status], conditions, lines)

@@ -888,6 +888,44 @@ class TestProfile:
         assert ("give a negative START as --grid=-1:2:0.1"
                 in " ".join(capsys.readouterr().out.split()))
 
+    def test_grid_step_is_rounded_to_divide_the_range(self, gab_csv, capsys):
+        argv = ["profile", "--data", gab_csv, "--model", "lognormal: mu ~ boxcox(voltstress, 1)",
+                "--use", "voltstress=120", "--grid=0:1:0.4"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5, 1.0]
+        assert main(["profile", "--help"]) == 0
+        assert ("the step is rounded to divide STOP - START into whole steps "
+                "(0:1:0.4 sweeps 0, 0.5, 1)" in " ".join(capsys.readouterr().out.split()))
+
+    # What every grid point would raise exits 2 as `quantile` does, one line.
+    @pytest.mark.parametrize("data, use, message", [
+        ("time,status,v\n5,censored,1\n6,censored,2\n", "v=1",
+         "all records are censored; the model parameters are inestimable"),
+        ("time,status,v\n5,failed,1\n6,failed,-2\n7,failed,3\n", "v=1",
+         "line 3: box_cox_transform requires x > 0"),
+        ("gab", "foo=1", "condition has no variable 'v'"),
+        ("gab", "v=-5", "box_cox_transform requires x > 0"),
+    ], ids=["all-censored", "bad-data", "use-variable", "use-domain"])
+    def test_errors_of_every_point_exit_2(self, tmp_path, capsys, monkeypatch, data, use, message):
+        path = tmp_path / "life.csv"
+        if data == "gab":
+            assert main(["gab", "--output", str(path)]) == 0
+            path.write_text(path.read_text().replace(GAB_CONDITION_COLUMN, "v"))
+        else:
+            path.write_text(data)
+        argv = ["--data", str(path), "--model", "lognormal: mu ~ boxcox(v, 1)", "--use", use]
+        for command in ("quantile", "profile"):
+            assert main([command, *argv]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        if data == "gab":  # a bad --use fails before any fit
+            def no_fit(*args):
+                raise AssertionError("fit_ml was called")
+
+            monkeypatch.setattr(altkit.fitml, "fit_ml", no_fit)
+            assert main(["profile", *argv]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_model_without_boxcox_exits_2(self, gab_csv, capsys):
         code = main(["profile", "--data", gab_csv, "--model",
                      "lognormal: mu ~ log(voltstress)",
@@ -1114,18 +1152,43 @@ class TestExitContract:
     @example(rows=[(1.0, "failed", 1), (0.5, "censored", 0)], levels=[1.0, 2.0, 1.0],
              defect=None, where=0, model=_MODELS[-1], command=_COMMANDS[0])
     def test_every_input_exits_0_2_or_3(self, rows, levels, defect, where, model, command):
-        lines = [b"time,status,v"] + [f"{t!r},{s},{levels[i]!r}".encode() for t, s, i in rows]
-        if isinstance(defect, bytes):
-            lines.insert(1 + min(where, len(rows)), defect + b",failed,1")
-        elif defect is not None and rows:
-            lines[1 + where % len(rows)] = f"{defect},failed,1".encode()
-        with contextlib.ExitStack() as stack:
-            path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "d.csv"
-            path.write_bytes(b"\n".join(lines) + b"\n")
-            out, err = io.StringIO(), io.StringIO()
-            stack.enter_context(contextlib.redirect_stdout(out))
-            stack.enter_context(contextlib.redirect_stderr(err))
-            code = main([command[0], "--data", str(path), "--model", model, *command[1:]])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_generated_csv(Path(tmp), rows, levels, defect, where)
+            code, _, err = run_main([command[0], "--data", path, "--model", model, *command[1:]])
         assert code in (0, 2, 3)
         if code == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    # A sweep swallows no error that the fit raises.  An ill-posed design is
+    # exempt: profile flags it per point, since a Box-Cox power can overflow
+    # at some exponents only.
+    @settings(max_examples=150, deadline=None)
+    @given(rows=_ROWS, levels=st.lists(_LEVELS, min_size=3, max_size=3), defect=_DEFECTS,
+           where=st.integers(0, 8), model=st.sampled_from([m for m in _MODELS if "boxcox" in m]))
+    def test_profile_exits_2_where_fit_does(self, rows, levels, defect, where, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_generated_csv(Path(tmp), rows, levels, defect, where)
+            argv = ["--data", path, "--model", model, "--use", "v=1.5"]
+            code, _, err = run_main(["fit", *argv])
+            if code == 2 and "design matrix is" not in err:
+                assert run_main(["profile", *argv, "--grid=-1:2:1.5"]) == (2, "", err)
+
+
+def write_generated_csv(directory: Path, rows, levels, defect, where) -> str:
+    """The life CSV of a TestExitContract input, written to `directory`."""
+    lines = [b"time,status,v"] + [f"{t!r},{s},{levels[i]!r}".encode() for t, s, i in rows]
+    if isinstance(defect, bytes):
+        lines.insert(1 + min(where, len(rows)), defect + b",failed,1")
+    elif defect is not None and rows:
+        lines[1 + where % len(rows)] = f"{defect},failed,1".encode()
+    path = directory / "d.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return str(path)
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()

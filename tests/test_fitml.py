@@ -39,6 +39,7 @@ from altkit.errors import (
     DomainError,
     IllPosedFitError,
     InestimableError,
+    MissingVariableError,
     NonConvergenceError,
 )
 import altkit.fitml
@@ -653,16 +654,56 @@ class TestProfileLambda:
             profile_lambda(gab, parse_model("lognormal: mu ~ boxcox(voltstress, 1)"),
                            GAB_USE, p=p)
 
+    @pytest.mark.parametrize("use, error, message", [
+        # KeyError's str() quotes the message.
+        ({"other": 1.0}, MissingVariableError, "^\"condition has no variable 'voltstress'\"$"),
+        ({"voltstress": -5.0}, DomainError, "^box_cox_transform requires x > 0$"),
+    ])
+    def test_use_checked_before_any_fit(self, gab, monkeypatch, use, error, message):
+        spec = parse_model("lognormal: mu ~ boxcox(voltstress, 1)")
+        with pytest.raises(error, match=message):
+            quantile_at_use(fit_ml(gab, spec), use, 0.1)
+
+        def no_fit(*args):
+            raise AssertionError("fit_ml was called")
+
+        monkeypatch.setattr(altkit.fitml, "fit_ml", no_fit)
+        with pytest.raises(error, match=message):
+            profile_lambda(gab, spec, use)
+
+    def test_data_errors_raise_as_fit_ml_raises(self, gab):
+        spec = parse_model("lognormal: mu ~ boxcox(v, 1)")
+        censored = LifeData([5.0, 6.0, 7.0], [False] * 3, {"v": [1.0, 2.0, 3.0]})
+        # v <= 0 on the second record, read from line 3.
+        negative = LifeData([5.0, 6.0, 7.0], [True] * 3, {"v": [1.0, -2.0, 3.0]}, [2, 3, 4])
+        for data, error, message in (
+            (censored, InestimableError, "^all records are censored"),
+            (negative, DomainError, r"^line 3: box_cox_transform requires x > 0$"),
+        ):
+            with pytest.raises(error, match=message):
+                fit_ml(data, spec)
+            with pytest.raises(error, match=message):
+                profile_lambda(data, spec, {"v": 1.5})
+
+    def test_domain_that_depends_on_the_exponent_raises(self):
+        # boxcox(1.9, 2) = 1.305 leaves logit's domain, where boxcox(1.9, 1)
+        # does not: the sweep raises at the point whose design is undefined.
+        spec = parse_model("lognormal: mu ~ logit(boxcox(v, 1))")
+        data = [LifeRecord(t, "failed", {"v": v}) for t, v in
+                [(10.0, 1.2), (14.0, 1.2), (5.0, 1.6), (6.0, 1.6), (3.0, 1.9), (4.0, 1.9)]]
+        assert len(profile_lambda(data, spec, {"v": 1.1}, grid=[0.5, 1.0])) == 2
+        with pytest.raises(DomainError, match=r"logit argument outside \(0, 1\)"):
+            profile_lambda(data, spec, {"v": 1.1}, grid=[1.0, 2.0])
+
     def test_failed_points_are_flagged(self, gab):
         spec = parse_model("lognormal: mu ~ boxcox(voltstress, 1)")
         # voltstress^400 overflows, so the design is ill-posed: a nan row.
         bad, good = profile_lambda(gab, spec, GAB_USE, grid=[400.0, 1.0])
         assert not bad.converged and good.converged
         assert all(math.isnan(v) for v in (bad.loglik, bad.quantile, bad.lower, bad.upper))
-        # A use condition without the variable: the fit stands, the quantile is nan.
-        (pt,) = profile_lambda(gab, spec, {"other": 1.0}, grid=[1.0])
-        assert pt.converged and pt.loglik == good.loglik
-        assert all(math.isnan(v) for v in (pt.quantile, pt.lower, pt.upper))
+        # A use condition without the variable fails at every exponent: raised.
+        with pytest.raises(MissingVariableError, match="no variable 'voltstress'"):
+            profile_lambda(gab, spec, {"other": 1.0}, grid=[1.0])
 
     def test_point_that_stops_short_keeps_its_fit(self):
         # A six-record Weibull sample on which fit_ml stops short from its
@@ -715,6 +756,11 @@ class TestReciprocityTest:
         res = reciprocity_test(self.dosage_records(0.3, seed=14))
         assert res.wald_z < -13.0
         assert_allclose(res.p_value, math.erfc(abs(res.wald_z) / math.sqrt(2.0)), rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["lognormal", "weibull"])
+    def test_model_is_log_dose_on_log_cf(self, family):
+        res = reciprocity_test(self.dosage_records(1.0, seed=14), family)
+        assert res.fit.spec == parse_model(f"{family}: mu ~ log(cf)")
 
     def test_needs_two_levels(self):
         recs = [LifeRecord(1.0, "failed", {"cf": 2.0}) for _ in range(10)]
@@ -792,8 +838,6 @@ def bootstrap_one_at_a_time(data, spec, use, p, n_boot, seed, init=None):
             reasons["ill_posed"] += 1
         except NonConvergenceError:
             reasons["non_converged"] += 1
-        except DomainError:
-            reasons["domain"] += 1
     return np.array(quantiles), dict(reasons), np.array(spans, dtype=bool)
 
 
@@ -865,13 +909,28 @@ class TestBatchedBootstrap:
         assert boot.n_skipped == sum(reasons.values()) == 40 - boot.quantiles.size
         assert spans.sum() >= 20
         assert_allclose(boot.quantiles[spans], want[spans], rtol=1e-8)
-        # A quantile undefined at the use condition skips every resample
-        # that fits, after the fit's own reasons.
-        for bad_use, p in (({"v": -1.0}, 0.1), (use, 1.5)):
-            boot = bootstrap_quantile(SMALL, spec, bad_use, p, 40, 39)
-            _, reasons, _ = bootstrap_one_at_a_time(SMALL, spec, bad_use, p, 40, 39, init)
-            assert reasons["domain"] > 0
-            assert boot.skip_reasons == reasons and boot.quantiles.size == 0
+        # A quantile undefined at the use condition is undefined for every
+        # resample: raised, as quantile_at_use raises it.
+        for bad_use, p, message in (({"v": -1.0}, 0.1, "log of non-positive value"),
+                                    (use, 1.5, "p must lie")):
+            with pytest.raises(DomainError, match=message):
+                quantile_at_use(fit_ml(SMALL, spec), bad_use, p)
+            with pytest.raises(DomainError, match=message):
+                bootstrap_quantile(SMALL, spec, bad_use, p, 40, 39)
+
+    @pytest.mark.parametrize("use, p, error, message", [
+        (GAB_USE, 1.5, DomainError, "^p must lie strictly inside"),
+        (GAB_USE, [0.1, math.nan], DomainError, "^p must lie strictly inside"),
+        ({"other": 1.0}, 0.1, MissingVariableError, "condition has no variable 'voltstress'"),
+        ({"voltstress": -5.0}, 0.1, DomainError, r"^log of non-positive value in log\(voltstress"),
+    ])
+    def test_p_and_use_checked_before_any_draw(self, gab, monkeypatch, use, p, error, message):
+        def no_fit(*args):
+            raise AssertionError("a fit was made")
+
+        monkeypatch.setattr(altkit.fitml, "_fit_replicates", no_fit)
+        with pytest.raises(error, match=message):
+            bootstrap_quantile(gab, parse_model("lognormal: mu ~ log(voltstress)"), use, p, 20, 1)
 
     def test_default_start_when_the_full_sample_fit_fails(self):
         data = TestDegenerateSamples.ON_LINE
@@ -917,13 +976,14 @@ class TestBatchedBootstrap:
         with pytest.raises(DomainError):
             bootstrap_quantile(gab, spec, GAB_USE, 0.1, n_boot, 1)
 
-    def test_no_records_skips_every_resample(self):
+    def test_no_records_or_no_failure_raises(self, gab):
+        # No resample of such data has a failure: fit_ml's error, raised once.
         spec = parse_model("lognormal: mu ~ log(voltstress)")
-        boot = bootstrap_quantile([], spec, GAB_USE, 0.1, 5, 1)
-        assert boot.quantiles.shape == (0,)
-        assert boot.n_skipped == 5
-        assert boot.skip_reasons == {"inestimable": 5, "ill_posed": 0,
-                                     "non_converged": 0, "domain": 0}
+        for data, message in (([], "^no records$"), (gab[:15], "^all records are censored")):
+            with pytest.raises(InestimableError, match=message):
+                fit_ml(data, spec)
+            with pytest.raises(InestimableError, match=message):
+                bootstrap_quantile(data, spec, GAB_USE, 0.1, 5, 1)
 
     @pytest.mark.parametrize("quantiles", [np.array([500.0]), np.empty(0), np.full((1, 2), 500.0)])
     def test_se_log_is_nan_below_two_kept(self, quantiles):
@@ -1210,7 +1270,7 @@ class TestBootstrapDraws:
         # Blocks of 3 resamples, so that the stream runs across blocks.
         monkeypatch.setattr(altkit.fitml, "_BLOCK_ELEMENTS", 3 * n)
         spec = parse_model("lognormal: mu ~ log(voltstress)")
-        bootstrap_quantile(gab[:n], spec, GAB_USE, 0.1, 8, seed)
+        bootstrap_quantile(gab[-n:], spec, GAB_USE, 0.1, 8, seed)  # with failures
         rng = np.random.default_rng(seed)
         want = [np.bincount(rng.integers(0, n, size=n), minlength=n) for _ in range(8)]
         assert [len(c) for c in seen] == [3, 3, 2]

@@ -136,7 +136,7 @@ class TestDesignMatrix:
         spec = parse_model("lognormal: mu ~ arrh(temp) + log(rh) + logit(rh)")
         conditions = [{"temp_C": 120.0, "rh": 0.8},
                       {"temp_K": 393.15, "rh": 0.4}]
-        x = design_matrix(spec.mu_terms, conditions)
+        x = np.array([design_row(spec.mu_terms, c) for c in conditions])
         assert x.shape == (2, 4)
         assert_allclose(x[:, 0], 1.0, rtol=0)
         assert_allclose(x[0, 1], 11605.0 / 393.15, rtol=1e-12)
@@ -217,13 +217,13 @@ class TestDesignMatrix:
     def test_unknown_factor_kind(self):
         term = Term((Factor("cube", inner=Factor("var", "v")),))
         with pytest.raises(FormulaError, match="^unknown factor kind 'cube'$"):
-            design_matrix((term,), [{"v": 2.0}])
+            design_row((term,), {"v": 2.0})
 
     def test_non_finite_entry_names_its_column(self):
         spec = parse_model("lognormal: mu ~ arrh(temp) + log(v)")
         with pytest.raises(DataError, match="'v'"):
-            design_matrix(spec.mu_terms, [{"temp_C": 80.0, "v": 2.0},
-                                          {"temp_C": 90.0, "v": float("nan")}])
+            design_matrix(spec.mu_terms, LifeData([1.0, 1.0], [True, True],
+                                                  {"temp_C": [80.0, 90.0], "v": [2.0, math.nan]}))
         with pytest.raises(DataError, match="'temp_C'"):
             design_row(spec.mu_terms, {"temp_C": float("inf"), "v": 2.0})
 
@@ -376,20 +376,23 @@ class TestColumnsMatchRowWise:
     )
     def test_design_matrix(self, terms, rows):
         spec = parse_model("lognormal: mu ~ " + " + ".join(terms))
-        inputs = [(rows, None)]
+        # The rows one at a time (their keys may differ), in order.
+        builds = [(lambda: np.array([design_row(spec.mu_terms, row) for row in rows]), None)]
         if len({frozenset(row) for row in rows}) == 1:
             # Rows with one set of keys as a LifeData: one group, no
             # grouping; then as read from a CSV, each row naming its line.
             data = LifeData.of([LifeRecord(1.0, "failed", row) for row in rows])
             lines = [3 + 2 * i for i in range(len(rows))]
-            inputs += [(data, None), (LifeData(data.time, data.failed, data.columns, lines), lines)]
-        for data, lines in inputs:
+            named = LifeData(data.time, data.failed, data.columns, lines)
+            builds += [(lambda: design_matrix(spec.mu_terms, data), None),
+                       (lambda: design_matrix(spec.mu_terms, named), lines)]
+        for build, lines in builds:
             try:
                 expected = oracle_matrix(spec.mu_terms, rows, lines)
             except AltkitError as err:
                 with pytest.raises(AltkitError) as raised:
-                    design_matrix(spec.mu_terms, data)
+                    build()
                 assert type(raised.value) is type(err)
                 assert str(raised.value) == str(err)
                 continue
-            assert_allclose(design_matrix(spec.mu_terms, data), expected, rtol=1e-15, atol=0)
+            assert_allclose(build(), expected, rtol=1e-15, atol=0)

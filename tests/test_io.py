@@ -420,6 +420,42 @@ class TestLifeData:
             LifeData.of([LifeRecord(1.0, "failed", {"v": 1.0}),
                          LifeRecord(1.0, "failed", {"v": 1.0, "w": 2.0})])
 
+    @pytest.mark.parametrize("time, failed, columns, lines, message", [
+        ([[1.0, 2.0]], [True, True], {}, None, r"^LifeData time must be one-dimensional, "
+         r"got shape \(1, 2\)$"),
+        (1.0, True, {}, None, r"^LifeData time must be one-dimensional, got shape \(\)$"),
+        ([1.0, 2.0], [True], {}, None, r"^LifeData failed has shape \(1,\), not \(2,\)"),
+        ([1.0, 2.0], [True, True], {"v": [1.0, 2.0, 3.0]}, None,
+         r"^LifeData column 'v' has shape \(3,\), not \(2,\): one entry per record$"),
+        ([1.0, 2.0], [True, True], {"v": [[1.0, 2.0]]}, None, r"^LifeData column 'v' has shape"),
+        ([1.0, 2.0], [True, True], {}, [2], r"^LifeData lines has shape \(1,\), not \(2,\)"),
+        ([1.0, 2.0], [True, True], {"failed": [1.0]}, None, r"^LifeData column 'failed' has"),
+    ])
+    def test_arrays_must_have_one_entry_per_record(self, time, failed, columns, lines, message):
+        with pytest.raises(DataError, match=message):
+            LifeData(time, failed, columns, lines)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1.0, "lifetime must be > 0, got -1.0"), (0.0, "lifetime must be > 0, got 0.0"),
+        (math.nan, "lifetime must be > 0, got nan"), (math.inf, "lifetime must be finite, got inf"),
+    ])
+    def test_times_keep_the_record_rules(self, bad, message):
+        # The first bad time is reported, with LifeRecord's message and,
+        # when the lines are known, its line.
+        with pytest.raises(DataError) as record:
+            LifeRecord(bad, "failed")
+        assert str(record.value) == message
+        time = [1.0, bad, -5.0]
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            LifeData(time, [True] * 3, {"v": [1.0] * 3})
+        with pytest.raises(DataError, match=f"^line 4: {re.escape(message)}$"):
+            LifeData(time, [True] * 3, {"v": [1.0] * 3}, [2, 4, 5])
+
+    def test_arrays_that_pass_the_checks(self):
+        # No records, and times at either end of the positive doubles.
+        assert len(LifeData([], [], {"v": []}, [])) == 0
+        assert len(LifeData([5e-324, 1.7976931348623157e308], [True, False], {})) == 2
+
     def test_record_status_must_be_known(self):
         with pytest.raises(DataError, match=r"^status must be one of .*, got 'dead'$"):
             LifeRecord(1.0, "dead")
